@@ -16,7 +16,7 @@ from .graphs import (
     parse_family,
     to_graph6,
 )
-from .products import ProductIndexMap, lexicographic, relabel_product_subset
+from .products import ProductIndexMap, lexicographic
 from .forests import (
     DEFAULT_MAX_ORDER,
     EnumerationBoundError,

@@ -51,7 +51,6 @@ from .search import ScanConfig, read_graph6_stream, scan
 
 SCHEMA_VERSION = 1
 MAX_ORDER_ENV = "WFCOVER_MAX_ORDER"
-MAX_ORDER_CAP = 24
 
 logger = logging.getLogger(__name__)
 
@@ -81,8 +80,8 @@ def _default_max_order() -> int:
 
 
 def _validate_max_order(value: int) -> int:
-    if not 1 <= value <= MAX_ORDER_CAP:
-        raise ValueError(f"enumeration bound must be between 1 and {MAX_ORDER_CAP}, got {value}")
+    if not 1 <= value <= DEFAULT_MAX_ORDER:
+        raise ValueError(f"enumeration bound must be between 1 and {DEFAULT_MAX_ORDER}, got {value}")
     return value
 
 
@@ -263,19 +262,17 @@ def _cmd_analyze(args, config: RunConfig, stdout, stderr) -> int:
 
 def _cmd_check_theorem(args, config: RunConfig, stdout, stderr) -> int:
     g = _graph_from_arg(args.g)
+    h = _graph_from_arg(args.h)
     bound = config.max_order
     if args.theorem == "thm31":
-        h = _graph_from_arg(args.h)
         report = check_thm31(g, h, max_order=bound)
     elif args.theorem == "thm32":
-        h = _graph_from_arg(args.h)
         if h.edge_count != 0:
             raise HypothesisError("thm32 requires an edgeless second factor")
         report = check_thm32(
             g, h.order, max_order=bound, z_choice=config.z_choice, anchor=config.anchor
         )
     else:
-        h = _graph_from_arg(args.h)
         report = check_thm35(
             g, h, max_order=bound, z_choice=config.z_choice, anchor=config.anchor
         )
@@ -340,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-order",
             type=int,
             default=None,
-            help=f"enumeration bound (default {MAX_ORDER_ENV} or {DEFAULT_MAX_ORDER}, cap {MAX_ORDER_CAP})",
+            help=f"enumeration bound (default {MAX_ORDER_ENV} or {DEFAULT_MAX_ORDER}, cap {DEFAULT_MAX_ORDER})",
         )
 
     p_gen = sub.add_parser("gen", help="generate a family graph and print it")

@@ -12,8 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
-from .graphs import Graph, VertexSubset, component_masks, iter_bits
+from .graphs import (
+    Graph,
+    VertexSubset,
+    component_masks,
+    components_within,
+    induced_subgraph,
+    iter_bits,
+)
 
 DEFAULT_MAX_ORDER = 24
 
@@ -72,28 +80,82 @@ class ForestPartition:
     t: VertexSubset
 
 
-def _require_within_bound(g: Graph, max_order: int | None) -> None:
+def _within_bound(g: Graph, max_order: int | None) -> Graph:
+    """``g`` itself, once its order is checked against ``max_order``
+    (``DEFAULT_MAX_ORDER`` when None)."""
     bound = DEFAULT_MAX_ORDER if max_order is None else max_order
     if g.order > bound:
         raise EnumerationBoundError(g.order, bound)
+    return g
 
 
-def _components_within(adj: tuple[int, ...], mask: int) -> list[int]:
-    """Connected components of the induced subgraph on ``mask``, as masks."""
-    comps = []
-    rem = mask
-    while rem:
-        comp = 0
-        frontier = rem & -rem
-        while frontier:
-            comp |= frontier
-            step = 0
-            for u in iter_bits(frontier):
-                step |= adj[u]
-            frontier = step & mask & ~comp
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+@dataclass(frozen=True)
+class Catalogue:
+    """All maximal sets of one kind (forests, independent sets) of a graph.
+
+    ``components`` holds, per connected component, the sorted global masks
+    of that component's maximal sets.  The maximal sets of the whole graph
+    are the unions of one per component, so every query combines the
+    components by product.
+    """
+
+    order: int
+    components: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def build(cls, g: Graph, kernel: Callable[[int, tuple[int, ...]], list[int]]) -> Catalogue:
+        """Run ``kernel(n, adj)`` on each component, relabelled to 0..n-1."""
+        per_comp = []
+        for comp in component_masks(g):
+            verts = list(iter_bits(comp))
+            local = induced_subgraph(g, VertexSubset(g.order, comp))
+            masks = []
+            for lm in kernel(local.order, local.adj):
+                gm = 0
+                for i in iter_bits(lm):
+                    gm |= 1 << verts[i]
+                masks.append(gm)
+            per_comp.append(tuple(sorted(masks)))
+        return cls(g.order, tuple(per_comp))
+
+    def sets(self) -> list[VertexSubset]:
+        """Every maximal set, each once, ascending by bitmask."""
+        combined = [0]
+        for masks in self.components:
+            combined = [acc | m for acc in combined for m in masks]
+        combined.sort()
+        return [VertexSubset(self.order, m) for m in combined]
+
+    def histogram(self) -> dict[int, int]:
+        """Counts of maximal sets by size (component-wise convolution)."""
+        hist = {0: 1}
+        for masks in self.components:
+            comp_hist: dict[int, int] = {}
+            for m in masks:
+                k = m.bit_count()
+                comp_hist[k] = comp_hist.get(k, 0) + 1
+            merged: dict[int, int] = {}
+            for a, ca in hist.items():
+                for b, cb in comp_hist.items():
+                    merged[a + b] = merged.get(a + b, 0) + ca * cb
+            hist = merged
+        return dict(sorted(hist.items()))
+
+    def number(self) -> int:
+        """Size of a largest maximal set."""
+        return sum(max(m.bit_count() for m in masks) for masks in self.components)
+
+    def uniform(self) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
+        """Whether all maximal sets share one size; if not, also a witness
+        pair (smaller, larger): per component the smallest-mask set of least
+        size and the smallest-mask set of greatest size."""
+        lo = hi = 0
+        for masks in self.components:
+            lo |= min(masks, key=lambda m: (m.bit_count(), m))
+            hi |= max(masks, key=lambda m: (m.bit_count(), -m))
+        if lo.bit_count() == hi.bit_count():
+            return True, None
+        return False, (VertexSubset(self.order, lo), VertexSubset(self.order, hi))
 
 
 def _edges_within(adj: tuple[int, ...], mask: int) -> int:
@@ -104,13 +166,11 @@ def _edges_within(adj: tuple[int, ...], mask: int) -> int:
 
 
 def _is_forest_mask(adj: tuple[int, ...], mask: int) -> bool:
-    if mask == 0:
-        return True
-    return _edges_within(adj, mask) == mask.bit_count() - len(_components_within(adj, mask))
+    return _edges_within(adj, mask) == mask.bit_count() - len(components_within(adj, mask))
 
 
 def _is_maximal_forest_mask(order: int, adj: tuple[int, ...], mask: int) -> bool:
-    comps = _components_within(adj, mask)
+    comps = components_within(adj, mask)
     if _edges_within(adj, mask) != mask.bit_count() - len(comps):
         return False
     label = [-1] * order
@@ -120,17 +180,8 @@ def _is_maximal_forest_mask(order: int, adj: tuple[int, ...], mask: int) -> bool
     outside = ((1 << order) - 1) & ~mask
     for v in iter_bits(outside):
         nb = adj[v] & mask
-        if nb.bit_count() < 2:
-            return False  # v extends the forest
-        seen = set()
-        closes_cycle = False
-        for u in iter_bits(nb):
-            if label[u] in seen:
-                closes_cycle = True
-                break
-            seen.add(label[u])
-        if not closes_cycle:
-            return False
+        if len({label[u] for u in iter_bits(nb)}) == nb.bit_count():
+            return False  # no two neighbours share a component: v extends the forest
     return True
 
 
@@ -148,7 +199,7 @@ def is_maximal_induced_forest(g: Graph, s: VertexSubset) -> bool:
     return _is_maximal_forest_mask(g.order, g.adj, s.mask)
 
 
-def _maximal_forest_masks(n: int, adj: list[int]) -> list[int]:
+def _maximal_forest_masks(n: int, adj: tuple[int, ...]) -> list[int]:
     """All maximal induced forest masks of the graph (n, adj).
 
     Include/exclude walk over vertices 0..n-1 with a rollback union-find
@@ -225,74 +276,25 @@ def _maximal_forest_masks(n: int, adj: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def _component_forest_masks(g: Graph, bound: int) -> tuple[tuple[int, ...], ...]:
-    """Per connected component, the sorted global maximal-forest masks."""
-    if g.order > bound:
-        raise EnumerationBoundError(g.order, bound)
-    per_comp = []
-    for comp in component_masks(g):
-        verts = list(iter_bits(comp))
-        index = {v: i for i, v in enumerate(verts)}
-        local_adj = []
-        for v in verts:
-            row = 0
-            for u in iter_bits(g.adj[v] & comp):
-                row |= 1 << index[u]
-            local_adj.append(row)
-        masks = []
-        for lm in _maximal_forest_masks(len(verts), local_adj):
-            gm = 0
-            for i in iter_bits(lm):
-                gm |= 1 << verts[i]
-            masks.append(gm)
-        per_comp.append(tuple(sorted(masks)))
-    return tuple(per_comp)
+def _forest_catalogue(g: Graph) -> Catalogue:
+    return Catalogue.build(g, _maximal_forest_masks)
 
 
 def enumerate_maximal_induced_forests(
     g: Graph, max_order: int | None = None
 ) -> list[VertexSubset]:
-    """Exactly the maximal induced forests, each once, ascending by bitmask.
-
-    Maximal forests of a disconnected graph are the unions of one maximal
-    forest per component, so the component results combine by product.
-    """
-    _require_within_bound(g, max_order)
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    per_comp = _component_forest_masks(g, bound)
-    combined = [0]
-    for masks in per_comp:
-        combined = [acc | m for acc in combined for m in masks]
-    combined.sort()
-    return [VertexSubset(g.order, m) for m in combined]
+    """Exactly the maximal induced forests, each once, ascending by bitmask."""
+    return _forest_catalogue(_within_bound(g, max_order)).sets()
 
 
 def maximal_forest_order_histogram(g: Graph, max_order: int | None = None) -> dict[int, int]:
     """Counts of maximal induced forests by order (component-wise convolution)."""
-    _require_within_bound(g, max_order)
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    hist = {0: 1}
-    for masks in _component_forest_masks(g, bound):
-        comp_hist: dict[int, int] = {}
-        for m in masks:
-            k = m.bit_count()
-            comp_hist[k] = comp_hist.get(k, 0) + 1
-        merged: dict[int, int] = {}
-        for a, ca in hist.items():
-            for b, cb in comp_hist.items():
-                merged[a + b] = merged.get(a + b, 0) + ca * cb
-        hist = merged
-    return dict(sorted(hist.items()))
+    return _forest_catalogue(_within_bound(g, max_order)).histogram()
 
 
 def forest_number(g: Graph, max_order: int | None = None) -> int:
     """Order of a maximum induced forest: |V| minus the minimum feedback vertex set."""
-    _require_within_bound(g, max_order)
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    total = 0
-    for masks in _component_forest_masks(g, bound):
-        total += max(m.bit_count() for m in masks)
-    return total
+    return _forest_catalogue(_within_bound(g, max_order)).number()
 
 
 def is_well_f_covered(
@@ -302,22 +304,7 @@ def is_well_f_covered(
 
     When they do not, also return a witness pair (smaller, larger).
     """
-    _require_within_bound(g, max_order)
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    min_mask = 0
-    max_mask = 0
-    min_total = 0
-    max_total = 0
-    for masks in _component_forest_masks(g, bound):
-        lo = min(masks, key=lambda m: (m.bit_count(), m))
-        hi = max(masks, key=lambda m: (m.bit_count(), -m))
-        min_mask |= lo
-        max_mask |= hi
-        min_total += lo.bit_count()
-        max_total += hi.bit_count()
-    if min_total == max_total:
-        return True, None
-    return False, (VertexSubset(g.order, min_mask), VertexSubset(g.order, max_mask))
+    return _forest_catalogue(_within_bound(g, max_order)).uniform()
 
 
 def forest_stats(g: Graph, f: VertexSubset) -> ForestStats:
@@ -327,7 +314,7 @@ def forest_stats(g: Graph, f: VertexSubset) -> ForestStats:
     if not _is_forest_mask(g.adj, f.mask):
         raise ValueError("subset does not induce a forest")
     isolated = k2 = leaves = internal = 0
-    for comp in _components_within(g.adj, f.mask):
+    for comp in components_within(g.adj, f.mask):
         sz = comp.bit_count()
         if sz == 1:
             isolated += 1
@@ -356,7 +343,7 @@ def forest_partition(g: Graph, f: VertexSubset, z_choice: str = "min") -> Forest
     if not _is_maximal_forest_mask(g.order, g.adj, f.mask):
         raise ValueError("witness constructions require a maximal induced forest")
     x1 = x2 = y = z = t = 0
-    for comp in _components_within(g.adj, f.mask):
+    for comp in components_within(g.adj, f.mask):
         sz = comp.bit_count()
         if sz == 1:
             x1 |= comp

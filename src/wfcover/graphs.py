@@ -300,24 +300,28 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.order + g2.order, tuple(rows))
 
 
-def component_masks(g: Graph) -> list[int]:
-    """Connected components as bitmasks, ordered by smallest member."""
-    seen = 0
+def components_within(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Connected components of the subgraph induced by ``mask``, as masks
+    ordered by smallest member."""
     comps = []
-    for v in range(g.order):
-        if (seen >> v) & 1:
-            continue
+    rem = mask
+    while rem:
         comp = 0
-        frontier = 1 << v
+        frontier = rem & -rem
         while frontier:
             comp |= frontier
             step = 0
             for u in iter_bits(frontier):
-                step |= g.adj[u]
-            frontier = step & ~comp
+                step |= adj[u]
+            frontier = step & mask & ~comp
         comps.append(comp)
-        seen |= comp
+        rem &= ~comp
     return comps
+
+
+def component_masks(g: Graph) -> list[int]:
+    """Connected components as bitmasks, ordered by smallest member."""
+    return components_within(g.adj, g.vertices_mask)
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:

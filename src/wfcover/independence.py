@@ -1,15 +1,16 @@
 """Maximal independent sets, independence number, well-covered decision.
 
 Mirrors the forest enumeration: an exhaustive include/exclude scan per
-connected component with domination pruning, canonical ascending order.
+connected component with domination pruning, combined by the same
+catalogue, canonical ascending order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, VertexSubset, component_masks, iter_bits
-from .forests import DEFAULT_MAX_ORDER, EnumerationBoundError, _require_within_bound
+from .graphs import Graph, VertexSubset, iter_bits
+from .forests import Catalogue, _within_bound
 
 
 def is_maximal_independent_set(g: Graph, s: VertexSubset) -> bool:
@@ -24,7 +25,7 @@ def is_maximal_independent_set(g: Graph, s: VertexSubset) -> bool:
     return covered == g.vertices_mask
 
 
-def _maximal_independent_masks(n: int, adj: list[int]) -> list[int]:
+def _maximal_independent_masks(n: int, adj: tuple[int, ...]) -> list[int]:
     """All maximal independent set masks of the graph (n, adj)."""
     full = (1 << n) - 1
     out: list[int] = []
@@ -47,51 +48,20 @@ def _maximal_independent_masks(n: int, adj: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def _component_independent_masks(g: Graph, bound: int) -> tuple[tuple[int, ...], ...]:
-    """Per connected component, the sorted global maximal-independent masks."""
-    if g.order > bound:
-        raise EnumerationBoundError(g.order, bound)
-    per_comp = []
-    for comp in component_masks(g):
-        verts = list(iter_bits(comp))
-        index = {v: i for i, v in enumerate(verts)}
-        local_adj = []
-        for v in verts:
-            row = 0
-            for u in iter_bits(g.adj[v] & comp):
-                row |= 1 << index[u]
-            local_adj.append(row)
-        masks = []
-        for lm in _maximal_independent_masks(len(verts), local_adj):
-            gm = 0
-            for i in iter_bits(lm):
-                gm |= 1 << verts[i]
-            masks.append(gm)
-        per_comp.append(tuple(sorted(masks)))
-    return tuple(per_comp)
+def _independent_catalogue(g: Graph) -> Catalogue:
+    return Catalogue.build(g, _maximal_independent_masks)
 
 
 def enumerate_maximal_independent_sets(
     g: Graph, max_order: int | None = None
 ) -> list[VertexSubset]:
     """Exactly the maximal independent sets, each once, ascending by bitmask."""
-    _require_within_bound(g, max_order)
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    combined = [0]
-    for masks in _component_independent_masks(g, bound):
-        combined = [acc | m for acc in combined for m in masks]
-    combined.sort()
-    return [VertexSubset(g.order, m) for m in combined]
+    return _independent_catalogue(_within_bound(g, max_order)).sets()
 
 
 def independence_number(g: Graph, max_order: int | None = None) -> int:
     """Size of a maximum independent set."""
-    _require_within_bound(g, max_order)
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    total = 0
-    for masks in _component_independent_masks(g, bound):
-        total += max(m.bit_count() for m in masks)
-    return total
+    return _independent_catalogue(_within_bound(g, max_order)).number()
 
 
 def is_well_covered(
@@ -101,17 +71,4 @@ def is_well_covered(
 
     When they do not, also return a witness pair (smaller, larger).
     """
-    _require_within_bound(g, max_order)
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    min_mask = max_mask = 0
-    min_total = max_total = 0
-    for masks in _component_independent_masks(g, bound):
-        lo = min(masks, key=lambda m: (m.bit_count(), m))
-        hi = max(masks, key=lambda m: (m.bit_count(), -m))
-        min_mask |= lo
-        max_mask |= hi
-        min_total += lo.bit_count()
-        max_total += hi.bit_count()
-    if min_total == max_total:
-        return True, None
-    return False, (VertexSubset(g.order, min_mask), VertexSubset(g.order, max_mask))
+    return _independent_catalogue(_within_bound(g, max_order)).uniform()

@@ -50,13 +50,6 @@ class ProductIndexMap:
         return VertexSubset(self.order, mask)
 
 
-def relabel_product_subset(
-    index_map: ProductIndexMap, pairs: Iterable[tuple[int, int]]
-) -> VertexSubset:
-    """Convenience alias for ProductIndexMap.subset_from_pairs."""
-    return index_map.subset_from_pairs(pairs)
-
-
 def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductIndexMap]:
     """Build G∘H together with the row-major index map.
 

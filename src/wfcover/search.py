@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
-from .forests import DEFAULT_MAX_ORDER
+from .forests import DEFAULT_MAX_ORDER, forest_number
+from .independence import independence_number
 from .theorems import (
     THEOREM_IDS,
     TheoremReport,
@@ -108,9 +109,6 @@ def _check_pair(payload: tuple[str, Graph, Graph, int]) -> Finding:
     truth = report.ground_truth
     # alpha(G) and f(H) are not part of every report's ground truth; they are
     # cheap for hypothesis-filtered pairs, so fill the gaps here.
-    from .forests import forest_number
-    from .independence import independence_number
-
     alpha_g = truth.get("alpha_g")
     if alpha_g is None:
         alpha_g = independence_number(g, max_order)
@@ -195,7 +193,9 @@ def read_graph6_stream(
     in strict mode, or is skipped with a logged warning otherwise.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="ascii") as fh:
+        # Non-ASCII bytes decode to lone surrogates, so the record check of
+        # their own line rejects them, at their byte offset.
+        with open(source, encoding="ascii", errors="surrogateescape") as fh:
             yield from read_graph6_stream(fh, strict=strict)
         return
     for lineno, line in enumerate(source, start=1):

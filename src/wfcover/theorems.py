@@ -32,6 +32,7 @@ well-f-covered, and ``consistent`` otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import FamilySpec, Graph, VertexSubset, generate, iter_bits
 from .products import lexicographic
@@ -179,7 +180,7 @@ def make_witness_spec(
     )
 
 
-def _validate_partition(g: Graph, spec: WitnessSpec) -> None:
+def _validate_partition(spec: WitnessSpec) -> None:
     p = spec.partition
     parts = (p.x1.mask, p.x2.mask, p.y.mask, p.z.mask, p.t.mask)
     union = 0
@@ -193,8 +194,44 @@ def _validate_partition(g: Graph, spec: WitnessSpec) -> None:
         raise ValueError("partition field x must be the union of x1 and x2")
 
 
-def _verify_witness(product: Graph, mask: int, what: str) -> VertexSubset:
-    subset = VertexSubset(product.order, mask)
+@lru_cache(maxsize=1)
+def _product(g: Graph, h: Graph) -> Graph:
+    """G∘H, kept for the latest pair: a check and every witness it
+    constructs share one build."""
+    return lexicographic(g, h)[0]
+
+
+def _vstar_blocks(p: ForestPartition, h_forest: int, h_independent: int, anchor: int) -> tuple:
+    """V* as (G-mask, H-mask) blocks: X1×F_H, (X2∪Z)×M_H, (Y∪T)×{anchor}."""
+    point = 1 << anchor
+    return (
+        (p.x1.mask, h_forest),
+        (p.x2.mask, h_independent),
+        (p.z.mask, h_independent),
+        (p.y.mask, point),
+        (p.t.mask, point),
+    )
+
+
+def _lift(blocks, h_order: int) -> int:
+    """The union of the blocks gmask × hmask, as a mask of G∘H."""
+    mask = 0
+    for gmask, hmask in blocks:
+        for v in iter_bits(gmask):
+            mask |= hmask << (v * h_order)
+    return mask
+
+
+def _witness(g: Graph, h: Graph, blocks, what: str) -> VertexSubset:
+    """Lift ``blocks`` into G∘H, check the size formula sum |gmask|*|hmask|,
+    and brute-force verify that the set is a maximal induced forest."""
+    product = _product(g, h)
+    subset = VertexSubset(product.order, _lift(blocks, h.order))
+    expected = sum(gmask.bit_count() * hmask.bit_count() for gmask, hmask in blocks)
+    if len(subset) != expected:
+        raise WitnessVerificationError(
+            f"witness size {len(subset)} differs from formula value {expected}", subset=subset
+        )
     if not is_maximal_induced_forest(product, subset):
         raise WitnessVerificationError(
             f"constructed {what} is not a maximal induced forest of the product",
@@ -216,22 +253,10 @@ def construct_vstar_empty_second(g: Graph, spec: WitnessSpec, n: int) -> VertexS
         raise ValueError(f"anchor {spec.anchor} out of range for second factor of order {n}")
     if not is_maximal_induced_forest(g, spec.forest):
         raise ValueError("witness construction requires a maximal induced forest")
-    _validate_partition(g, spec)
-    p = spec.partition
-    product, _ = lexicographic(g, generate(FamilySpec("empty", n)))
-    block = (1 << n) - 1
-    mask = 0
-    for v in iter_bits(p.x.mask | p.z.mask):
-        mask |= block << (v * n)
-    for v in iter_bits(p.y.mask | p.t.mask):
-        mask |= 1 << (v * n + spec.anchor)
-    expected = n * (len(p.x) + len(p.z)) + len(p.y) + len(p.t)
-    if mask.bit_count() != expected:
-        raise WitnessVerificationError(
-            f"witness size {mask.bit_count()} differs from formula value {expected}",
-            subset=VertexSubset(product.order, mask),
-        )
-    return _verify_witness(product, mask, "V*")
+    _validate_partition(spec)
+    h = generate(FamilySpec("empty", n))
+    blocks = _vstar_blocks(spec.partition, h.vertices_mask, h.vertices_mask, spec.anchor)
+    return _witness(g, h, blocks, "V*")
 
 
 def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> VertexSubset:
@@ -246,15 +271,7 @@ def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> Vert
         raise ValueError("witness construction requires a maximal independent set")
     if not is_maximal_induced_forest(h, f_h):
         raise ValueError("witness construction requires a maximal induced forest of H")
-    product, _ = lexicographic(g, h)
-    mask = 0
-    for a in iter_bits(m.mask):
-        mask |= f_h.mask << (a * h.order)
-    if mask.bit_count() != len(m) * len(f_h):
-        raise WitnessVerificationError(
-            "witness size differs from |M|*|F_H|", subset=VertexSubset(product.order, mask)
-        )
-    return _verify_witness(product, mask, "V_M")
+    return _witness(g, h, ((m.mask, f_h.mask),), "V_M")
 
 
 def construct_vstar_nonempty_second(g: Graph, spec: WitnessSpec, h: Graph) -> VertexSubset:
@@ -276,29 +293,19 @@ def construct_vstar_nonempty_second(g: Graph, spec: WitnessSpec, h: Graph) -> Ve
         raise ValueError("h_independent must be a maximal independent set of H")
     if spec.anchor not in spec.h_independent:
         raise ValueError(f"anchor {spec.anchor} must belong to the maximal independent set of H")
-    _validate_partition(g, spec)
-    p = spec.partition
-    product, _ = lexicographic(g, h)
-    n = h.order
-    mask = 0
-    for v in iter_bits(p.x1.mask):
-        mask |= spec.h_forest.mask << (v * n)
-    for v in iter_bits(p.x2.mask | p.z.mask):
-        mask |= spec.h_independent.mask << (v * n)
-    for v in iter_bits(p.y.mask | p.t.mask):
-        mask |= 1 << (v * n + spec.anchor)
-    expected = (
-        len(spec.h_forest) * len(p.x1)
-        + len(spec.h_independent) * (len(p.x2) + len(p.z))
-        + len(p.y)
-        + len(p.t)
-    )
-    if mask.bit_count() != expected:
-        raise WitnessVerificationError(
-            f"witness size {mask.bit_count()} differs from formula value {expected}",
-            subset=VertexSubset(product.order, mask),
-        )
-    return _verify_witness(product, mask, "V*")
+    _validate_partition(spec)
+    blocks = _vstar_blocks(spec.partition, spec.h_forest.mask, spec.h_independent.mask, spec.anchor)
+    return _witness(g, h, blocks, "V*")
+
+
+def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
+    """Run one ``construct_*``; a failed verification is recorded, not raised."""
+    try:
+        subset = construct(*args)
+    except WitnessVerificationError as exc:
+        size = len(exc.subset) if exc.subset is not None else None
+        return WitnessRecord(kind, exc.subset, size, False, dict(detail, error=str(exc)))
+    return WitnessRecord(kind, subset, len(subset), True, detail)
 
 
 def _product_ground_truth(product: Graph, max_order: int | None) -> dict:
@@ -321,8 +328,7 @@ def check_thm31(g: Graph, h: Graph, max_order: int | None = None) -> TheoremRepo
     if g.edge_count != 0:
         raise HypothesisError("thm31 requires an edgeless first factor")
     m = g.order
-    product, _ = lexicographic(g, h)
-    truth = _product_ground_truth(product, max_order)
+    truth = _product_ground_truth(_product(g, h), max_order)
     wfc_h, _ = is_well_f_covered(h, max_order)
     f_h = forest_number(h, max_order)
     truth.update({"f_h": f_h, "well_f_covered_h": wfc_h})
@@ -357,13 +363,10 @@ def check_thm32(
     anchor_val = 0 if anchor is None else anchor
     if not 0 <= anchor_val < n:
         raise ValueError(f"anchor {anchor_val} out of range for second factor of order {n}")
-    h = generate(FamilySpec("empty", n))
-    product, _ = lexicographic(g, h)
-    truth = _product_ground_truth(product, max_order)
+    truth = _product_ground_truth(_product(g, generate(FamilySpec("empty", n))), max_order)
     f_p = truth["f_product"]
     records = []
     witnesses = []
-    verification_failed = False
     for forest in enumerate_maximal_induced_forests(g, max_order):
         stats = forest_stats(g, forest)
         lhs = thm32_lhs(stats, n)
@@ -376,14 +379,10 @@ def check_thm32(
             "anchor": anchor_val,
             "z_choice": z_choice,
         }
-        try:
-            subset = construct_vstar_empty_second(g, spec, n)
-            witnesses.append(WitnessRecord("vstar_empty_second", subset, len(subset), True, detail))
-        except WitnessVerificationError as exc:
-            verification_failed = True
-            size = len(exc.subset) if exc.subset is not None else None
-            detail = dict(detail, error=str(exc))
-            witnesses.append(WitnessRecord("vstar_empty_second", exc.subset, size, False, detail))
+        witnesses.append(
+            _record("vstar_empty_second", detail, construct_vstar_empty_second, g, spec, n)
+        )
+    verification_failed = not all(w.verified for w in witnesses)
     all_hold = all(r.holds for r in records)
     if verification_failed or (truth["well_f_covered_product"] and not all_hold):
         verdict = VERDICT_VIOLATION
@@ -414,8 +413,7 @@ def check_thm35(
         raise HypothesisError("thm35 requires a first factor with at least one edge")
     if h.edge_count == 0:
         raise HypothesisError("thm35 requires a second factor with at least one edge")
-    product, _ = lexicographic(g, h)
-    truth = _product_ground_truth(product, max_order)
+    truth = _product_ground_truth(_product(g, h), max_order)
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]
 
@@ -451,7 +449,6 @@ def check_thm35(
 
     records = []
     witnesses = []
-    verification_failed = False
 
     # canonical F_H: the smallest-mask maximal forest of maximum order, so
     # that |F_H| = f(H) and the size identities read off directly
@@ -462,16 +459,10 @@ def check_thm35(
             detail["quotient_holds"] = (
                 f_p % len(fh_canon) == 0 and len(m) == f_p // len(fh_canon)
             )
-        try:
-            subset = construct_vm(g, m, h, fh_canon)
-            witnesses.append(WitnessRecord("vm", subset, len(subset), True, detail))
-        except WitnessVerificationError as exc:
-            verification_failed = True
-            size = len(exc.subset) if exc.subset is not None else None
-            detail = dict(detail, error=str(exc))
-            witnesses.append(WitnessRecord("vm", exc.subset, size, False, detail))
+        witnesses.append(_record("vm", detail, construct_vm, g, m, h, fh_canon))
 
     for forest, stats in zip(forests_g, stats_g):
+        partition = forest_partition(g, forest, z_choice=z_choice)
         for m_h in mis_h:
             lhs = thm35_lhs(stats, f_h, len(m_h))
             records.append(
@@ -485,32 +476,16 @@ def check_thm35(
                     f"anchor {anchor_val} does not belong to the maximal independent set "
                     f"{sorted(m_h.vertices())}"
                 )
-            spec = make_witness_spec(
-                g,
-                forest,
-                z_choice=z_choice,
-                h_forest=fh_canon,
-                h_independent=m_h,
-                anchor=anchor_val,
-            )
+            spec = WitnessSpec(forest, partition, anchor_val, fh_canon, m_h)
             detail = {
                 "forest": list(forest.vertices()),
                 "m_h": list(m_h.vertices()),
                 "anchor": anchor_val,
                 "z_choice": z_choice,
             }
-            try:
-                subset = construct_vstar_nonempty_second(g, spec, h)
-                witnesses.append(
-                    WitnessRecord("vstar_nonempty_second", subset, len(subset), True, detail)
-                )
-            except WitnessVerificationError as exc:
-                verification_failed = True
-                size = len(exc.subset) if exc.subset is not None else None
-                detail = dict(detail, error=str(exc))
-                witnesses.append(
-                    WitnessRecord("vstar_nonempty_second", exc.subset, size, False, detail)
-                )
+            witnesses.append(
+                _record("vstar_nonempty_second", detail, construct_vstar_nonempty_second, g, spec, h)
+            )
 
     cond4 = all(r.holds for r in records)
     conditions = {
@@ -520,6 +495,7 @@ def check_thm35(
         "condition_4": cond4,
     }
     all_conditions = cond1 and cond2 and cond3 and cond4
+    verification_failed = not all(w.verified for w in witnesses)
     if verification_failed or (wfc_p and not all_conditions):
         verdict = VERDICT_VIOLATION
     elif all_conditions and not wfc_p:

@@ -36,7 +36,6 @@ from wfcover import (
     lexicographic,
     make_witness_spec,
     parse_family,
-    relabel_product_subset,
     scan,
     thm35_lhs,
     to_graph6,
@@ -91,8 +90,8 @@ def test_criterion_2_c5_c4():
         f_p = forest_number(product)
         assert f_p == 6
         assert f_p == independence_number(g) * forest_number(h)
-        first = relabel_product_subset(
-            index_map, [(0, 0), (0, 2), (1, 0), (2, 0), (3, 0), (3, 2)]
+        first = index_map.subset_from_pairs(
+            [(0, 0), (0, 2), (1, 0), (2, 0), (3, 0), (3, 2)]
         )
         assert len(first) == 6
         assert is_maximal_induced_forest(product, first)

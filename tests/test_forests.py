@@ -23,7 +23,6 @@ from wfcover import (
     lexicographic,
     maximal_forest_order_histogram,
     parse_family,
-    relabel_product_subset,
 )
 
 from conftest import naive_maximal_forests
@@ -49,8 +48,8 @@ class TestForestPredicates:
 
     def test_example_product_subset_is_forest(self):
         product, index_map = lexicographic(fam("cycle:5"), fam("cycle:4"))
-        first = relabel_product_subset(
-            index_map, [(0, 0), (0, 2), (1, 0), (2, 0), (3, 0), (3, 2)]
+        first = index_map.subset_from_pairs(
+            [(0, 0), (0, 2), (1, 0), (2, 0), (3, 0), (3, 2)]
         )
         assert is_induced_forest(product, first)
         assert is_maximal_induced_forest(product, first)

@@ -14,7 +14,6 @@ from wfcover import (
     is_well_f_covered,
     lexicographic,
     parse_family,
-    relabel_product_subset,
     VertexSubset,
 )
 
@@ -89,24 +88,24 @@ class TestIndexMap:
 
     def test_single_pair(self):
         _, index_map = lexicographic(fam("path:2"), fam("cycle:4"))
-        assert relabel_product_subset(index_map, [(0, 0)]).vertices() == (0,)
+        assert index_map.subset_from_pairs([(0, 0)]).vertices() == (0,)
 
     def test_example_product_subset_has_six_vertices(self):
         _, index_map = lexicographic(fam("cycle:5"), fam("cycle:4"))
         pairs = [(0, 0), (0, 2), (1, 0), (2, 0), (3, 0), (3, 2)]
-        subset = relabel_product_subset(index_map, pairs)
+        subset = index_map.subset_from_pairs(pairs)
         assert len(subset) == 6
         assert subset.vertices() == (0, 2, 4, 8, 12, 14)
 
     def test_duplicates_collapse(self):
         _, index_map = lexicographic(fam("path:2"), fam("path:2"))
-        a = relabel_product_subset(index_map, [(0, 1), (0, 1), (1, 0)])
-        b = relabel_product_subset(index_map, [(0, 1), (1, 0)])
+        a = index_map.subset_from_pairs([(0, 1), (0, 1), (1, 0)])
+        b = index_map.subset_from_pairs([(0, 1), (1, 0)])
         assert a == b
 
     def test_out_of_range_pair(self):
         _, index_map = lexicographic(fam("path:2"), fam("path:2"))
         with pytest.raises(ValueError):
-            relabel_product_subset(index_map, [(2, 0)])
+            index_map.subset_from_pairs([(2, 0)])
         with pytest.raises(ValueError):
-            relabel_product_subset(index_map, [(0, 2)])
+            index_map.subset_from_pairs([(0, 2)])

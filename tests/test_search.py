@@ -141,3 +141,14 @@ class TestReadGraph6Stream:
         path.write_text("Cl\nDlc\n")
         graphs = list(read_graph6_stream(path))
         assert [g.order for g in graphs] == [4, 5]
+
+    def test_non_ascii_line_in_file_is_rejected_per_line(self, tmp_path, caplog):
+        path = tmp_path / "graphs.g6"
+        # mixed line endings: every one of them ends a line
+        path.write_bytes("Cl\r\n\u00e9\rDlc\n".encode("utf-8"))
+        with pytest.raises(Graph6Error, match=r"line 2: .*byte offset 0"):
+            list(read_graph6_stream(path))
+        with caplog.at_level(logging.WARNING, logger="wfcover.search"):
+            graphs = list(read_graph6_stream(path, strict=False))
+        assert [g.order for g in graphs] == [4, 5]
+        assert any("line 2" in rec.message for rec in caplog.records)

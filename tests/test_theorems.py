@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import wfcover.theorems as theorems
 from wfcover import (
     ForestStats,
     Graph,
@@ -317,3 +318,43 @@ class TestConstructVstarNonemptySecond:
         spec = make_witness_spec(g, subset(g, [0, 1]))
         with pytest.raises(ValueError):
             construct_vstar_nonempty_second(g, spec, h)
+
+
+class TestCheckPath:
+    CHECKS = {
+        "thm31": lambda: check_thm31(fam("empty:3"), fam("cycle:4")),
+        "thm32": lambda: check_thm32(fam("path:4"), 2),
+        "thm35": lambda: check_thm35(fam("cycle:5"), fam("cycle:4")),
+    }
+
+    @pytest.mark.parametrize("theorem", ["thm31", "thm32", "thm35"])
+    def test_one_product_build_per_check(self, monkeypatch, theorem):
+        calls = []
+        build = theorems.lexicographic
+
+        def counting(g, h):
+            calls.append((g.order, h.order))
+            return build(g, h)
+
+        monkeypatch.setattr(theorems, "lexicographic", counting)
+        theorems._product.cache_clear()
+        self.CHECKS[theorem]()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
+    def test_failed_witness_verification_is_recorded(self, monkeypatch, theorem):
+        expected = self.CHECKS[theorem]()
+        product_order = expected.ground_truth["product_order"]
+        real = theorems.is_maximal_induced_forest
+
+        def reject_product_sets(g, s):
+            return False if s.order == product_order else real(g, s)
+
+        monkeypatch.setattr(theorems, "is_maximal_induced_forest", reject_product_sets)
+        report = self.CHECKS[theorem]()
+        assert report.verdict == "theorem_violation"
+        assert len(report.witnesses) == len(expected.witnesses) > 0
+        for got, want in zip(report.witnesses, expected.witnesses):
+            assert not got.verified
+            assert (got.kind, got.subset, got.size) == (want.kind, want.subset, want.size)
+            assert "not a maximal induced forest" in got.detail["error"]
