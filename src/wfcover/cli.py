@@ -85,6 +85,17 @@ def _validate_max_order(value: int) -> int:
     return value
 
 
+def _first_graph(path: str) -> Graph:
+    """The first graph6 record of a file; the lines after it are not read."""
+    records = read_graph6_stream(path)
+    try:
+        return next(records)
+    except StopIteration:
+        raise ValueError(f"no graph6 records in {path!r}") from None
+    finally:
+        records.close()
+
+
 def _graph_from_arg(text: str) -> Graph:
     """Accept family syntax (path:4, fig1), g6:<record>, file:<path>, or bare graph6."""
     if text == "fig1" or (":" in text and text.split(":", 1)[0] in ("path", "cycle", "complete", "empty")):
@@ -92,10 +103,7 @@ def _graph_from_arg(text: str) -> Graph:
     if text.startswith("g6:"):
         return from_graph6(text[3:])
     if text.startswith("file:"):
-        graphs = list(read_graph6_stream(text[5:]))
-        if not graphs:
-            raise ValueError(f"no graph6 records in {text[5:]!r}")
-        return graphs[0]
+        return _first_graph(text[5:])
     return from_graph6(text)
 
 
@@ -104,10 +112,7 @@ def _graph_from_flags(args: argparse.Namespace) -> Graph:
         return generate(parse_family(args.family))
     if args.graph6 is not None:
         return from_graph6(args.graph6)
-    graphs = list(read_graph6_stream(args.file))
-    if not graphs:
-        raise ValueError(f"no graph6 records in {args.file!r}")
-    return graphs[0]
+    return _first_graph(args.file)
 
 
 def _subset_json(subset) -> list[int]:

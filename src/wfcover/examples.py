@@ -18,7 +18,7 @@ theorem_violation).
 from __future__ import annotations
 
 from .graphs import FamilySpec, Graph, VertexSubset, generate
-from .products import lexicographic
+from .products import ProductIndexMap
 from .forests import (
     ForestStats,
     enumerate_maximal_induced_forests,
@@ -33,6 +33,7 @@ from .theorems import (
     VERDICT_CONSISTENT,
     VERDICT_NON_SUFFICIENCY,
     VERDICT_VIOLATION,
+    _product,
     check_thm32,
     check_thm35,
     thm32_lhs,
@@ -275,7 +276,9 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
     truth = report.ground_truth
     alpha = truth["alpha_g"]
     f_h = truth["f_h"]
-    product, index_map = lexicographic(g, h)
+    # the product check_thm35 just built, from its one-entry memo
+    product = _product(g, h)
+    index_map = ProductIndexMap(g.order, h.order)
 
     forests_g = enumerate_maximal_induced_forests(g, max_order)
     all_p4 = all(len(f) == 4 and _is_induced_path(g, f) for f in forests_g)

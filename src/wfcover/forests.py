@@ -2,10 +2,12 @@
 
 "Forest" always means *induced* forest: a vertex set whose induced subgraph
 is acyclic.  A forest is maximal when adding any outside vertex closes a
-cycle.  Enumeration is an exhaustive scan of the subset lattice, organised
-as an include/exclude walk per connected component so that cycle pruning
-actually bites; results are returned in a canonical ascending-bitmask order
-regardless of internal traversal.
+cycle.  Enumeration is exhaustive: an include/exclude walk per connected
+component, deciding high-degree vertices first, that never includes a
+vertex closing a cycle and cuts a branch as soon as some excluded vertex
+has fewer than two neighbours left to choose; each completed set is then
+tested for maximality.  Results are returned in a canonical
+ascending-bitmask order regardless of internal traversal.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .graphs import (
     VertexSubset,
     component_masks,
     components_within,
-    induced_subgraph,
     iter_bits,
 )
 
@@ -104,13 +105,22 @@ class Catalogue:
 
     @classmethod
     def build(cls, g: Graph, kernel: Callable[[int, tuple[int, ...]], list[int]]) -> Catalogue:
-        """Run ``kernel(n, adj)`` on each component, relabelled to 0..n-1."""
+        """Run ``kernel(n, adj)`` on each component, relabelled to 0..n-1 by
+        descending degree (ties by ascending index).
+
+        The kernels decide vertices in label order, so hubs come first: a
+        decided hub constrains many vertices while the subtrees below it are
+        still large, instead of after they have been walked.  Each
+        component's masks are mapped back and sorted, so the result does not
+        depend on the order.
+        """
         per_comp = []
         for comp in component_masks(g):
-            verts = list(iter_bits(comp))
-            local = induced_subgraph(g, VertexSubset(g.order, comp))
+            verts = sorted(iter_bits(comp), key=lambda v: (-g.adj[v].bit_count(), v))
+            label = {v: i for i, v in enumerate(verts)}
+            adj = tuple(sum(1 << label[u] for u in iter_bits(g.adj[v])) for v in verts)
             masks = []
-            for lm in kernel(local.order, local.adj):
+            for lm in kernel(len(verts), adj):
                 gm = 0
                 for i in iter_bits(lm):
                     gm |= 1 << verts[i]
@@ -203,9 +213,17 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...]) -> list[int]:
     """All maximal induced forest masks of the graph (n, adj).
 
     Include/exclude walk over vertices 0..n-1 with a rollback union-find
-    tracking the components of the chosen set.  Branches are cut when an
-    excluded vertex can never again lose its ability to extend the forest;
-    completed subsets are kept only if no excluded vertex extends them.
+    tracking the components of the chosen set ``smask``.  A vertex's
+    potential neighbours are its neighbours in ``smask | undecided``.  An
+    excluded vertex with fewer than two of them can be added to every
+    completion of ``smask`` without closing a cycle, so its branch holds no
+    maximal forest and is cut.  Excluding ``i`` takes a potential neighbour
+    away only from the neighbours of ``i``, so the exclude branch re-checks
+    ``i`` and its earlier-excluded neighbours.  It skips those in ``twice``:
+    ``once`` and ``twice`` hold the vertices with at least one and at least
+    two neighbours in ``smask``, and since ``smask`` only grows along a
+    branch, a vertex in ``twice`` keeps two potential neighbours for good.
+    Completed subsets are kept only if no excluded vertex extends them.
     """
     full = (1 << n) - 1
     parent = list(range(n))
@@ -219,13 +237,12 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...]) -> list[int]:
         return x
 
     def leaf_is_maximal(smask: int) -> bool:
+        # the exclude-branch cut leaves every excluded vertex two neighbours
+        # in smask, so only their components remain to be compared
         for v in iter_bits(full & ~smask):
-            nb = adj[v] & smask
-            if nb.bit_count() < 2:
-                return False
             seen = set()
             extends = True
-            for u in iter_bits(nb):
+            for u in iter_bits(adj[v] & smask):
                 r = find(u)
                 if r in seen:
                     extends = False
@@ -235,17 +252,18 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...]) -> list[int]:
                 return False
         return True
 
-    def decide(i: int, smask: int, undecided: int) -> None:
+    def decide(i: int, smask: int, undecided: int, once: int, twice: int) -> None:
         if i == n:
             if leaf_is_maximal(smask):
                 out.append(smask)
             return
         bit = 1 << i
         undecided &= ~bit
+        nbrs = adj[i]
         # include i unless it closes a cycle (two neighbours in one component)
         roots = []
         acyclic = True
-        for u in iter_bits(adj[i] & smask):
+        for u in iter_bits(nbrs & smask):
             r = find(u)
             if r in roots:
                 acyclic = False
@@ -260,18 +278,24 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...]) -> list[int]:
                 size[ra] += size[rb]
                 trail.append(rb)
                 cur = ra
-            decide(i + 1, smask | bit, undecided)
+            decide(i + 1, smask | bit, undecided, once | nbrs, twice | (once & nbrs))
             while len(trail) > mark:
                 rb = trail.pop()
                 ra = parent[rb]
                 size[ra] -= size[rb]
                 parent[rb] = rb
-        # exclude i: dead end if i keeps at most one potential neighbour,
-        # since it would then extend every completion of smask
-        if (adj[i] & (smask | undecided)).bit_count() >= 2:
-            decide(i + 1, smask, undecided)
+        # exclude i: dead end if i, or an excluded neighbour of i that is not
+        # yet in twice, keeps at most one potential neighbour, since that
+        # vertex would then extend every completion of smask
+        potential = smask | undecided
+        if (nbrs & potential).bit_count() < 2:
+            return
+        for v in iter_bits(nbrs & ~potential & (bit - 1) & ~twice):
+            if (adj[v] & potential).bit_count() < 2:
+                return
+        decide(i + 1, smask, undecided, once, twice)
 
-    decide(0, 0, full)
+    decide(0, 0, full, 0, 0)
     return out
 
 

@@ -98,6 +98,28 @@ class TestAnalyze:
         assert code == 0
         assert doc["order"] == 4
 
+    # The file's first record, Cl, has order 4; its product with P2 has order 8.
+    FILE_COMMANDS = [
+        (["analyze", "--file", "{path}"], 4),
+        (["product", "--g", "file:{path}", "--h", "path:2"], 8),
+    ]
+
+    @pytest.mark.parametrize("argv,order", FILE_COMMANDS)
+    def test_file_input_reads_only_the_first_record(self, tmp_path, argv, order):
+        path = tmp_path / "in.g6"
+        path.write_bytes("Cl\n\u00e9\n".encode("utf-8"))
+        code, out, err = invoke([a.format(path=path) for a in argv])
+        assert code == 0, err
+        assert json.loads(out)["order"] == order
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in FILE_COMMANDS])
+    def test_empty_file_input_is_rejected(self, tmp_path, argv):
+        path = tmp_path / "empty.g6"
+        path.write_text("\n")
+        code, _, err = invoke([a.format(path=path) for a in argv])
+        assert code == 2
+        assert "no graph6 records in" in err
+
 
 class TestGenAndProduct:
     def test_gen_path(self):

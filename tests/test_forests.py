@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+import wfcover.forests as forests
 from wfcover import (
     EnumerationBoundError,
     ForestStats,
@@ -108,6 +111,43 @@ class TestEnumeration:
             enumerate_maximal_induced_forests(g)
         with pytest.raises(EnumerationBoundError, match="10"):
             enumerate_maximal_induced_forests(fam("empty:11"), max_order=10)
+
+
+def kernel_counters(g: Graph) -> tuple[int, int, int]:
+    """Nodes, leaves and kept forests of one forest catalogue build: calls of
+    the kernel's closures ``decide`` and ``leaf_is_maximal``, counted by a
+    profile hook, and the number of maximal forests returned."""
+    counts = {"decide": 0, "leaf_is_maximal": 0}
+    kernel_file = forests._maximal_forest_masks.__code__.co_filename
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in counts and code.co_filename == kernel_file:
+            counts[code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        catalogue = forests.Catalogue.build(g, forests._maximal_forest_masks)
+    finally:
+        sys.setprofile(previous)
+    kept = sum(len(masks) for masks in catalogue.components)
+    return counts["decide"], counts["leaf_is_maximal"], kept
+
+
+class TestKernelCounters:
+    """Exact work counts of the forest kernel: a perf gate free of timing noise."""
+
+    @pytest.mark.parametrize(
+        "g,h,expected",
+        [
+            ("cycle:5", "cycle:4", (12_284, 1_060, 800)),
+            ("path:12", "empty:2", (139_609, 24_516, 13_052)),
+        ],
+    )
+    def test_nodes_leaves_kept(self, g, h, expected):
+        product, _ = lexicographic(fam(g), fam(h))
+        assert kernel_counters(product) == expected
 
 
 class TestForestNumber:

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfcover import (
+    Graph,
+    VertexSubset,
     disjoint_union,
+    enumerate_maximal_independent_sets,
     enumerate_maximal_induced_forests,
     forest_number,
     forest_stats,
     from_graph6,
+    generate,
     independence_number,
     is_induced_forest,
+    is_maximal_independent_set,
+    is_maximal_induced_forest,
     lexicographic,
+    parse_family,
     to_graph6,
 )
 
@@ -77,3 +85,62 @@ def test_forest_number_additive_over_union(g, h):
 @given(graphs(max_order=7))
 def test_enumeration_deterministic(g):
     assert enumerate_maximal_induced_forests(g) == enumerate_maximal_induced_forests(g)
+
+
+# Each kernel against the polynomial maximality predicate applied to all 2^n
+# vertex subsets.
+KERNELS = (
+    (enumerate_maximal_induced_forests, is_maximal_induced_forest),
+    (enumerate_maximal_independent_sets, is_maximal_independent_set),
+)
+
+
+def all_subsets_oracle(g: Graph, is_maximal) -> list[VertexSubset]:
+    subsets = (VertexSubset(g.order, mask) for mask in range(1 << g.order))
+    return [s for s in subsets if is_maximal(g, s)]
+
+
+def star_hub_last(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(v, leaves) for v in range(leaves)])
+
+
+def wheel_hub_last(rim: int) -> Graph:
+    edges = [(v, (v + 1) % rim) for v in range(rim)] + [(v, rim) for v in range(rim)]
+    return Graph.from_edges(rim + 1, edges)
+
+
+# Hubs numbered last, alone and with every vertex blown up into a fibre, so
+# the hub fibre is the last one.
+HUB_LAST = {
+    "K1,4": star_hub_last(4),
+    "K1,4 o 2K1": lexicographic(star_hub_last(4), generate(parse_family("empty:2")))[0],
+    "K1,3 o 3K1": lexicographic(star_hub_last(3), generate(parse_family("empty:3")))[0],
+    "K1,3 o P3": lexicographic(star_hub_last(3), generate(parse_family("path:3")))[0],
+    "W6": wheel_hub_last(6),
+    "W5 o 2K1": lexicographic(wheel_hub_last(5), generate(parse_family("empty:2")))[0],
+}
+
+
+@pytest.mark.parametrize("name", HUB_LAST)
+def test_kernels_match_all_subsets_oracle_hub_last(name):
+    g = HUB_LAST[name]
+    for enumerate_sets, is_maximal in KERNELS:
+        assert enumerate_sets(g) == all_subsets_oracle(g, is_maximal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_order=10))
+def test_kernels_match_all_subsets_oracle(g):
+    for enumerate_sets, is_maximal in KERNELS:
+        assert enumerate_sets(g) == all_subsets_oracle(g, is_maximal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_catalogues_commute_with_relabelling(data):
+    g = data.draw(graphs(max_order=10))
+    perm = data.draw(st.permutations(range(g.order)))
+    relabelled = Graph.from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+    for enumerate_sets, _ in KERNELS:
+        mapped = sorted(sum(1 << perm[v] for v in s) for s in enumerate_sets(g))
+        assert [s.mask for s in enumerate_sets(relabelled)] == mapped

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import wfcover.examples as examples
 import wfcover.theorems as theorems
 from wfcover import (
     ForestStats,
@@ -327,19 +328,30 @@ class TestCheckPath:
         "thm35": lambda: check_thm35(fam("cycle:5"), fam("cycle:4")),
     }
 
-    @pytest.mark.parametrize("theorem", ["thm31", "thm32", "thm35"])
-    def test_one_product_build_per_check(self, monkeypatch, theorem):
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (G, H) pair of every product built, whichever module builds it."""
         calls = []
-        build = theorems.lexicographic
+        build = lexicographic
 
         def counting(g, h):
-            calls.append((g.order, h.order))
+            calls.append((g, h))
             return build(g, h)
 
-        monkeypatch.setattr(theorems, "lexicographic", counting)
+        for mod in (theorems, examples):
+            if getattr(mod, "lexicographic", None) is build:
+                monkeypatch.setattr(mod, "lexicographic", counting)
         theorems._product.cache_clear()
+        return calls
+
+    @pytest.mark.parametrize("theorem", ["thm31", "thm32", "thm35"])
+    def test_one_product_build_per_check(self, builds, theorem):
         self.CHECKS[theorem]()
-        assert len(calls) == 1
+        assert len(builds) == 1
+
+    def test_verify_paper_builds_c5_c4_once(self, builds):
+        examples.verify_paper_examples()
+        assert builds.count((fam("cycle:5"), fam("cycle:4"))) == 1
 
     @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
     def test_failed_witness_verification_is_recorded(self, monkeypatch, theorem):
