@@ -6,14 +6,20 @@ cycle.  Enumeration is exhaustive: an include/exclude walk per connected
 component, deciding high-degree vertices first, that never includes a
 vertex closing a cycle and cuts a branch as soon as some excluded vertex
 has fewer than two neighbours left to choose; each completed set is then
-tested for maximality.  Results are returned in a canonical
-ascending-bitmask order regardless of internal traversal.
+tested for maximality.  Twins (vertices with one open or one closed
+neighbourhood) can be swapped by an automorphism, so the walk includes a
+twin only after its predecessor in the class and keeps one representative
+per orbit; the catalogue expands or counts the orbits.  Results are
+returned in a canonical ascending-bitmask order regardless of internal
+traversal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 from typing import Callable
 
 from .graphs import (
@@ -90,60 +96,112 @@ def _within_bound(g: Graph, max_order: int | None) -> Graph:
     return g
 
 
+def _twin_classes(adj: tuple[int, ...], comp: int) -> list[list[int]]:
+    """The twin classes of the component ``comp``, each ascending: false
+    twins share an open neighbourhood, true twins a closed one.  A vertex
+    with a false twin has no true twin (a true twin of it would be adjacent
+    to it and so to its false twin, which it is not), so a vertex without a
+    false twin is keyed by its closed neighbourhood.  The two kinds of key
+    never coincide: N(u) = N[w] would put w in N(u), so u in N[w] = N(u)."""
+    false_twins: dict[int, int] = {}
+    for v in iter_bits(comp):
+        false_twins[adj[v]] = false_twins.get(adj[v], 0) + 1
+    classes: dict[int, list[int]] = {}
+    for v in iter_bits(comp):
+        key = adj[v] if false_twins[adj[v]] > 1 else adj[v] | 1 << v
+        classes.setdefault(key, []).append(v)
+    return list(classes.values())
+
+
+def _orbit(rep: int, classes: tuple[int, ...]) -> list[int]:
+    """Every mask obtained from ``rep`` by permuting vertices inside each
+    class mask of ``classes``."""
+    out = [rep & ~sum(classes)]
+    for c in classes:
+        k = (rep & c).bit_count()
+        picks = [sum(1 << v for v in pick) for pick in combinations(iter_bits(c), k)]
+        out = [m | p for m in out for p in picks]
+    return out
+
+
 @dataclass(frozen=True)
 class Catalogue:
     """All maximal sets of one kind (forests, independent sets) of a graph.
 
-    ``components`` holds, per connected component, the sorted global masks
-    of that component's maximal sets.  The maximal sets of the whole graph
-    are the unions of one per component, so every query combines the
-    components by product.
+    ``components`` holds, per connected component, a pair ``(reps,
+    classes)`` of global masks.  ``classes`` are the component's twin
+    classes of two or more vertices; permuting a class is an automorphism,
+    so the component's maximal sets fall into orbits, one per choice of how
+    many members of each class a set holds.  ``reps`` holds, ascending, the
+    smallest mask of each orbit: the one taking the lowest-numbered members
+    of every class.  The maximal sets of the whole graph are the unions of
+    one per component, so every query combines the components by product.
     """
 
     order: int
-    components: tuple[tuple[int, ...], ...]
+    components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     @classmethod
-    def build(cls, g: Graph, kernel: Callable[[int, tuple[int, ...]], list[int]]) -> Catalogue:
-        """Run ``kernel(n, adj)`` on each component, relabelled to 0..n-1 by
-        descending degree (ties by ascending index).
+    def build(
+        cls, g: Graph, kernel: Callable[[int, tuple[int, ...], tuple[int, ...]], list[int]]
+    ) -> Catalogue:
+        """Run ``kernel(n, adj, prev)`` on each component, relabelled to
+        0..n-1 class by class: twin classes ordered by descending degree,
+        ties by smallest member, members ascending.  ``prev[i]`` is the label
+        of the twin just before ``i`` in its class, or -1.
 
         The kernels decide vertices in label order, so hubs come first: a
         decided hub constrains many vertices while the subtrees below it are
-        still large, instead of after they have been walked.  Each
-        component's masks are mapped back and sorted, so the result does not
-        depend on the order.
+        still large, instead of after they have been walked.  They include
+        a vertex only when its previous twin is included, so they return the
+        smallest mask of each orbit.  Without twins the order is descending
+        degree, ties by index.  Each component's masks are mapped back and
+        sorted, so the result does not depend on the order.
         """
         per_comp = []
         for comp in component_masks(g):
-            verts = sorted(iter_bits(comp), key=lambda v: (-g.adj[v].bit_count(), v))
+            classes = sorted(
+                _twin_classes(g.adj, comp), key=lambda c: (-g.adj[c[0]].bit_count(), c[0])
+            )
+            verts: list[int] = []
+            prev: list[int] = []
+            for c in classes:
+                prev += [-1, *range(len(verts), len(verts) + len(c) - 1)]
+                verts += c
             label = {v: i for i, v in enumerate(verts)}
             adj = tuple(sum(1 << label[u] for u in iter_bits(g.adj[v])) for v in verts)
-            masks = []
-            for lm in kernel(len(verts), adj):
+            reps = []
+            for lm in kernel(len(verts), adj, tuple(prev)):
                 gm = 0
                 for i in iter_bits(lm):
                     gm |= 1 << verts[i]
-                masks.append(gm)
-            per_comp.append(tuple(sorted(masks)))
+                reps.append(gm)
+            twins = tuple(sum(1 << v for v in c) for c in classes if len(c) > 1)
+            per_comp.append((tuple(sorted(reps)), twins))
         return cls(g.order, tuple(per_comp))
 
     def sets(self) -> list[VertexSubset]:
         """Every maximal set, each once, ascending by bitmask."""
         combined = [0]
-        for masks in self.components:
+        for reps, classes in self.components:
+            masks = [m for rep in reps for m in _orbit(rep, classes)]
             combined = [acc | m for acc in combined for m in masks]
         combined.sort()
         return [VertexSubset(self.order, m) for m in combined]
 
     def histogram(self) -> dict[int, int]:
-        """Counts of maximal sets by size (component-wise convolution)."""
+        """Counts of maximal sets by size (component-wise convolution); a
+        representative stands for prod C(|c|, |rep & c|) sets."""
         hist = {0: 1}
-        for masks in self.components:
+        for reps, classes in self.components:
+            sizes = [c.bit_count() for c in classes]
             comp_hist: dict[int, int] = {}
-            for m in masks:
+            for m in reps:
                 k = m.bit_count()
-                comp_hist[k] = comp_hist.get(k, 0) + 1
+                weight = 1
+                for c, size in zip(classes, sizes):
+                    weight *= comb(size, (m & c).bit_count())
+                comp_hist[k] = comp_hist.get(k, 0) + weight
             merged: dict[int, int] = {}
             for a, ca in hist.items():
                 for b, cb in comp_hist.items():
@@ -153,16 +211,18 @@ class Catalogue:
 
     def number(self) -> int:
         """Size of a largest maximal set."""
-        return sum(max(m.bit_count() for m in masks) for masks in self.components)
+        return sum(max(m.bit_count() for m in reps) for reps, _ in self.components)
 
     def uniform(self) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
         """Whether all maximal sets share one size; if not, also a witness
         pair (smaller, larger): per component the smallest-mask set of least
-        size and the smallest-mask set of greatest size."""
+        size and the smallest-mask set of greatest size.  An orbit's sets
+        share one size and its representative is its smallest mask, so the
+        representatives alone give both."""
         lo = hi = 0
-        for masks in self.components:
-            lo |= min(masks, key=lambda m: (m.bit_count(), m))
-            hi |= max(masks, key=lambda m: (m.bit_count(), -m))
+        for reps, _ in self.components:
+            lo |= min(reps, key=lambda m: (m.bit_count(), m))
+            hi |= max(reps, key=lambda m: (m.bit_count(), -m))
         if lo.bit_count() == hi.bit_count():
             return True, None
         return False, (VertexSubset(self.order, lo), VertexSubset(self.order, hi))
@@ -209,8 +269,11 @@ def is_maximal_induced_forest(g: Graph, s: VertexSubset) -> bool:
     return _is_maximal_forest_mask(g.order, g.adj, s.mask)
 
 
-def _maximal_forest_masks(n: int, adj: tuple[int, ...]) -> list[int]:
-    """All maximal induced forest masks of the graph (n, adj).
+def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -> list[int]:
+    """The maximal induced forest masks of the graph (n, adj) that include a
+    vertex ``i`` only with its previous twin ``prev[i]`` (-1 for none): one
+    per orbit of swapping twins, its smallest mask when each class's labels
+    are consecutive.
 
     Include/exclude walk over vertices 0..n-1 with a rollback union-find
     tracking the components of the chosen set ``smask``.  A vertex's
@@ -224,6 +287,8 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...]) -> list[int]:
     two neighbours in ``smask``, and since ``smask`` only grows along a
     branch, a vertex in ``twice`` keeps two potential neighbours for good.
     Completed subsets are kept only if no excluded vertex extends them.
+    The twin gate only skips include branches, so every cut above stays
+    sound.
     """
     full = (1 << n) - 1
     parent = list(range(n))
@@ -260,16 +325,19 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...]) -> list[int]:
         bit = 1 << i
         undecided &= ~bit
         nbrs = adj[i]
-        # include i unless it closes a cycle (two neighbours in one component)
+        # include i unless its previous twin is excluded or it closes a cycle
+        # (two neighbours in one component)
+        p = prev[i]
+        include = p < 0 or smask >> p & 1
         roots = []
-        acyclic = True
-        for u in iter_bits(nbrs & smask):
-            r = find(u)
-            if r in roots:
-                acyclic = False
-                break
-            roots.append(r)
-        if acyclic:
+        if include:
+            for u in iter_bits(nbrs & smask):
+                r = find(u)
+                if r in roots:
+                    include = False
+                    break
+                roots.append(r)
+        if include:
             mark = len(trail)
             cur = i
             for r in roots:

@@ -1,8 +1,9 @@
 """Maximal independent sets, independence number, well-covered decision.
 
 Mirrors the forest enumeration: an exhaustive include/exclude scan per
-connected component with domination pruning, combined by the same
-catalogue, canonical ascending order.
+connected component with domination pruning, one representative per orbit
+of swapping twins, combined and expanded by the same catalogue, canonical
+ascending order.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ def is_maximal_independent_set(g: Graph, s: VertexSubset) -> bool:
     return covered == g.vertices_mask
 
 
-def _maximal_independent_masks(n: int, adj: tuple[int, ...]) -> list[int]:
-    """All maximal independent set masks of the graph (n, adj)."""
+def _maximal_independent_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -> list[int]:
+    """The maximal independent set masks of the graph (n, adj) that include
+    a vertex ``i`` only with its previous twin ``prev[i]`` (-1 for none)."""
     full = (1 << n) - 1
     out: list[int] = []
 
@@ -37,7 +39,8 @@ def _maximal_independent_masks(n: int, adj: tuple[int, ...]) -> list[int]:
             return
         bit = 1 << i
         undecided &= ~bit
-        if not adj[i] & smask:
+        p = prev[i]
+        if not adj[i] & smask and (p < 0 or smask >> p & 1):
             decide(i + 1, smask | bit, undecided, covered | adj[i] | bit)
         # exclude i: dead end unless some chosen or future vertex can dominate i
         if adj[i] & (smask | undecided):

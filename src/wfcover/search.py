@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,7 +134,8 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
     Pairs failing the hypothesis filter are skipped silently (they are out
     of the selected check's scope); pairs whose product exceeds the
     enumeration bound are skipped with a logged warning, never dropped
-    silently.
+    silently.  The pool has at most as many workers as this process may
+    use CPUs.
     """
     payloads = []
     for g, h in pairs:
@@ -154,11 +156,13 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
     pool: ProcessPoolExecutor | None = None
     if config.findings_path is not None:
         out_file = open(config.findings_path, "a", encoding="ascii")
+    # more processes than usable CPUs only add start-up cost and memory
+    workers = min(config.workers, len(os.sched_getaffinity(0)))
     try:
-        if config.workers == 1:
+        if workers == 1:
             results: Iterable[Finding] = map(_check_pair, payloads)
         else:
-            pool = ProcessPoolExecutor(max_workers=config.workers)
+            pool = ProcessPoolExecutor(max_workers=workers)
             results = pool.map(_check_pair, payloads, chunksize=8)
         for finding in results:
             if finding.verdict != "consistent" and out_file is not None:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import wfcover.forests as forests
+import wfcover.independence as independence
 from wfcover import (
     EnumerationBoundError,
     ForestStats,
@@ -113,10 +114,11 @@ class TestEnumeration:
             enumerate_maximal_induced_forests(fam("empty:11"), max_order=10)
 
 
-def kernel_counters(g: Graph) -> tuple[int, int, int]:
-    """Nodes, leaves and kept forests of one forest catalogue build: calls of
-    the kernel's closures ``decide`` and ``leaf_is_maximal``, counted by a
-    profile hook, and the number of maximal forests returned."""
+def kernel_counters(g: Graph) -> tuple[tuple[int, int, int], int]:
+    """Nodes, leaves and representatives of one forest catalogue build: calls
+    of the kernel's closures ``decide`` and ``leaf_is_maximal``, counted by a
+    profile hook, and the number of orbit representatives returned; then the
+    number of maximal forests they stand for."""
     counts = {"decide": 0, "leaf_is_maximal": 0}
     kernel_file = forests._maximal_forest_masks.__code__.co_filename
 
@@ -131,23 +133,46 @@ def kernel_counters(g: Graph) -> tuple[int, int, int]:
         catalogue = forests.Catalogue.build(g, forests._maximal_forest_masks)
     finally:
         sys.setprofile(previous)
-    kept = sum(len(masks) for masks in catalogue.components)
-    return counts["decide"], counts["leaf_is_maximal"], kept
+    reps = sum(len(reps) for reps, _ in catalogue.components)
+    return (counts["decide"], counts["leaf_is_maximal"], reps), sum(catalogue.histogram().values())
 
 
 class TestKernelCounters:
-    """Exact work counts of the forest kernel: a perf gate free of timing noise."""
+    """Exact work counts of the forest kernel: a perf gate free of timing noise.
+
+    C5∘C4 and P12∘2K1 have twin classes (the fibres of 2K1, and the two
+    false-twin pairs of every C4 fibre), so the kernel walks one
+    representative per orbit.  K4∘P6 is twin-free, so the twin gate must add
+    no work there: its counts are those of the kernel before the gate."""
 
     @pytest.mark.parametrize(
         "g,h,expected",
         [
-            ("cycle:5", "cycle:4", (12_284, 1_060, 800)),
-            ("path:12", "empty:2", (139_609, 24_516, 13_052)),
+            ("cycle:5", "cycle:4", ((3_222, 360, 220), 800)),
+            ("path:12", "empty:2", ((11_127, 1_695, 328), 13_052)),
+            ("complete:4", "path:6", ((7_339, 392, 364), 364)),
         ],
     )
     def test_nodes_leaves_kept(self, g, h, expected):
         product, _ = lexicographic(fam(g), fam(h))
         assert kernel_counters(product) == expected
+
+
+class TestTwinOrbits:
+    def test_fibres_of_a_product_with_nk1_are_the_classes(self):
+        product, index_map = lexicographic(fam("path:4"), fam("empty:3"))
+        ((_, classes),) = forests._forest_catalogue(product).components
+        fibres = [index_map.subset_from_pairs([(g, h) for h in range(3)]).mask for g in range(4)]
+        assert sorted(classes) == sorted(fibres)
+
+    def test_clique_is_one_class_of_true_twins(self):
+        k5 = fam("complete:5")
+        forest_catalogue = forests._forest_catalogue(k5)
+        assert forest_catalogue.components == (((0b11,), (0b11111,)),)
+        assert forest_catalogue.histogram() == {2: 10}
+        mis_catalogue = independence._independent_catalogue(k5)
+        assert mis_catalogue.components == (((0b1,), (0b11111,)),)
+        assert mis_catalogue.histogram() == {1: 5}
 
 
 class TestForestNumber:

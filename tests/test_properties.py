@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wfcover.forests as forests
+import wfcover.independence as independence
 from wfcover import (
     Graph,
     VertexSubset,
+    connected_components,
     disjoint_union,
     enumerate_maximal_independent_sets,
     enumerate_maximal_induced_forests,
@@ -33,6 +38,26 @@ def graphs(draw, min_order: int = 1, max_order: int = 8):
     bits = n * (n - 1) // 2
     mask = draw(st.integers(0, (1 << bits) - 1))
     return graph_from_mask(n, mask)
+
+
+@st.composite
+def twin_rich_graphs(draw, max_order: int = 12):
+    """A small random graph with each vertex replaced by a class of false
+    twins (nK1) or true twins (Kn), joined wherever the graph has an edge,
+    then randomly relabelled so that twins are not numbered together."""
+    base = draw(graphs(max_order=6))
+    blocks = []
+    n = 0
+    for v in range(base.order):
+        size = draw(st.integers(1, min(4, max_order - n - (base.order - 1 - v))))
+        blocks.append(range(n, n + size))
+        n += size
+    edges = [(a, b) for u, v in base.edges() for a in blocks[u] for b in blocks[v]]
+    for block in blocks:
+        if draw(st.booleans()):
+            edges += combinations(block, 2)
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
 
 
 @given(graphs(max_order=20))
@@ -135,10 +160,38 @@ def test_kernels_match_all_subsets_oracle(g):
         assert enumerate_sets(g) == all_subsets_oracle(g, is_maximal)
 
 
+# Both catalogues with every query against the same oracle, on graphs full of
+# twins, where each catalogue walks one representative per orbit.
+CATALOGUES = (
+    (forests._forest_catalogue, is_maximal_induced_forest),
+    (independence._independent_catalogue, is_maximal_independent_set),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(twin_rich_graphs())
+def test_catalogues_match_all_subsets_oracle_with_twins(g):
+    for catalogue, is_maximal in CATALOGUES:
+        expected = all_subsets_oracle(g, is_maximal)
+        cat = catalogue(g)
+        assert cat.sets() == expected
+        sizes = [len(s) for s in expected]
+        assert cat.histogram() == {k: sizes.count(k) for k in sorted(set(sizes))}
+        assert cat.number() == max(sizes)
+        # per component, the smallest-mask set of least and of greatest size
+        lo = hi = 0
+        for comp in connected_components(g):
+            parts = {s.mask & sum(1 << v for v in comp) for s in expected}
+            lo |= min(parts, key=lambda m: (m.bit_count(), m))
+            hi |= max(parts, key=lambda m: (m.bit_count(), -m))
+        pair = (VertexSubset(g.order, lo), VertexSubset(g.order, hi))
+        assert cat.uniform() == ((True, None) if min(sizes) == max(sizes) else (False, pair))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_catalogues_commute_with_relabelling(data):
-    g = data.draw(graphs(max_order=10))
+    g = data.draw(graphs(max_order=10) | twin_rich_graphs())
     perm = data.draw(st.permutations(range(g.order)))
     relabelled = Graph.from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
     for enumerate_sets, _ in KERNELS:

@@ -21,6 +21,7 @@ from wfcover import (
     scan,
     to_graph6,
 )
+import wfcover.search as search
 from wfcover.search import read_findings
 
 
@@ -92,12 +93,38 @@ class TestScan:
         assert len(findings) == 1
         assert any("exceeds bound" in rec.message for rec in caplog.records)
 
-    def test_worker_pool_matches_sequential(self):
-        graphs = [fam("path:2"), fam("path:3"), fam("cycle:3"), fam("cycle:4")]
+    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1})
+        graphs = [fam("path:2"), fam("path:3"), fam("cycle:3"), fam("cycle:4"), fam("path:4")]
         pairs = [(g, h) for g in graphs for h in graphs]
-        sequential = list(scan(pairs, ScanConfig(theorem="thm35", workers=1)))
-        parallel = list(scan(pairs, ScanConfig(theorem="thm35", workers=2)))
-        assert sequential == parallel
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"findings{workers}.jsonl"
+            config = ScanConfig(theorem="thm35", workers=workers, findings_path=out)
+            runs.append((list(scan(pairs, config)), out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1]  # some finding was written
+
+    @pytest.mark.parametrize("cpus,workers,expected", [(2, 64, [2]), (3, 2, [2]), (1, 8, [])])
+    def test_pool_is_capped_at_usable_cpus(self, monkeypatch, cpus, workers, expected):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pairs = [(fam("path:4"), fam("empty:2"))]
+        findings = list(scan(pairs, ScanConfig(theorem="thm32", workers=workers)))
+        assert started == expected
+        assert [f.verdict for f in findings] == ["non_sufficiency_witness"]
 
     def test_finding_roundtrips_through_json(self):
         config = ScanConfig(theorem="thm32")
