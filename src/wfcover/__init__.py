@@ -45,17 +45,19 @@ from .theorems import (
     WitnessRecord,
     WitnessSpec,
     WitnessVerificationError,
+    check,
     check_thm31,
     check_thm32,
     check_thm35,
     construct_vm,
     construct_vstar_empty_second,
     construct_vstar_nonempty_second,
+    hypothesis_filter,
     make_witness_spec,
     thm32_lhs,
     thm35_lhs,
 )
 from .examples import verify_paper_examples
-from .search import Finding, ScanConfig, hypothesis_filter, read_graph6_stream, scan
+from .search import Finding, ScanConfig, read_graph6_stream, scan
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from typing import IO
 
 from .graphs import (
@@ -42,9 +41,7 @@ from .theorems import (
     HypothesisError,
     TheoremReport,
     WitnessRecord,
-    check_thm31,
-    check_thm32,
-    check_thm35,
+    check,
 )
 from .examples import verify_paper_examples
 from .search import ScanConfig, read_graph6_stream, scan
@@ -53,19 +50,6 @@ SCHEMA_VERSION = 1
 MAX_ORDER_ENV = "WFCOVER_MAX_ORDER"
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run options shared by the subcommands."""
-
-    subcommand: str
-    max_order: int
-    z_choice: str = "min"
-    anchor: int | None = None
-    out_path: str | None = None
-    strict: bool = True
-    workers: int = 1
 
 
 def _default_max_order() -> int:
@@ -79,10 +63,9 @@ def _default_max_order() -> int:
     return value
 
 
-def _validate_max_order(value: int) -> int:
+def _validate_max_order(value: int) -> None:
     if not 1 <= value <= DEFAULT_MAX_ORDER:
         raise ValueError(f"enumeration bound must be between 1 and {DEFAULT_MAX_ORDER}, got {value}")
-    return value
 
 
 def _first_graph(path: str) -> Graph:
@@ -191,7 +174,7 @@ def _graph_summary(g: Graph) -> dict:
     }
 
 
-def _cmd_gen(args, config: RunConfig, stdout, stderr) -> int:
+def _cmd_gen(args, stdout, stderr) -> int:
     g = generate(parse_family(args.family))
     doc = {
         "schema": SCHEMA_VERSION,
@@ -204,7 +187,7 @@ def _cmd_gen(args, config: RunConfig, stdout, stderr) -> int:
     return 0
 
 
-def _cmd_product(args, config: RunConfig, stdout, stderr) -> int:
+def _cmd_product(args, stdout, stderr) -> int:
     g = _graph_from_arg(args.g)
     h = _graph_from_arg(args.h)
     product, index_map = lexicographic(g, h)
@@ -235,9 +218,9 @@ def _cmd_product(args, config: RunConfig, stdout, stderr) -> int:
     return 0
 
 
-def _cmd_analyze(args, config: RunConfig, stdout, stderr) -> int:
+def _cmd_analyze(args, stdout, stderr) -> int:
     g = _graph_from_flags(args)
-    bound = config.max_order
+    bound = args.max_order
     wfc, wfc_witness = is_well_f_covered(g, bound)
     wc, _ = is_well_covered(g, bound)
     hist = maximal_forest_order_histogram(g, bound)
@@ -265,29 +248,19 @@ def _cmd_analyze(args, config: RunConfig, stdout, stderr) -> int:
     return 0
 
 
-def _cmd_check_theorem(args, config: RunConfig, stdout, stderr) -> int:
+def _cmd_check_theorem(args, stdout, stderr) -> int:
     g = _graph_from_arg(args.g)
     h = _graph_from_arg(args.h)
-    bound = config.max_order
-    if args.theorem == "thm31":
-        report = check_thm31(g, h, max_order=bound)
-    elif args.theorem == "thm32":
-        if h.edge_count != 0:
-            raise HypothesisError("thm32 requires an edgeless second factor")
-        report = check_thm32(
-            g, h.order, max_order=bound, z_choice=config.z_choice, anchor=config.anchor
-        )
-    else:
-        report = check_thm35(
-            g, h, max_order=bound, z_choice=config.z_choice, anchor=config.anchor
-        )
+    report = check(
+        args.theorem, g, h, max_order=args.max_order, z_choice=args.z_tiebreak, anchor=args.anchor
+    )
     _emit(report_to_dict(report), stdout)
     print(f"check-theorem {args.theorem}: verdict {report.verdict}", file=stderr)
     return 0 if report.verdict == "consistent" else 1
 
 
-def _cmd_verify_paper(args, config: RunConfig, stdout, stderr) -> int:
-    report = verify_paper_examples(max_order=config.max_order)
+def _cmd_verify_paper(args, stdout, stderr) -> int:
+    report = verify_paper_examples(max_order=args.max_order)
     _emit(report_to_dict(report), stdout)
     statuses = {}
     for claim in report.claims:
@@ -297,16 +270,17 @@ def _cmd_verify_paper(args, config: RunConfig, stdout, stderr) -> int:
     return 0 if report.verdict == "consistent" else 1
 
 
-def _cmd_search(args, config: RunConfig, stdout, stderr) -> int:
-    g_graphs = list(read_graph6_stream(args.g_file, strict=config.strict))
+def _cmd_search(args, stdout, stderr) -> int:
+    strict = not args.skip_malformed
+    g_graphs = list(read_graph6_stream(args.g_file, strict=strict))
     h_path = args.h_file if args.h_file is not None else args.g_file
-    h_graphs = list(read_graph6_stream(h_path, strict=config.strict))
+    h_graphs = list(read_graph6_stream(h_path, strict=strict))
     pairs = [(g, h) for g in g_graphs for h in h_graphs]
     scan_config = ScanConfig(
         theorem=args.theorem,
-        max_order=config.max_order,
-        workers=config.workers,
-        findings_path=config.out_path,
+        max_order=args.max_order,
+        workers=args.workers,
+        findings_path=args.out,
     )
     verdicts: dict[str, int] = {}
     checked = 0
@@ -319,7 +293,7 @@ def _cmd_search(args, config: RunConfig, stdout, stderr) -> int:
         "pairs_supplied": len(pairs),
         "pairs_checked": checked,
         "verdicts": verdicts,
-        "findings_file": config.out_path,
+        "findings_file": args.out,
     }
     _emit(doc, stdout)
     noteworthy = checked - verdicts.get("consistent", 0)
@@ -408,18 +382,10 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        max_order = args.max_order if args.max_order is not None else _default_max_order()
-        max_order = _validate_max_order(max_order)
-        config = RunConfig(
-            subcommand=args.subcommand,
-            max_order=max_order,
-            z_choice=getattr(args, "z_tiebreak", "min"),
-            anchor=getattr(args, "anchor", None),
-            out_path=getattr(args, "out", None),
-            strict=not getattr(args, "skip_malformed", False),
-            workers=getattr(args, "workers", 1),
-        )
-        return _COMMANDS[args.subcommand](args, config, stdout, stderr)
+        if args.max_order is None:
+            args.max_order = _default_max_order()
+        _validate_max_order(args.max_order)
+        return _COMMANDS[args.subcommand](args, stdout, stderr)
     except (
         FamilyError,
         Graph6Error,

@@ -71,7 +71,7 @@ class ForestStats:
 class ForestPartition:
     """The proof partition of a maximal forest F.
 
-    x  = isolated vertices and leaves of non-edge components (x1 | x2)
+    x  = x1 | x2, derived: isolated vertices and leaves of non-edge components
     x1 = isolated vertices only
     x2 = leaves of components larger than a single edge
     y  = vertices of degree >= 2
@@ -79,12 +79,15 @@ class ForestPartition:
     t  = the partner endpoints of z
     """
 
-    x: VertexSubset
     x1: VertexSubset
     x2: VertexSubset
     y: VertexSubset
     z: VertexSubset
     t: VertexSubset
+
+    @property
+    def x(self) -> VertexSubset:
+        return VertexSubset(self.x1.order, self.x1.mask | self.x2.mask)
 
 
 def _within_bound(g: Graph, max_order: int | None) -> Graph:
@@ -399,26 +402,39 @@ def is_well_f_covered(
     return _forest_catalogue(_within_bound(g, max_order)).uniform()
 
 
+def _classify(adj: tuple[int, ...], forest: int) -> tuple[int, int, int, int, int]:
+    """Sort the vertices of a forest mask by their role in its component:
+    the masks of isolated vertices, of leaves of components larger than an
+    edge, and of vertices of degree >= 2, then the masks of the lower and
+    of the higher endpoints of the single-edge components."""
+    isolated = leaves = internal = lo = hi = 0
+    for comp in components_within(adj, forest):
+        sz = comp.bit_count()
+        if sz == 1:
+            isolated |= comp
+        elif sz == 2:
+            low = comp & -comp
+            lo |= low
+            hi |= comp ^ low
+        else:
+            for v in iter_bits(comp):
+                if (adj[v] & forest).bit_count() == 1:
+                    leaves |= 1 << v
+                else:
+                    internal |= 1 << v
+    return isolated, leaves, internal, lo, hi
+
+
 def forest_stats(g: Graph, f: VertexSubset) -> ForestStats:
     """Count I(F), K2(F), L(F), L'(F) for an induced forest F."""
     if f.order != g.order:
         raise ValueError("subset belongs to a graph of different order")
     if not _is_forest_mask(g.adj, f.mask):
         raise ValueError("subset does not induce a forest")
-    isolated = k2 = leaves = internal = 0
-    for comp in components_within(g.adj, f.mask):
-        sz = comp.bit_count()
-        if sz == 1:
-            isolated += 1
-        elif sz == 2:
-            k2 += 1
-        else:
-            for v in iter_bits(comp):
-                if (g.adj[v] & f.mask).bit_count() == 1:
-                    leaves += 1
-                else:
-                    internal += 1
-    return ForestStats(isolated, k2, leaves, internal)
+    isolated, leaves, internal, lo, _ = _classify(g.adj, f.mask)
+    return ForestStats(
+        isolated.bit_count(), lo.bit_count(), leaves.bit_count(), internal.bit_count()
+    )
 
 
 def forest_partition(g: Graph, f: VertexSubset, z_choice: str = "min") -> ForestPartition:
@@ -434,29 +450,10 @@ def forest_partition(g: Graph, f: VertexSubset, z_choice: str = "min") -> Forest
         raise ValueError("subset belongs to a graph of different order")
     if not _is_maximal_forest_mask(g.order, g.adj, f.mask):
         raise ValueError("witness constructions require a maximal induced forest")
-    x1 = x2 = y = z = t = 0
-    for comp in components_within(g.adj, f.mask):
-        sz = comp.bit_count()
-        if sz == 1:
-            x1 |= comp
-        elif sz == 2:
-            lo = comp & -comp
-            hi = comp ^ lo
-            if z_choice == "min":
-                z |= lo
-                t |= hi
-            else:
-                z |= hi
-                t |= lo
-        else:
-            for v in iter_bits(comp):
-                if (g.adj[v] & f.mask).bit_count() == 1:
-                    x2 |= 1 << v
-                else:
-                    y |= 1 << v
+    x1, x2, y, lo, hi = _classify(g.adj, f.mask)
+    z, t = (lo, hi) if z_choice == "min" else (hi, lo)
     n = g.order
     return ForestPartition(
-        x=VertexSubset(n, x1 | x2),
         x1=VertexSubset(n, x1),
         x2=VertexSubset(n, x2),
         y=VertexSubset(n, y),

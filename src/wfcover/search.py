@@ -19,13 +19,7 @@ from typing import IO, Iterable, Iterator
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
 from .forests import DEFAULT_MAX_ORDER, forest_number
 from .independence import independence_number
-from .theorems import (
-    THEOREM_IDS,
-    TheoremReport,
-    check_thm31,
-    check_thm32,
-    check_thm35,
-)
+from .theorems import THEOREM_IDS, check, hypothesis_filter
 
 logger = logging.getLogger(__name__)
 
@@ -85,28 +79,9 @@ class ScanConfig:
             raise ValueError("workers must be at least 1")
 
 
-def hypothesis_filter(theorem: str, g: Graph, h: Graph) -> bool:
-    """Whether the pair satisfies the selected check's hypotheses."""
-    if theorem == "thm31":
-        return g.edge_count == 0
-    if theorem == "thm32":
-        return h.edge_count == 0
-    if theorem == "thm35":
-        return g.edge_count > 0 and h.edge_count > 0
-    raise ValueError(f"unknown theorem id {theorem!r}")
-
-
-def _run_check(theorem: str, g: Graph, h: Graph, max_order: int) -> TheoremReport:
-    if theorem == "thm31":
-        return check_thm31(g, h, max_order=max_order)
-    if theorem == "thm32":
-        return check_thm32(g, h.order, max_order=max_order)
-    return check_thm35(g, h, max_order=max_order)
-
-
 def _check_pair(payload: tuple[str, Graph, Graph, int]) -> Finding:
     theorem, g, h, max_order = payload
-    report = _run_check(theorem, g, h, max_order)
+    report = check(theorem, g, h, max_order)
     truth = report.ground_truth
     # alpha(G) and f(H) are not part of every report's ground truth; they are
     # cheap for hypothesis-filtered pairs, so fill the gaps here.
@@ -171,7 +146,8 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
             yield finding
     finally:
         if pool is not None:
-            pool.shutdown()
+            # an abandoned scan (closed generator, Ctrl-C) drops its queued pairs
+            pool.shutdown(cancel_futures=True)
         if out_file is not None:
             out_file.close()
 

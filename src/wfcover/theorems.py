@@ -54,7 +54,19 @@ from .independence import (
     is_well_covered,
 )
 
-THEOREM_IDS = ("thm31", "thm32", "thm35")
+# The paper's case split of G∘H: per theorem, each factor hypothesis as
+# (factor index, 0 = G and 1 = H; whether that factor must have an edge;
+# the reason given when it does not hold).
+_HYPOTHESES = {
+    "thm31": ((0, False, "thm31 requires an edgeless first factor"),),
+    "thm32": ((1, False, "thm32 requires an edgeless second factor"),),
+    "thm35": (
+        (0, True, "thm35 requires a first factor with at least one edge"),
+        (1, True, "thm35 requires a second factor with at least one edge"),
+    ),
+}
+
+THEOREM_IDS = tuple(_HYPOTHESES)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_NON_SUFFICIENCY = "non_sufficiency_witness"
@@ -137,6 +149,28 @@ class TheoremReport:
     claims: tuple[ClaimRecord, ...] = ()
 
 
+def _broken_hypothesis(theorem: str, g: Graph, h: Graph) -> str | None:
+    """The reason for the first hypothesis of ``theorem`` that (g, h) breaks,
+    or None when the pair satisfies them all."""
+    if theorem not in _HYPOTHESES:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    for factor, needs_edge, reason in _HYPOTHESES[theorem]:
+        if ((g, h)[factor].edge_count > 0) != needs_edge:
+            return reason
+    return None
+
+
+def hypothesis_filter(theorem: str, g: Graph, h: Graph) -> bool:
+    """Whether the pair satisfies the selected check's hypotheses."""
+    return _broken_hypothesis(theorem, g, h) is None
+
+
+def _require(theorem: str, g: Graph, h: Graph) -> None:
+    reason = _broken_hypothesis(theorem, g, h)
+    if reason is not None:
+        raise HypothesisError(reason)
+
+
 def thm32_lhs(stats: ForestStats, n: int) -> int:
     """n*(I + K2 + L) + K2 + L' — the per-forest value of the thm32 condition."""
     if n < 1:
@@ -190,8 +224,6 @@ def _validate_partition(spec: WitnessSpec) -> None:
         total += m.bit_count()
     if union != spec.forest.mask or total != spec.forest.mask.bit_count():
         raise ValueError("partition does not partition the forest's vertex set")
-    if p.x.mask != (p.x1.mask | p.x2.mask):
-        raise ValueError("partition field x must be the union of x1 and x2")
 
 
 @lru_cache(maxsize=1)
@@ -325,8 +357,7 @@ def _product_ground_truth(product: Graph, max_order: int | None) -> dict:
 
 def check_thm31(g: Graph, h: Graph, max_order: int | None = None) -> TheoremReport:
     """Check the empty-first-factor characterization against brute force."""
-    if g.edge_count != 0:
-        raise HypothesisError("thm31 requires an edgeless first factor")
+    _require("thm31", g, h)
     m = g.order
     truth = _product_ground_truth(_product(g, h), max_order)
     wfc_h, _ = is_well_f_covered(h, max_order)
@@ -409,10 +440,7 @@ def check_thm35(
     anchor: int | None = None,
 ) -> TheoremReport:
     """Evaluate conditions (1)-(4) for factors that both contain an edge."""
-    if g.edge_count == 0:
-        raise HypothesisError("thm35 requires a first factor with at least one edge")
-    if h.edge_count == 0:
-        raise HypothesisError("thm35 requires a second factor with at least one edge")
+    _require("thm35", g, h)
     truth = _product_ground_truth(_product(g, h), max_order)
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]
@@ -516,3 +544,27 @@ def check_thm35(
         witnesses=tuple(witnesses),
         verdict=verdict,
     )
+
+
+def check(
+    theorem: str,
+    g: Graph,
+    h: Graph,
+    max_order: int | None = None,
+    z_choice: str = "min",
+    anchor: int | None = None,
+) -> TheoremReport:
+    """Run the check ``theorem`` names on the pair (g, h).
+
+    thm31 takes no witness options, so ``z_choice`` and ``anchor`` apply to
+    thm32 and thm35 only.  A pair outside the theorem's hypotheses raises
+    HypothesisError, an unknown id ValueError.
+    """
+    if theorem == "thm31":
+        return check_thm31(g, h, max_order=max_order)
+    if theorem == "thm32":
+        _require("thm32", g, h)
+        return check_thm32(g, h.order, max_order=max_order, z_choice=z_choice, anchor=anchor)
+    if theorem == "thm35":
+        return check_thm35(g, h, max_order=max_order, z_choice=z_choice, anchor=anchor)
+    raise ValueError(f"unknown theorem id {theorem!r}")

@@ -181,6 +181,19 @@ class TestCheckTheorem:
         code, _, err = invoke(["check-theorem", "thm31", "--g", "path:2", "--h", "cycle:4"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "theorem,g,h,reason",
+        [
+            ("thm31", "path:2", "cycle:4", "thm31 requires an edgeless first factor"),
+            ("thm32", "path:4", "path:2", "thm32 requires an edgeless second factor"),
+            ("thm35", "empty:2", "cycle:4", "thm35 requires a first factor with at least one edge"),
+            ("thm35", "cycle:4", "empty:2", "thm35 requires a second factor with at least one edge"),
+        ],
+    )
+    def test_hypothesis_failure_names_the_broken_hypothesis(self, theorem, g, h, reason):
+        code, out, err = invoke(["check-theorem", theorem, "--g", g, "--h", h])
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+
     def test_z_tiebreak_flag_accepted(self):
         code, doc, _ = invoke_json(
             ["check-theorem", "thm35", "--g", "complete:2", "--h", "complete:2",

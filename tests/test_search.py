@@ -116,7 +116,7 @@ class TestScan:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-            def shutdown(self):
+            def shutdown(self, wait=True, *, cancel_futures=False):
                 pass
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
@@ -125,6 +125,44 @@ class TestScan:
         findings = list(scan(pairs, ScanConfig(theorem="thm32", workers=workers)))
         assert started == expected
         assert [f.verdict for f in findings] == ["non_sufficiency_witness"]
+
+    def test_closing_the_scan_cancels_queued_pairs(self, monkeypatch):
+        checked, cancelled = [], []
+
+        class QueueingPool:
+            """Queues every pair at map() time, as a process pool does; shutdown
+            runs what is still queued unless cancel_futures drops it."""
+
+            def __init__(self, max_workers):
+                self.queue = []
+
+            def map(self, fn, items, chunksize=1):
+                self.queue = [(fn, item) for item in items]
+
+                def results():
+                    while self.queue:
+                        fn, item = self.queue.pop(0)
+                        checked.append(item)
+                        yield fn(item)
+
+                return results()
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                if cancel_futures:
+                    cancelled.extend(item for _, item in self.queue)
+                    self.queue = []
+                for fn, item in self.queue:
+                    checked.append(item)
+                    fn(item)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", QueueingPool)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1})
+        pairs = [(fam(g), fam("empty:2")) for g in ("path:4", "path:3", "cycle:4", "complete:3")]
+        findings = scan(pairs, ScanConfig(theorem="thm32", workers=2))
+        assert next(findings).verdict == "non_sufficiency_witness"
+        findings.close()
+        assert len(checked) == 1
+        assert len(cancelled) == 3
 
     def test_finding_roundtrips_through_json(self):
         config = ScanConfig(theorem="thm32")

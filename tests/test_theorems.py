@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+import dataclasses
+
 import wfcover.examples as examples
 import wfcover.theorems as theorems
+from conftest import atlas_graphs
 from wfcover import (
     ForestStats,
     Graph,
     HypothesisError,
     VertexSubset,
+    check,
     check_thm31,
     check_thm32,
     check_thm35,
@@ -22,6 +26,7 @@ from wfcover import (
     forest_number,
     forest_stats,
     generate,
+    hypothesis_filter,
     induced_subgraph,
     is_induced_forest,
     is_maximal_induced_forest,
@@ -173,6 +178,15 @@ class TestConstructVstarEmptySecond:
         with pytest.raises(ValueError):
             construct_vstar_empty_second(g, spec, 2)
 
+    def test_rejects_partition_not_covering_forest(self):
+        g = fam("path:3")
+        spec = make_witness_spec(g, subset(g, range(3)))
+        spec = dataclasses.replace(
+            spec, partition=dataclasses.replace(spec.partition, y=subset(g, []))
+        )
+        with pytest.raises(ValueError, match="does not partition the forest's vertex set"):
+            construct_vstar_empty_second(g, spec, 2)
+
 
 class TestCheckThm35:
     def test_c5_c4_non_sufficiency(self):
@@ -319,6 +333,40 @@ class TestConstructVstarNonemptySecond:
         spec = make_witness_spec(g, subset(g, [0, 1]))
         with pytest.raises(ValueError):
             construct_vstar_nonempty_second(g, spec, h)
+
+    def test_rejects_partition_not_covering_forest(self):
+        g, h = fam("path:3"), fam("cycle:4")
+        spec = make_witness_spec(
+            g, subset(g, range(3)), h_forest=subset(h, [0, 1, 2]), h_independent=subset(h, [0, 2])
+        )
+        spec = dataclasses.replace(
+            spec, partition=dataclasses.replace(spec.partition, y=subset(g, []))
+        )
+        with pytest.raises(ValueError, match="does not partition the forest's vertex set"):
+            construct_vstar_nonempty_second(g, spec, h)
+
+
+class TestCheck:
+    DIRECT = {
+        "thm31": lambda g, h: check_thm31(g, h),
+        "thm32": lambda g, h: check_thm32(g, h.order),
+        "thm35": lambda g, h: check_thm35(g, h),
+    }
+
+    @pytest.mark.parametrize("theorem", ["thm31", "thm32", "thm35"])
+    def test_filter_and_direct_check_agree(self, theorem):
+        graphs = atlas_graphs(3)
+        for g in graphs:
+            for h in graphs:
+                if hypothesis_filter(theorem, g, h):
+                    assert check(theorem, g, h) == self.DIRECT[theorem](g, h)
+                else:
+                    with pytest.raises(HypothesisError):
+                        check(theorem, g, h)
+
+    def test_rejects_unknown_theorem(self):
+        with pytest.raises(ValueError, match="unknown theorem id 'thm99'"):
+            check("thm99", fam("path:2"), fam("path:2"))
 
 
 class TestCheckPath:
