@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("theorem", choices=list(THEOREM_IDS))
     p_check.add_argument("--g", required=True, help="first factor")
     p_check.add_argument("--h", required=True, help="second factor")
-    p_check.add_argument("--z-tiebreak", choices=list(Z_CHOICES), default="min")
+    p_check.add_argument("--z-tiebreak", choices=list(Z_CHOICES), default=None)
     p_check.add_argument("--anchor", type=int, default=None, help="second-factor anchor vertex override")
     add_common(p_check)
 

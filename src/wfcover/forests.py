@@ -242,20 +242,26 @@ def _is_forest_mask(adj: tuple[int, ...], mask: int) -> bool:
     return _edges_within(adj, mask) == mask.bit_count() - len(components_within(adj, mask))
 
 
+def _extends(adj: tuple[int, ...], outside: int, smask: int, comps: list[int]) -> bool:
+    """Whether some vertex of ``outside`` can join the forest ``smask``,
+    whose components are the masks ``comps``: it can unless two of its
+    neighbours lie in one component."""
+    for v in iter_bits(outside):
+        nb = adj[v] & smask
+        for c in comps:
+            hit = nb & c
+            if hit & (hit - 1):
+                break
+        else:
+            return True
+    return False
+
+
 def _is_maximal_forest_mask(order: int, adj: tuple[int, ...], mask: int) -> bool:
     comps = components_within(adj, mask)
     if _edges_within(adj, mask) != mask.bit_count() - len(comps):
         return False
-    label = [-1] * order
-    for idx, comp in enumerate(comps):
-        for v in iter_bits(comp):
-            label[v] = idx
-    outside = ((1 << order) - 1) & ~mask
-    for v in iter_bits(outside):
-        nb = adj[v] & mask
-        if len({label[u] for u in iter_bits(nb)}) == nb.bit_count():
-            return False  # no two neighbours share a component: v extends the forest
-    return True
+    return not _extends(adj, ((1 << order) - 1) & ~mask, mask, comps)
 
 
 def is_induced_forest(g: Graph, s: VertexSubset) -> bool:
@@ -278,9 +284,12 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
     per orbit of swapping twins, its smallest mask when each class's labels
     are consecutive.
 
-    Include/exclude walk over vertices 0..n-1 with a rollback union-find
-    tracking the components of the chosen set ``smask``.  A vertex's
-    potential neighbours are its neighbours in ``smask | undecided``.  An
+    Include/exclude walk over vertices 0..n-1 that passes down the
+    components of the chosen set ``smask`` as a list of disjoint masks.
+    Including a vertex builds a new list, merging it with every component
+    it touches, so nothing is undone on the way back; a component holding
+    two of its neighbours means it closes a cycle.  A vertex's potential
+    neighbours are its neighbours in ``smask | undecided``.  An
     excluded vertex with fewer than two of them can be added to every
     completion of ``smask`` without closing a cycle, so its branch holds no
     maximal forest and is cut.  Excluding ``i`` takes a potential neighbour
@@ -289,40 +298,20 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
     ``once`` and ``twice`` hold the vertices with at least one and at least
     two neighbours in ``smask``, and since ``smask`` only grows along a
     branch, a vertex in ``twice`` keeps two potential neighbours for good.
-    Completed subsets are kept only if no excluded vertex extends them.
+    Completed subsets are kept only if no excluded vertex extends them
+    (``_extends``, the rule ``is_maximal_induced_forest`` uses too).
     The twin gate only skips include branches, so every cut above stays
     sound.
     """
     full = (1 << n) - 1
-    parent = list(range(n))
-    size = [1] * n
-    trail: list[int] = []
     out: list[int] = []
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
+    def leaf_is_maximal(smask: int, comps: list[int]) -> bool:
+        return not _extends(adj, full & ~smask, smask, comps)
 
-    def leaf_is_maximal(smask: int) -> bool:
-        # the exclude-branch cut leaves every excluded vertex two neighbours
-        # in smask, so only their components remain to be compared
-        for v in iter_bits(full & ~smask):
-            seen = set()
-            extends = True
-            for u in iter_bits(adj[v] & smask):
-                r = find(u)
-                if r in seen:
-                    extends = False
-                    break
-                seen.add(r)
-            if extends:
-                return False
-        return True
-
-    def decide(i: int, smask: int, undecided: int, once: int, twice: int) -> None:
+    def decide(i: int, smask: int, undecided: int, once: int, twice: int, comps: list[int]) -> None:
         if i == n:
-            if leaf_is_maximal(smask):
+            if leaf_is_maximal(smask, comps):
                 out.append(smask)
             return
         bit = 1 << i
@@ -331,30 +320,20 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
         # include i unless its previous twin is excluded or it closes a cycle
         # (two neighbours in one component)
         p = prev[i]
-        include = p < 0 or smask >> p & 1
-        roots = []
-        if include:
-            for u in iter_bits(nbrs & smask):
-                r = find(u)
-                if r in roots:
-                    include = False
+        if p < 0 or smask >> p & 1:
+            merged = bit
+            rest = []
+            for c in comps:
+                hit = nbrs & c
+                if not hit:
+                    rest.append(c)
+                elif hit & (hit - 1):
                     break
-                roots.append(r)
-        if include:
-            mark = len(trail)
-            cur = i
-            for r in roots:
-                ra, rb = (cur, r) if size[cur] >= size[r] else (r, cur)
-                parent[rb] = ra
-                size[ra] += size[rb]
-                trail.append(rb)
-                cur = ra
-            decide(i + 1, smask | bit, undecided, once | nbrs, twice | (once & nbrs))
-            while len(trail) > mark:
-                rb = trail.pop()
-                ra = parent[rb]
-                size[ra] -= size[rb]
-                parent[rb] = rb
+                else:
+                    merged |= c
+            else:
+                rest.append(merged)
+                decide(i + 1, smask | bit, undecided, once | nbrs, twice | (once & nbrs), rest)
         # exclude i: dead end if i, or an excluded neighbour of i that is not
         # yet in twice, keeps at most one potential neighbour, since that
         # vertex would then extend every completion of smask
@@ -364,9 +343,9 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
         for v in iter_bits(nbrs & ~potential & (bit - 1) & ~twice):
             if (adj[v] & potential).bit_count() < 2:
                 return
-        decide(i + 1, smask, undecided, once, twice)
+        decide(i + 1, smask, undecided, once, twice, comps)
 
-    decide(0, 0, full, 0, 0)
+    decide(0, 0, full, 0, 0, [])
     return out
 
 

@@ -248,35 +248,24 @@ def from_graph6(data: bytes | str) -> Graph:
         )
     if len(data) > 1 + need:
         raise Graph6Error("trailing garbage after graph6 record", offset=1 + need)
+    bits = 0
+    for k in range(1, 1 + need):
+        if not 63 <= data[k] <= 126:
+            raise Graph6Error(f"invalid data byte {data[k]}", offset=k)
+        bits = bits << 6 | data[k] - 63
+    pad = 6 * need - nbits
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", offset=need)
+    # the first bit written is the most significant: column j = 1..n-1, row i = 0..j-1
+    pos = nbits + pad
     rows = [0] * n
-    pos = 0
-    for k in range(need):
-        byte = data[1 + k]
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid data byte {byte}", offset=1 + k)
-        group = byte - 63
-        for b in range(5, -1, -1):
-            bit = (group >> b) & 1
-            if pos >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", offset=1 + k)
-                continue
-            if bit:
-                # bit order: column j = 1..n-1, row i = 0..j-1
-                j = _column_of(pos, n)
-                i = pos - j * (j - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if bits >> pos & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            pos += 1
     return Graph(n, tuple(rows))
-
-
-def _column_of(pos: int, n: int) -> int:
-    """Column index j such that pos falls in the j-th upper-triangle column."""
-    j = 1
-    while j * (j + 1) // 2 <= pos:
-        j += 1
-    return j
 
 
 def induced_subgraph(g: Graph, s: VertexSubset) -> Graph:

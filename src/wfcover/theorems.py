@@ -551,17 +551,23 @@ def check(
     g: Graph,
     h: Graph,
     max_order: int | None = None,
-    z_choice: str = "min",
+    z_choice: str | None = None,
     anchor: int | None = None,
 ) -> TheoremReport:
     """Run the check ``theorem`` names on the pair (g, h).
 
-    thm31 takes no witness options, so ``z_choice`` and ``anchor`` apply to
-    thm32 and thm35 only.  A pair outside the theorem's hypotheses raises
-    HypothesisError, an unknown id ValueError.
+    ``z_choice`` (None for "min") and ``anchor`` pick the witnesses of thm32
+    and thm35; thm31 builds none, so it raises ValueError when given either.
+    A pair outside the theorem's hypotheses raises HypothesisError, an
+    unknown id ValueError.
     """
     if theorem == "thm31":
+        if z_choice is not None or anchor is not None:
+            raise ValueError(
+                "thm31 builds no witnesses: --anchor and --z-tiebreak apply to thm32 and thm35 only"
+            )
         return check_thm31(g, h, max_order=max_order)
+    z_choice = "min" if z_choice is None else z_choice
     if theorem == "thm32":
         _require("thm32", g, h)
         return check_thm32(g, h.order, max_order=max_order, z_choice=z_choice, anchor=anchor)

@@ -202,6 +202,15 @@ class TestCheckTheorem:
         assert code == 0
         assert all(w["verified"] for w in doc["witnesses"])
 
+    @pytest.mark.parametrize(
+        "options", [["--anchor", "99"], ["--anchor", "0"], ["--z-tiebreak", "min"], ["--z-tiebreak", "max"]]
+    )
+    def test_thm31_rejects_witness_options(self, options):
+        code, out, err = invoke(["check-theorem", "thm31", "--g", "empty:2", "--h", "cycle:4", *options])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--anchor" in err and "--z-tiebreak" in err
+
 
 class TestSearchCommand:
     def test_finding_exit_one_and_jsonl(self, tmp_path):

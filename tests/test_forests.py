@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import pytest
@@ -76,6 +77,15 @@ class TestForestPredicates:
 
     def test_empty_subset_never_maximal(self):
         assert not is_maximal_induced_forest(fam("complete:3"), VertexSubset(3, 0))
+
+    def test_maximality_matches_cycle_basis_oracle_le6(self, atlas_le6):
+        # the kernel shares its extension rule with is_maximal_induced_forest,
+        # so this oracle shares nothing with either
+        for g in atlas_le6:
+            maximal = naive_maximal_forests(g)
+            for mask in range(1 << g.order):
+                expected = frozenset(v for v in range(g.order) if mask >> v & 1) in maximal
+                assert is_maximal_induced_forest(g, VertexSubset(g.order, mask)) == expected
 
 
 class TestEnumeration:
@@ -156,6 +166,37 @@ class TestKernelCounters:
     def test_nodes_leaves_kept(self, g, h, expected):
         product, _ = lexicographic(fam(g), fam(h))
         assert kernel_counters(product) == expected
+
+
+class TestBenchProducts:
+    """The forest catalogue of every check-theorem product of the bench's
+    ladder and dense workloads (20-24 vertices, beyond the oracle tests),
+    pinned mask for mask by a sha256 of ``repr(components)``: a kernel that
+    replaces this one must reproduce every mask, not only the verdicts."""
+
+    @pytest.mark.parametrize(
+        "g,h,digest",
+        [
+            ("path:12", "empty:2", "dab2aef7e78f78747ef4f2f800d2bbf6fe4d8fb190881335502c2f388eddcf5f"),
+            ("path:8", "empty:3", "2d9ffeaac9c1785a908e1ce615cab3ebceedfacfb348b25e601a1467d11af34a"),
+            ("cycle:6", "empty:4", "7ddf7497217fb7e170fb6b2cd4845b5aaa167a60536c428987647c3c7198e060"),
+            ("cycle:8", "empty:3", "282113e638dab541ade5d3c097b1bbaa863f10a6c8aed86be9eb0e064617fd12"),
+            ("cycle:8", "path:3", "b6bcc60df45b746b9d43520733fb3a15d011d8729543014a8f09c94e3827fbab"),
+            ("cycle:6", "cycle:4", "c82b3d0c3c32ac148b360c7576b59fb42f483aefae9a7576087d629f38c59847"),
+            ("cycle:5", "cycle:4", "f20abe1b1ee035ea55e257ad0a83581abccb813726f20298ed95a40fcbad6633"),
+            ("complete:4", "cycle:5", "28e741bb56b47946d589a5ebf8ef10585f3ee48c26cbabf8fd3fdb2523fc7a9c"),
+            ("complete:5", "cycle:4", "1ad855c8438b1c0cf5f8b80e092a8986a0aa11fcfd3a467356b36df652577ccc"),
+            ("complete:6", "cycle:4", "ad4e1715b655c9ff31d92064078730ee0335ae9a05755b08867e91ee5caca83e"),
+            ("complete:8", "path:3", "dc45f4f40e9fade9cd9c6f304080bfa259c4159c97e38f06badae3c0ee58161b"),
+            ("complete:6", "path:4", "057259e2c444905a276b57648cfa93b880b884eb2054f9d24a9b04aed8ffdfb1"),
+            ("complete:5", "path:4", "44ef658953659f4c3f1471ae4b2d021062b696421944ee8fded660ca900b814f"),
+            ("complete:4", "path:6", "42c64272b4473a8ad500f8f54b3c6d66c3fa3f47612ad50fc253331b26037389"),
+        ],
+    )
+    def test_catalogue_digest(self, g, h, digest):
+        product, _ = lexicographic(fam(g), fam(h))
+        components = forests.Catalogue.build(product, forests._maximal_forest_masks).components
+        assert hashlib.sha256(repr(components).encode()).hexdigest() == digest
 
 
 class TestTwinOrbits:

@@ -368,6 +368,13 @@ class TestCheck:
         with pytest.raises(ValueError, match="unknown theorem id 'thm99'"):
             check("thm99", fam("path:2"), fam("path:2"))
 
+    @pytest.mark.parametrize(
+        "options", [{"anchor": 0}, {"anchor": 99}, {"z_choice": "min"}, {"z_choice": "max"}]
+    )
+    def test_thm31_rejects_witness_options(self, options):
+        with pytest.raises(ValueError, match="--anchor and --z-tiebreak"):
+            check("thm31", fam("empty:2"), fam("cycle:4"), **options)
+
 
 class TestCheckPath:
     CHECKS = {
