@@ -7,12 +7,8 @@ from .graphs import (
     Graph,
     Graph6Error,
     VertexSubset,
-    connected_components,
-    disjoint_union,
     from_graph6,
     generate,
-    induced_subgraph,
-    is_acyclic,
     parse_family,
     to_graph6,
 )
@@ -30,6 +26,7 @@ from .forests import (
     is_maximal_induced_forest,
     is_well_f_covered,
     maximal_forest_order_histogram,
+    product_profile,
 )
 from .independence import (
     enumerate_maximal_independent_sets,

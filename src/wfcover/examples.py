@@ -93,7 +93,7 @@ def _audit_p4_with_two_copies(max_order: int | None) -> tuple[list[ClaimRecord],
     g = generate(FamilySpec("path", 4))
     report = check_thm32(g, 2, max_order=max_order)
     truth = report.ground_truth
-    forests = enumerate_maximal_induced_forests(g, max_order)
+    forests = enumerate_maximal_induced_forests(g)
     forests_json = [list(f.vertices()) for f in forests]
     all_are_p3 = all(len(f) == 3 and _is_induced_path(g, f) for f in forests)
     p3_value = thm32_lhs(ForestStats(0, 0, 2, 1), 2)
@@ -162,8 +162,8 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
     h = generate(FamilySpec("cycle", 4))
     report = check_thm35(g, h, max_order=max_order)
     truth = report.ground_truth
-    alpha = independence_number(g, max_order)
-    mis_h = enumerate_maximal_independent_sets(h, max_order)
+    alpha = independence_number(g)
+    mis_h = enumerate_maximal_independent_sets(h)
 
     abc = _subset(g, _FIG1_ABC)
     abc_maximal = is_maximal_induced_forest(g, abc)
@@ -280,7 +280,7 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
     product = _product(g, h)
     index_map = ProductIndexMap(g.order, h.order)
 
-    forests_g = enumerate_maximal_induced_forests(g, max_order)
+    forests_g = enumerate_maximal_induced_forests(g)
     all_p4 = all(len(f) == 4 and _is_induced_path(g, f) for f in forests_g)
     values = sorted({r.lhs for r in report.condition_values})
 

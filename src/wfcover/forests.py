@@ -12,15 +12,23 @@ twin only after its predecessor in the class and keeps one representative
 per orbit; the catalogue expands or counts the orbits.  Results are
 returned in a canonical ascending-bitmask order regardless of internal
 traversal.
+
+For a product built by ``lexicographic``, the forest number, the order
+histogram and the well-f-covered decision with its witness pair are
+computed from the factors instead (``product_profile``): a maximal forest
+of G∘H is an induced forest of G with a role for each of its vertices, and
+the roles read only the catalogues of H.  The answers equal the
+catalogue's; a graph with the same adjacency but no factors still goes
+through the kernel, and so does ``enumerate_maximal_induced_forests``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import (
     Graph,
@@ -205,11 +213,7 @@ class Catalogue:
                 for c, size in zip(classes, sizes):
                     weight *= comb(size, (m & c).bit_count())
                 comp_hist[k] = comp_hist.get(k, 0) + weight
-            merged: dict[int, int] = {}
-            for a, ca in hist.items():
-                for b, cb in comp_hist.items():
-                    merged[a + b] = merged.get(a + b, 0) + ca * cb
-            hist = merged
+            hist = _convolve(hist, comp_hist)
         return dict(sorted(hist.items()))
 
     def number(self) -> int:
@@ -229,6 +233,16 @@ class Catalogue:
         if lo.bit_count() == hi.bit_count():
             return True, None
         return False, (VertexSubset(self.order, lo), VertexSubset(self.order, hi))
+
+
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The size histogram of the unions of one set counted by ``a`` with one
+    disjoint set counted by ``b``."""
+    out: dict[int, int] = {}
+    for i, ci in a.items():
+        for j, cj in b.items():
+            out[i + j] = out.get(i + j, 0) + ci * cj
+    return out
 
 
 def _edges_within(adj: tuple[int, ...], mask: int) -> int:
@@ -354,6 +368,279 @@ def _forest_catalogue(g: Graph) -> Catalogue:
     return Catalogue.build(g, _maximal_forest_masks)
 
 
+# The roles of a vertex g of P in the forest G[P], named by the fibres S_g
+# they allow: a maximal forest of H, any one vertex, one universal vertex of
+# H, or a maximal independent set of H with two or more vertices.
+_ISO, _ONE, _UNIV, _BIG = range(4)
+
+
+class ProductProfile(NamedTuple):
+    """The aggregate queries of a product's forest catalogue, computed from
+    its factors by ``product_profile``.  ``counts`` holds (order, number of
+    maximal forests) pairs, ascending; ``lo`` and ``hi`` are the smallest
+    masks of least and of greatest order."""
+
+    order: int
+    counts: tuple[tuple[int, int], ...]
+    lo: int
+    hi: int
+
+    def histogram(self) -> dict[int, int]:
+        return dict(self.counts)
+
+    def number(self) -> int:
+        return self.counts[-1][0]
+
+    def uniform(self) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
+        if len(self.counts) == 1:
+            return True, None
+        return False, (VertexSubset(self.order, self.lo), VertexSubset(self.order, self.hi))
+
+
+@lru_cache(maxsize=8)
+def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
+    """``histogram()``, ``number()`` and ``uniform()`` of the maximal
+    induced forests of G∘H, equal to those of its catalogue, from G and from
+    the catalogues of H alone.
+
+    Let S be an induced forest of G∘H, ``S_g`` its fibre in {g}×V(H), and
+    P = {g : S_g nonempty}.  One vertex from each fibre of P spans a copy of
+    G[P], so G[P] is a forest.  Two vertices of one fibre and a vertex of a
+    neighbouring fibre make a triangle if they are adjacent, and a C4 with a
+    vertex of a second neighbouring fibre (or two of the same one).  Adding
+    a vertex (g, x) closes a cycle exactly when it has two neighbours in
+    one component of S.  So S is a maximal forest exactly when each vertex
+    of P has a role by its place in G[P]:
+
+    - isolated: S_g is a maximal forest of H;
+    - of degree >= 2: S_g is one vertex, any of the n = |H|;
+    - a leaf of a component of three or more vertices: S_g is a maximal
+      independent set (MIS) of H, of size 1 (a universal vertex) or >= 2;
+    - one end of a component {a, b}: S_a is an MIS of size >= 2 and S_b
+      any one vertex, or the mirror image, or S_a and S_b are each one
+      universal vertex of H;
+
+    and every g outside P is dominated: it has a neighbour isolated in G[P]
+    while H has an edge (the fibre there is a maximal forest of H, which
+    then has an edge), or two neighbours in one component of G[P], or a
+    neighbour whose role is an MIS of size >= 2 in a component of two or
+    more vertices.  P ranges over every induced forest of G, not only the
+    maximal ones, and distinct role choices give disjoint sets of forests.
+
+    Each admissible pattern (P, roles) adds the convolution of its
+    vertices' fibre size histograms to the total.  The induced forests P are
+    walked by include/exclude in descending-degree order, passing the
+    components down as masks as the forest kernel does.  A branch is cut
+    once an excluded vertex can no longer be dominated: it has no potential
+    neighbour left, or only one, which already has two chosen neighbours
+    and so ends neither isolated nor a leaf.
+
+    The fibre of g is the bit block starting at g*n, so within one pattern
+    the smallest mask of a given order takes, from the top fibre down, the
+    smallest option of each fibre whose size leaves an order that the lower
+    fibres can still reach.  The smallest over all patterns is the
+    catalogue's: its witness masks are unions of disjoint per-component
+    masks, and the smallest union is the union of the smallest parts.  For
+    |H| = 1 the product is G itself, with the same labels, so its own
+    catalogue is returned.
+    """
+    if h.order == 1:
+        return _forest_catalogue(g)
+    from .independence import _independent_catalogue  # independence imports this module
+
+    m, n, adj = g.order, h.order, g.adj
+    mis = _independent_catalogue(h).sets()
+    options = (
+        [s.mask for s in _forest_catalogue(h).sets()],
+        [1 << x for x in range(n)],
+        [s.mask for s in mis if len(s) == 1],
+        [s.mask for s in mis if len(s) > 1],
+    )
+    # per role: the size histogram of its fibres and the smallest fibre of each size
+    hists: list[dict[int, int]] = []
+    smallest: list[dict[int, int]] = []
+    for masks in options:
+        hist: dict[int, int] = {}
+        first: dict[int, int] = {}
+        for mask in masks:
+            k = mask.bit_count()
+            hist[k] = hist.get(k, 0) + 1
+            first.setdefault(k, mask)
+        hists.append(hist)
+        smallest.append(first)
+    lows = [min(hist, default=0) for hist in hists]
+    highs = [max(hist, default=0) for hist in hists]
+    has_edge, has_univ, has_big = h.edge_count > 0, bool(options[_UNIV]), bool(options[_BIG])
+    full = (1 << m) - 1
+    tally: dict[tuple[int, ...], int] = {}
+    # min -> (least order so far, its smallest mask); max -> the same for the greatest
+    best = {min: (m * n + 1, 0), max: (-1, 0)}
+
+    def smallest_mask(masks: tuple[int, int, int, int], t: int) -> int:
+        """The smallest mask of order t in the pattern whose vertices of
+        each role are ``masks``."""
+        roles = [-1] * m
+        for r, mask in enumerate(masks):
+            for v in iter_bits(mask):
+                roles[v] = r
+        reach = [1]  # reach[v]: the orders fibres 0..v-1 can sum to, as bits
+        for r in roles:
+            acc = reach[-1]
+            if r >= 0:
+                acc = 0
+                for k in smallest[r]:
+                    acc |= reach[-1] << k
+            reach.append(acc)
+        mask = 0
+        for v in range(m - 1, -1, -1):
+            r = roles[v]
+            if r >= 0:
+                k, fibre = min(
+                    ((k, f) for k, f in smallest[r].items() if k <= t and reach[v] >> (t - k) & 1),
+                    key=lambda kf: kf[1],
+                )
+                t -= k
+                mask |= fibre << v * n
+        return mask
+
+    def patterns(pmask: int, comps: list[int]) -> None:
+        """Tally each admissible role choice on the induced forest ``pmask``
+        of G, whose components are ``comps``, and update ``best``."""
+        isolated = internal = dominated = 0
+        forced = (0, 0, 0)  # the BIG, ONE and UNIV masks of the units with one option
+        units = []  # the options of the other leaves and K2 components, as such masks
+        for c in comps:
+            if not c & (c - 1):
+                isolated |= c
+                continue
+            once = twice = 0
+            for v in iter_bits(c):
+                twice |= once & adj[v]
+                once |= adj[v]
+            dominated |= twice  # two neighbours in c
+            if c.bit_count() == 2:
+                a = c & -c
+                new = [((a, c ^ a, 0), (c ^ a, a, 0)) * has_big + ((0, 0, c),) * has_univ]
+            else:
+                internal |= c & twice
+                new = [((1 << v, 0, 0),) * has_big + ((0, 0, 1 << v),) * has_univ
+                       for v in iter_bits(c & ~twice)]
+            for opts in new:
+                if len(opts) == 1:
+                    forced = tuple(x | y for x, y in zip(forced, opts[0]))
+                else:
+                    units.append(opts)
+        if has_edge:
+            for v in iter_bits(isolated):
+                dominated |= adj[v]
+        leaves = pmask & ~isolated & ~internal
+        needs = []  # per undominated outside vertex: the neighbours one of which must be BIG
+        for w in iter_bits(full & ~pmask & ~dominated):
+            need = adj[w] & leaves
+            if not need:
+                return
+            needs.append(need)
+        top = (pmask.bit_length() - 1) * n
+        for choice in product(*units):
+            big, one, univ = forced
+            for b, o, u in choice:
+                big |= b
+                one |= o
+                univ |= u
+            if not all(need & big for need in needs):
+                continue
+            masks = (isolated, internal | one, univ, big)
+            counts = tuple(mask.bit_count() for mask in masks)
+            tally[counts] = tally.get(counts, 0) + 1
+            for pick, ends in ((min, lows), (max, highs)):
+                t = sum(k * e for k, e in zip(counts, ends))
+                order, mask = best[pick]
+                better = t < order if pick is min else t > order
+                if better or (t == order and mask >> top):
+                    cand = smallest_mask(masks, t)
+                    if better or cand < mask:
+                        best[pick] = (t, cand)
+
+    def stranded(w: int, alive: int, dead: int) -> bool:
+        """Whether the excluded vertex w can no longer be dominated: it has
+        no potential neighbour in ``alive``, or only one, which is in
+        ``dead`` or, when H has no edge, has no potential neighbour itself
+        and so ends isolated."""
+        near = adj[w] & alive
+        if near & (near - 1):
+            return False
+        return not near or bool(near & dead) or not (has_edge or adj[near.bit_length() - 1] & alive)
+
+    sequence = sorted(range(m), key=lambda v: (-adj[v].bit_count(), v))
+
+    def walk(i: int, pmask: int, undecided: int, once: int, twice: int, comps: list[int]) -> None:
+        """``once`` and ``twice``: the vertices with at least one and at
+        least two neighbours in ``pmask``.  A lone potential neighbour of an
+        excluded vertex must end isolated (H with an edge) or a leaf of BIG
+        role, so it is dead once in ``twice``, or in ``once`` when H has no
+        MIS of two or more vertices."""
+        if i == m:
+            patterns(pmask, comps)
+            return
+        v = sequence[i]
+        bit = 1 << v
+        undecided &= ~bit
+        nbrs = adj[v]
+        potential = pmask | undecided
+        merged = bit
+        rest = []
+        for c in comps:
+            hit = nbrs & c
+            if not hit:
+                rest.append(c)
+            elif hit & (hit - 1):
+                break
+            else:
+                merged |= c
+        else:
+            # include v, unless that strands an excluded neighbour of a
+            # vertex it makes dead
+            once2, twice2 = once | nbrs, twice | (once & nbrs)
+            dead, dead2 = (twice, twice2) if has_big else (once, once2)
+            near = 0
+            for u in iter_bits(dead2 & ~dead & potential):
+                near |= adj[u]
+            alive = potential | bit
+            if not any(stranded(w, alive, dead2) for w in iter_bits(near & ~alive)):
+                rest.append(merged)
+                walk(i + 1, pmask | bit, undecided, once2, twice2, rest)
+        # exclude v, unless that strands v, an excluded neighbour of v, or
+        # one of a neighbour that v leaves with no potential neighbour
+        dead = twice if has_big else once
+        check = nbrs & ~potential | bit
+        if not has_edge:
+            for a in iter_bits(nbrs & potential):
+                if not adj[a] & potential:
+                    check |= adj[a] & ~potential
+        for w in iter_bits(check):
+            if stranded(w, potential, dead):
+                return
+        walk(i + 1, pmask, undecided, once, twice, comps)
+
+    walk(0, 0, full, 0, 0, [])
+    total: dict[int, int] = {}
+    for counts, times in tally.items():
+        poly = {0: times}
+        for r, k in enumerate(counts):
+            for _ in range(k):
+                poly = _convolve(poly, hists[r])
+        for k, c in poly.items():
+            total[k] = total.get(k, 0) + c
+    return ProductProfile(m * n, tuple(sorted(total.items())), best[min][1], best[max][1])
+
+
+def _forest_aggregates(g: Graph, max_order: int | None) -> ProductProfile | Catalogue:
+    """What the aggregate queries read: for a graph built by
+    ``lexicographic`` the profile from its factors, else its catalogue."""
+    g = _within_bound(g, max_order)
+    return _forest_catalogue(g) if g.factors is None else product_profile(*g.factors)
+
+
 def enumerate_maximal_induced_forests(
     g: Graph, max_order: int | None = None
 ) -> list[VertexSubset]:
@@ -363,12 +650,12 @@ def enumerate_maximal_induced_forests(
 
 def maximal_forest_order_histogram(g: Graph, max_order: int | None = None) -> dict[int, int]:
     """Counts of maximal induced forests by order (component-wise convolution)."""
-    return _forest_catalogue(_within_bound(g, max_order)).histogram()
+    return _forest_aggregates(g, max_order).histogram()
 
 
 def forest_number(g: Graph, max_order: int | None = None) -> int:
     """Order of a maximum induced forest: |V| minus the minimum feedback vertex set."""
-    return _forest_catalogue(_within_bound(g, max_order)).number()
+    return _forest_aggregates(g, max_order).number()
 
 
 def is_well_f_covered(
@@ -378,7 +665,7 @@ def is_well_f_covered(
 
     When they do not, also return a witness pair (smaller, larger).
     """
-    return _forest_catalogue(_within_bound(g, max_order)).uniform()
+    return _forest_aggregates(g, max_order).uniform()
 
 
 def _classify(adj: tuple[int, ...], forest: int) -> tuple[int, int, int, int, int]:

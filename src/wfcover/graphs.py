@@ -1,7 +1,7 @@
-"""Immutable bitset-backed simple graphs: families, graph6 I/O, basic operations.
+"""Immutable bitset-backed simple graphs: families, graph6 I/O, components.
 
 Vertices are always 0..order-1 and adjacency is stored as one bitmask per
-vertex, which keeps subset work (induced subgraphs, forest tests) cheap.
+vertex, which keeps subset work (components, forest tests) cheap.
 """
 
 from __future__ import annotations
@@ -46,12 +46,14 @@ class Graph:
 
     ``adj[v]`` has bit u set iff uv is an edge.  Instances are immutable and
     hashable, so they can be shared freely across worker processes.  ``name``
-    is a display label only and does not take part in equality.
+    is a display label only, and ``factors`` is the pair (G, H) of a graph
+    built by ``lexicographic``; neither takes part in equality.
     """
 
     order: int
     adj: tuple[int, ...]
     name: str | None = field(default=None, compare=False)
+    factors: tuple[Graph, Graph] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -268,27 +270,6 @@ def from_graph6(data: bytes | str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def induced_subgraph(g: Graph, s: VertexSubset) -> Graph:
-    """The subgraph induced by ``s``, vertices renumbered in ascending order."""
-    if s.order != g.order:
-        raise ValueError("subset belongs to a graph of different order")
-    if s.mask == 0:
-        raise ValueError("induced subgraph of the empty set is not a graph")
-    verts = list(iter_bits(s.mask))
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for v in verts:
-        for u in iter_bits(g.adj[v] & s.mask):
-            rows[index[v]] |= 1 << index[u]
-    return Graph(len(verts), tuple(rows))
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """The disjoint union, with g2's vertices offset by g1.order."""
-    rows = list(g1.adj) + [row << g1.order for row in g2.adj]
-    return Graph(g1.order + g2.order, tuple(rows))
-
-
 def components_within(adj: tuple[int, ...], mask: int) -> list[int]:
     """Connected components of the subgraph induced by ``mask``, as masks
     ordered by smallest member."""
@@ -311,13 +292,3 @@ def components_within(adj: tuple[int, ...], mask: int) -> list[int]:
 def component_masks(g: Graph) -> list[int]:
     """Connected components as bitmasks, ordered by smallest member."""
     return components_within(g.adj, g.vertices_mask)
-
-
-def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Vertex partition into connected components, ordered by smallest member."""
-    return tuple(tuple(iter_bits(mask)) for mask in component_masks(g))
-
-
-def is_acyclic(g: Graph) -> bool:
-    """True iff the graph is a forest: |E| = |V| - number of components."""
-    return g.edge_count == g.order - len(component_masks(g))

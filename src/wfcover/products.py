@@ -51,7 +51,9 @@ class ProductIndexMap:
 
 
 def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductIndexMap]:
-    """Build G∘H together with the row-major index map.
+    """Build G∘H together with the row-major index map.  The product
+    remembers its factors, so its forest aggregates come from them
+    (``forests.product_profile``).
 
     |V| = |V(G)|*|V(H)| and |E| = |E(G)|*|V(H)|^2 + |V(G)|*|E(H)|.  Orders
     above the graph6 export limit still construct fine in memory; a warning
@@ -80,4 +82,4 @@ def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductIndexMap]:
     name = None
     if g.name and h.name:
         name = f"lex({g.name},{h.name})"
-    return Graph(order, tuple(rows), name=name), ProductIndexMap(m, n)
+    return Graph(order, tuple(rows), name=name, factors=(g, h)), ProductIndexMap(m, n)

@@ -87,10 +87,10 @@ def _check_pair(payload: tuple[str, Graph, Graph, int]) -> Finding:
     # cheap for hypothesis-filtered pairs, so fill the gaps here.
     alpha_g = truth.get("alpha_g")
     if alpha_g is None:
-        alpha_g = independence_number(g, max_order)
+        alpha_g = independence_number(g)
     f_h = truth.get("f_h")
     if f_h is None:
-        f_h = forest_number(h, max_order)
+        f_h = forest_number(h)
     return Finding(
         g_graph6=to_graph6(g).decode("ascii"),
         h_graph6=to_graph6(h).decode("ascii"),

@@ -22,11 +22,17 @@ The necessary conditions come with explicit witness forests inside the
 product (V_M and the two V* constructions); each constructed witness is
 re-verified by brute force and a failure is never silently ignored.
 
-Ground truth is always the exhaustive enumeration: a report's verdict is
-``theorem_violation`` iff brute force finds the product well-f-covered while
-a necessary condition fails (or a constructed witness fails verification),
-``non_sufficiency_witness`` iff every condition holds yet the product is not
-well-f-covered, and ``consistent`` otherwise.
+Ground truth is exact.  The product's forest number, maximal forest orders
+and witness pair come from ``forests.product_profile``, which derives them
+from the factors' exhaustive catalogues and equals the exhaustive
+enumeration of the product histogram for histogram and mask for mask.  A
+report's verdict is ``theorem_violation`` iff the product is well-f-covered
+while a necessary condition fails (or a constructed witness fails
+verification), ``non_sufficiency_witness`` iff every condition holds yet the
+product is not well-f-covered, and ``consistent`` otherwise.
+
+The enumeration bound is checked once per check, on the product: it is the
+first heavy call, and a factor is never larger than its product.
 """
 
 from __future__ import annotations
@@ -360,8 +366,8 @@ def check_thm31(g: Graph, h: Graph, max_order: int | None = None) -> TheoremRepo
     _require("thm31", g, h)
     m = g.order
     truth = _product_ground_truth(_product(g, h), max_order)
-    wfc_h, _ = is_well_f_covered(h, max_order)
-    f_h = forest_number(h, max_order)
+    wfc_h, _ = is_well_f_covered(h)
+    f_h = forest_number(h)
     truth.update({"f_h": f_h, "well_f_covered_h": wfc_h})
     biconditional = truth["well_f_covered_product"] == wfc_h
     formula = truth["f_product"] == m * f_h
@@ -398,7 +404,7 @@ def check_thm32(
     f_p = truth["f_product"]
     records = []
     witnesses = []
-    for forest in enumerate_maximal_induced_forests(g, max_order):
+    for forest in enumerate_maximal_induced_forests(g):
         stats = forest_stats(g, forest)
         lhs = thm32_lhs(stats, n)
         records.append(
@@ -445,18 +451,18 @@ def check_thm35(
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]
 
-    forests_g = enumerate_maximal_induced_forests(g, max_order)
+    forests_g = enumerate_maximal_induced_forests(g)
     stats_g = [forest_stats(g, forest) for forest in forests_g]
-    mis_g = enumerate_maximal_independent_sets(g, max_order)
-    mis_h = enumerate_maximal_independent_sets(h, max_order)
-    forests_h = enumerate_maximal_induced_forests(h, max_order)
-    alpha_g = independence_number(g, max_order)
-    f_g = forest_number(g, max_order)
-    f_h = forest_number(h, max_order)
-    wc_g, _ = is_well_covered(g, max_order)
-    wc_h, _ = is_well_covered(h, max_order)
-    wfc_g, _ = is_well_f_covered(g, max_order)
-    wfc_h, _ = is_well_f_covered(h, max_order)
+    mis_g = enumerate_maximal_independent_sets(g)
+    mis_h = enumerate_maximal_independent_sets(h)
+    forests_h = enumerate_maximal_induced_forests(h)
+    alpha_g = independence_number(g)
+    f_g = forest_number(g)
+    f_h = forest_number(h)
+    wc_g, _ = is_well_covered(g)
+    wc_h, _ = is_well_covered(h)
+    wfc_g, _ = is_well_f_covered(g)
+    wfc_h, _ = is_well_f_covered(h)
     truth.update(
         {
             "alpha_g": alpha_g,

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own machinery: forest
 checks go through networkx cycle bases, independence checks through pairwise
-edge tests, so agreement is meaningful.
+edge tests, components through networkx, so agreement is meaningful.  The
+graph operations the library does not need (components as vertex tuples,
+induced subgraphs, disjoint unions) live here as well.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from wfcover import Graph
+from wfcover import Graph, VertexSubset
 
 ATLAS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
@@ -52,6 +55,34 @@ def graph_from_mask(n: int, mask: int) -> Graph:
                 edges.append((i, j))
             idx += 1
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def graphs(draw, min_order: int = 1, max_order: int = 8):
+    n = draw(st.integers(min_order, max_order))
+    bits = n * (n - 1) // 2
+    mask = draw(st.integers(0, (1 << bits) - 1))
+    return graph_from_mask(n, mask)
+
+
+@st.composite
+def twin_rich_graphs(draw, max_order: int = 12):
+    """A small random graph with each vertex replaced by a class of false
+    twins (nK1) or true twins (Kn), joined wherever the graph has an edge,
+    then randomly relabelled so that twins are not numbered together."""
+    base = draw(graphs(max_order=6))
+    blocks = []
+    n = 0
+    for v in range(base.order):
+        size = draw(st.integers(1, min(4, max_order - n - (base.order - 1 - v))))
+        blocks.append(range(n, n + size))
+        n += size
+    edges = [(a, b) for u, v in base.edges() for a in blocks[u] for b in blocks[v]]
+    for block in blocks:
+        if draw(st.booleans()):
+            edges += combinations(block, 2)
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
 
 
 def all_labeled_graphs(n: int):
@@ -96,30 +127,25 @@ def naive_maximal_independent(g: Graph) -> set[frozenset[int]]:
     return out
 
 
-def dfs_has_cycle(g: Graph) -> bool:
-    """Independent DFS cycle finder (back-edge detection with parent tracking)."""
-    color = [0] * g.order
-    for start in range(g.order):
-        if color[start]:
-            continue
-        stack = [(start, -1, iter(range(g.order)))]
-        color[start] = 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if not g.has_edge(v, u):
-                    continue
-                if color[u] and u != parent:
-                    return True
-                if not color[u]:
-                    color[u] = 1
-                    stack.append((u, v, iter(range(g.order))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-    return False
+def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Vertex partition into connected components (networkx), ordered by
+    smallest member."""
+    comps = (tuple(sorted(c)) for c in nx.connected_components(to_nx(g)))
+    return tuple(sorted(comps))
+
+
+def induced_subgraph(g: Graph, s: VertexSubset) -> Graph:
+    """The subgraph induced by ``s``, vertices renumbered in ascending order."""
+    verts = sorted(s)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return Graph.from_edges(len(verts), edges)
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """The disjoint union, with g2's vertices offset by g1.order."""
+    edges = g1.edges() + [(u + g1.order, v + g1.order) for u, v in g2.edges()]
+    return Graph.from_edges(g1.order + g2.order, edges)
 
 
 @pytest.fixture(scope="session")

@@ -14,14 +14,12 @@ from wfcover import (
     ForestStats,
     Graph,
     VertexSubset,
-    disjoint_union,
     enumerate_maximal_induced_forests,
     forest_number,
     forest_partition,
     forest_stats,
     generate,
     independence_number,
-    induced_subgraph,
     is_induced_forest,
     is_maximal_induced_forest,
     is_well_f_covered,
@@ -30,7 +28,7 @@ from wfcover import (
     parse_family,
 )
 
-from conftest import naive_maximal_forests
+from conftest import disjoint_union, induced_subgraph, naive_maximal_forests
 
 
 def fam(text: str) -> Graph:

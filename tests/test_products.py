@@ -8,16 +8,14 @@ import pytest
 
 from wfcover import (
     Graph,
-    connected_components,
     generate,
-    induced_subgraph,
     is_well_f_covered,
     lexicographic,
     parse_family,
     VertexSubset,
 )
 
-from conftest import atlas_graphs
+from conftest import atlas_graphs, connected_components, induced_subgraph
 
 
 def fam(text: str) -> Graph:

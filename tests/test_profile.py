@@ -1,0 +1,144 @@
+"""The product profile against the forest kernel run on the product itself.
+
+``product_profile(G, H)`` derives the histogram, the forest number and the
+witness pair of G∘H from the factors.  The reference is the catalogue of a
+factor-less copy ``Graph(p.order, p.adj)``, which the aggregate queries
+send through the kernel.  Both must agree mask for mask.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+
+import wfcover.forests as forests
+from wfcover import (
+    Graph,
+    forest_number,
+    generate,
+    is_well_f_covered,
+    lexicographic,
+    maximal_forest_order_histogram,
+    parse_family,
+)
+
+from conftest import graphs, twin_rich_graphs
+
+
+def fam(text: str) -> Graph:
+    return generate(parse_family(text))
+
+
+def star(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def aggregates(catalogue) -> tuple:
+    return catalogue.histogram(), catalogue.number(), catalogue.uniform()
+
+
+def assert_parity(g: Graph, h: Graph) -> None:
+    product, _ = lexicographic(g, h)
+    expected = aggregates(forests._forest_catalogue(Graph(product.order, product.adj)))
+    assert aggregates(forests.product_profile(g, h)) == expected, (g.edges(), h.edges())
+    # the public queries on the product read the profile
+    wfc, pair = expected[2]
+    assert maximal_forest_order_histogram(product) == expected[0]
+    assert forest_number(product) == expected[1]
+    assert is_well_f_covered(product) == (wfc, pair)
+
+
+def test_every_atlas_pair_le5_by_le4(atlas_le5, atlas_le4):
+    for g in atlas_le5:
+        for h in atlas_le4:
+            assert_parity(g, h)
+
+
+BENCH_PRODUCTS = (
+    ("path:12", "empty:2"),
+    ("path:8", "empty:3"),
+    ("cycle:6", "empty:4"),
+    ("cycle:8", "empty:3"),
+    ("cycle:8", "path:3"),
+    ("cycle:6", "cycle:4"),
+    ("cycle:5", "cycle:4"),
+    ("complete:4", "cycle:5"),
+    ("complete:5", "cycle:4"),
+    ("complete:6", "cycle:4"),
+    ("complete:8", "path:3"),
+    ("complete:6", "path:4"),
+    ("complete:5", "path:4"),
+    ("complete:4", "path:6"),
+    ("cycle:6", "path:4"),
+    ("path:6", "path:4"),
+    ("complete:2", "cycle:12"),
+)
+
+
+@pytest.mark.parametrize("g,h", BENCH_PRODUCTS)
+def test_bench_products(g, h):
+    assert_parity(fam(g), fam(h))
+
+
+def test_star_with_two_copies():
+    # the walk's domination cut: without it, every subset of the leaves is walked
+    assert_parity(star(11), fam("empty:2"))
+
+
+# Pairs that reach each role and each domination rule of the derivation.
+ROLE_CASES = {
+    # a K2 component whose fibres are two universal vertices of H
+    "K2oK2": (fam("complete:2"), fam("complete:2")),
+    "P3oK3": (fam("path:3"), fam("complete:3")),
+    # H = P3 has a size-1 MIS (its centre) and one of size 2
+    "P3oP3": (fam("path:3"), fam("path:3")),
+    "C5oP3": (fam("cycle:5"), fam("path:3")),
+    "K1,3oP3": (star(3), fam("path:3")),
+    # an edgeless G: every vertex of P is isolated
+    "3K1oC4": (fam("empty:3"), fam("cycle:4")),
+    # a disconnected H, with and without an edge
+    "P4oK2+K1": (fam("path:4"), Graph.from_edges(3, [(0, 1)])),
+    "C4o2K1": (fam("cycle:4"), fam("empty:2")),
+    "P5oK1+P3": (fam("path:5"), Graph.from_edges(4, [(1, 2), (2, 3)])),
+    # |H| = 1 reads the catalogue of G itself
+    "fig1oK1": (fam("fig1"), fam("complete:1")),
+}
+
+
+@pytest.mark.parametrize("name", ROLE_CASES)
+def test_role_cases(name):
+    assert_parity(*ROLE_CASES[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_order=6), graphs(max_order=4))
+def test_random_pairs(g, h):
+    assert_parity(g, h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(twin_rich_graphs(max_order=6), graphs(max_order=4))
+def test_twin_rich_first_factors(g, h):
+    assert_parity(g, h)
+
+
+def test_factor_less_copy_goes_through_the_kernel(monkeypatch):
+    product, _ = lexicographic(fam("cycle:5"), fam("cycle:4"))
+    plain = Graph(product.order, product.adj)
+    assert plain == product and plain.factors is None
+    seen = []
+    kernel = forests._maximal_forest_masks
+
+    def counting(n, adj, prev):
+        seen.append(n)
+        return kernel(n, adj, prev)
+
+    monkeypatch.setattr(forests, "_maximal_forest_masks", counting)
+    forests._forest_catalogue.cache_clear()
+    forest_number(plain)
+    assert seen == [20]
+
+
+def test_profile_cache_is_an_lru_cache():
+    # the benchmark empties every lru_cache of the wfcover modules between commands
+    assert callable(forests.product_profile.cache_clear)

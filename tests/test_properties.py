@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +10,6 @@ import wfcover.independence as independence
 from wfcover import (
     Graph,
     VertexSubset,
-    connected_components,
-    disjoint_union,
     enumerate_maximal_independent_sets,
     enumerate_maximal_induced_forests,
     forest_number,
@@ -29,35 +25,7 @@ from wfcover import (
     to_graph6,
 )
 
-from conftest import graph_from_mask
-
-
-@st.composite
-def graphs(draw, min_order: int = 1, max_order: int = 8):
-    n = draw(st.integers(min_order, max_order))
-    bits = n * (n - 1) // 2
-    mask = draw(st.integers(0, (1 << bits) - 1))
-    return graph_from_mask(n, mask)
-
-
-@st.composite
-def twin_rich_graphs(draw, max_order: int = 12):
-    """A small random graph with each vertex replaced by a class of false
-    twins (nK1) or true twins (Kn), joined wherever the graph has an edge,
-    then randomly relabelled so that twins are not numbered together."""
-    base = draw(graphs(max_order=6))
-    blocks = []
-    n = 0
-    for v in range(base.order):
-        size = draw(st.integers(1, min(4, max_order - n - (base.order - 1 - v))))
-        blocks.append(range(n, n + size))
-        n += size
-    edges = [(a, b) for u, v in base.edges() for a in blocks[u] for b in blocks[v]]
-    for block in blocks:
-        if draw(st.booleans()):
-            edges += combinations(block, 2)
-    perm = draw(st.permutations(range(n)))
-    return Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+from conftest import connected_components, disjoint_union, graphs, twin_rich_graphs
 
 
 @given(graphs(max_order=20))

@@ -7,9 +7,11 @@ import pytest
 import dataclasses
 
 import wfcover.examples as examples
+import wfcover.forests as forests
 import wfcover.theorems as theorems
-from conftest import atlas_graphs
+from conftest import atlas_graphs, induced_subgraph
 from wfcover import (
+    EnumerationBoundError,
     ForestStats,
     Graph,
     HypothesisError,
@@ -27,7 +29,6 @@ from wfcover import (
     forest_stats,
     generate,
     hypothesis_filter,
-    induced_subgraph,
     is_induced_forest,
     is_maximal_induced_forest,
     is_well_f_covered,
@@ -407,6 +408,36 @@ class TestCheckPath:
     def test_verify_paper_builds_c5_c4_once(self, builds):
         examples.verify_paper_examples()
         assert builds.count((fam("cycle:5"), fam("cycle:4"))) == 1
+
+    @pytest.mark.parametrize("theorem,g,h", [("thm35", "cycle:5", "cycle:4"), ("thm32", "path:12", "empty:2")])
+    def test_kernel_runs_on_factors_only(self, monkeypatch, theorem, g, h):
+        g, h = fam(g), fam(h)
+        seen = []
+        kernel = forests._maximal_forest_masks
+
+        def counting(n, adj, prev):
+            seen.append(n)
+            return kernel(n, adj, prev)
+
+        monkeypatch.setattr(forests, "_maximal_forest_masks", counting)
+        for cache in (forests._forest_catalogue, forests.product_profile, theorems._product):
+            cache.cache_clear()
+        check(theorem, g, h)
+        assert seen and max(seen) <= max(g.order, h.order)
+        assert forests._forest_catalogue.cache_info().currsize == 2  # G and H, no product
+
+    @pytest.mark.parametrize(
+        "theorem,g,h", [("thm31", "empty:3", "cycle:4"), ("thm32", "path:4", "empty:2"),
+                        ("thm35", "cycle:5", "cycle:4")]
+    )
+    def test_bound_is_checked_on_the_product(self, theorem, g, h):
+        # a bound that admits both factors but not their product
+        g, h = fam(g), fam(h)
+        bound = max(g.order, h.order) + 1
+        with pytest.raises(EnumerationBoundError) as info:
+            check(theorem, g, h, max_order=bound)
+        assert (info.value.order, info.value.bound) == (g.order * h.order, bound)
+        assert str(info.value) == f"graph order {g.order * h.order} exceeds the enumeration bound {bound}"
 
     @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
     def test_failed_witness_verification_is_recorded(self, monkeypatch, theorem):
