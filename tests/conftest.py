@@ -127,6 +127,32 @@ def naive_maximal_independent(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+def dfs_has_cycle(g: Graph) -> bool:
+    """Independent DFS cycle finder (back-edge detection with parent tracking)."""
+    color = [0] * g.order
+    for start in range(g.order):
+        if color[start]:
+            continue
+        stack = [(start, -1, iter(range(g.order)))]
+        color[start] = 1
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for u in it:
+                if not g.has_edge(v, u):
+                    continue
+                if color[u] and u != parent:
+                    return True
+                if not color[u]:
+                    color[u] = 1
+                    stack.append((u, v, iter(range(g.order))))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+    return False
+
+
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex partition into connected components (networkx), ordered by
     smallest member."""
@@ -136,6 +162,10 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 def induced_subgraph(g: Graph, s: VertexSubset) -> Graph:
     """The subgraph induced by ``s``, vertices renumbered in ascending order."""
+    if s.order != g.order:
+        raise ValueError("subset belongs to a graph of different order")
+    if not len(s):
+        raise ValueError("an induced subgraph needs at least one vertex")
     verts = sorted(s)
     index = {v: i for i, v in enumerate(verts)}
     edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]

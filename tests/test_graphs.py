@@ -10,11 +10,17 @@ from wfcover import (
     Graph,
     VertexSubset,
     generate,
+    is_induced_forest,
     parse_family,
 )
 from wfcover.graphs import FIG1_EDGES
 
-from conftest import connected_components, disjoint_union, induced_subgraph
+from conftest import (
+    connected_components,
+    dfs_has_cycle,
+    disjoint_union,
+    induced_subgraph,
+)
 
 
 def fam(text: str) -> Graph:
@@ -120,6 +126,14 @@ class TestInducedSubgraph:
         g = fam("cycle:5")
         assert induced_subgraph(g, VertexSubset(5, g.vertices_mask)) == g
 
+    def test_empty_subset_rejected(self):
+        with pytest.raises(ValueError):
+            induced_subgraph(fam("path:3"), VertexSubset(3, 0))
+
+    def test_foreign_subset_rejected(self):
+        with pytest.raises(ValueError):
+            induced_subgraph(fam("path:3"), VertexSubset(4, 0b11))
+
 
 class TestDisjointUnion:
     """The test oracle in conftest."""
@@ -140,8 +154,22 @@ class TestDisjointUnion:
                 assert not g.has_edge(u, v)
 
 
-class TestComponents:
-    """The test oracle in conftest."""
+def is_acyclic(g: Graph) -> bool:
+    return is_induced_forest(g, VertexSubset(g.order, g.vertices_mask))
+
+
+class TestAcyclicityAndComponents:
+    """Acyclicity through the library's forest test on the whole vertex set;
+    components through the conftest oracle."""
+
+    def test_basic_cases(self):
+        assert is_acyclic(fam("path:4"))
+        assert not is_acyclic(fam("cycle:4"))
+        assert not is_acyclic(fam("fig1"))
+
+    def test_matches_dfs_cycle_finder(self, atlas_le6):
+        for g in atlas_le6:
+            assert is_acyclic(g) == (not dfs_has_cycle(g)), g.edges()
 
     def test_components(self):
         assert connected_components(fam("empty:2")) == ((0,), (1,))
