@@ -16,6 +16,7 @@ import sys
 from typing import IO
 
 from .graphs import (
+    FAMILY_KINDS,
     FamilyError,
     Graph,
     Graph6Error,
@@ -81,7 +82,8 @@ def _first_graph(path: str) -> Graph:
 
 def _graph_from_arg(text: str) -> Graph:
     """Accept family syntax (path:4, fig1), g6:<record>, file:<path>, or bare graph6."""
-    if text == "fig1" or (":" in text and text.split(":", 1)[0] in ("path", "cycle", "complete", "empty")):
+    kind, sep, _ = text.partition(":")
+    if text == "fig1" or (sep and kind in FAMILY_KINDS):
         return generate(parse_family(text))
     if text.startswith("g6:"):
         return from_graph6(text[3:])

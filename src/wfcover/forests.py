@@ -25,7 +25,7 @@ through the kernel, and so does ``enumerate_maximal_induced_forests``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
 from typing import Callable, NamedTuple
@@ -135,6 +135,33 @@ def _orbit(rep: int, classes: tuple[int, ...]) -> list[int]:
     return out
 
 
+class Aggregates(NamedTuple):
+    """The aggregate queries over the maximal sets of one kind of a graph of
+    ``order`` vertices.  ``counts`` holds (size, number of sets) pairs,
+    ascending; ``lo`` and ``hi`` are the smallest masks of least and of
+    greatest size."""
+
+    order: int
+    counts: tuple[tuple[int, int], ...]
+    lo: int
+    hi: int
+
+    def histogram(self) -> dict[int, int]:
+        """Counts of maximal sets by size."""
+        return dict(self.counts)
+
+    def number(self) -> int:
+        """Size of a largest maximal set."""
+        return self.counts[-1][0]
+
+    def uniform(self) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
+        """Whether all maximal sets share one size; if not, also the witness
+        pair (smaller, larger)."""
+        if len(self.counts) == 1:
+            return True, None
+        return False, (VertexSubset(self.order, self.lo), VertexSubset(self.order, self.hi))
+
+
 @dataclass(frozen=True)
 class Catalogue:
     """All maximal sets of one kind (forests, independent sets) of a graph.
@@ -147,6 +174,9 @@ class Catalogue:
     smallest mask of each orbit: the one taking the lowest-numbered members
     of every class.  The maximal sets of the whole graph are the unions of
     one per component, so every query combines the components by product.
+    ``sets()`` lists them; the ``aggregates`` record, computed once per
+    catalogue, is the one source of the histogram, the number and the
+    uniformity test with its witness pair.
     """
 
     order: int
@@ -200,10 +230,15 @@ class Catalogue:
         combined.sort()
         return [VertexSubset(self.order, m) for m in combined]
 
-    def histogram(self) -> dict[int, int]:
-        """Counts of maximal sets by size (component-wise convolution); a
-        representative stands for prod C(|c|, |rep & c|) sets."""
+    @cached_property
+    def aggregates(self) -> Aggregates:
+        """Sizes combine by component-wise convolution, a representative
+        standing for prod C(|c|, |rep & c|) sets.  ``lo`` and ``hi`` take, per
+        component, the smallest-mask set of least and of greatest size; an
+        orbit's sets share one size and its representative is its smallest
+        mask, so the representatives alone give both."""
         hist = {0: 1}
+        lo = hi = 0
         for reps, classes in self.components:
             sizes = [c.bit_count() for c in classes]
             comp_hist: dict[int, int] = {}
@@ -214,25 +249,9 @@ class Catalogue:
                     weight *= comb(size, (m & c).bit_count())
                 comp_hist[k] = comp_hist.get(k, 0) + weight
             hist = _convolve(hist, comp_hist)
-        return dict(sorted(hist.items()))
-
-    def number(self) -> int:
-        """Size of a largest maximal set."""
-        return sum(max(m.bit_count() for m in reps) for reps, _ in self.components)
-
-    def uniform(self) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
-        """Whether all maximal sets share one size; if not, also a witness
-        pair (smaller, larger): per component the smallest-mask set of least
-        size and the smallest-mask set of greatest size.  An orbit's sets
-        share one size and its representative is its smallest mask, so the
-        representatives alone give both."""
-        lo = hi = 0
-        for reps, _ in self.components:
             lo |= min(reps, key=lambda m: (m.bit_count(), m))
             hi |= max(reps, key=lambda m: (m.bit_count(), -m))
-        if lo.bit_count() == hi.bit_count():
-            return True, None
-        return False, (VertexSubset(self.order, lo), VertexSubset(self.order, hi))
+        return Aggregates(self.order, tuple(sorted(hist.items())), lo, hi)
 
 
 def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -374,31 +393,8 @@ def _forest_catalogue(g: Graph) -> Catalogue:
 _ISO, _ONE, _UNIV, _BIG = range(4)
 
 
-class ProductProfile(NamedTuple):
-    """The aggregate queries of a product's forest catalogue, computed from
-    its factors by ``product_profile``.  ``counts`` holds (order, number of
-    maximal forests) pairs, ascending; ``lo`` and ``hi`` are the smallest
-    masks of least and of greatest order."""
-
-    order: int
-    counts: tuple[tuple[int, int], ...]
-    lo: int
-    hi: int
-
-    def histogram(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    def number(self) -> int:
-        return self.counts[-1][0]
-
-    def uniform(self) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
-        if len(self.counts) == 1:
-            return True, None
-        return False, (VertexSubset(self.order, self.lo), VertexSubset(self.order, self.hi))
-
-
 @lru_cache(maxsize=8)
-def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
+def product_profile(g: Graph, h: Graph) -> Aggregates:
     """``histogram()``, ``number()`` and ``uniform()`` of the maximal
     induced forests of G∘H, equal to those of its catalogue, from G and from
     the catalogues of H alone.
@@ -430,10 +426,10 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
     Each admissible pattern (P, roles) adds the convolution of its
     vertices' fibre size histograms to the total.  The induced forests P are
     walked by include/exclude in descending-degree order, passing the
-    components down as masks as the forest kernel does.  A branch is cut
-    once an excluded vertex can no longer be dominated: it has no potential
-    neighbour left, or only one, which already has two chosen neighbours
-    and so ends neither isolated nor a leaf.
+    components down as masks as the forest kernel does.  Only the exclude
+    branch is cut: once an excluded vertex can no longer be dominated, as it
+    has no potential neighbour left or, when H has no edge, only one, which
+    itself has none left and so ends isolated.
 
     The fibre of g is the bit block starting at g*n, so within one pattern
     the smallest mask of a given order takes, from the top fibre down, the
@@ -442,10 +438,10 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
     catalogue's: its witness masks are unions of disjoint per-component
     masks, and the smallest union is the union of the smallest parts.  For
     |H| = 1 the product is G itself, with the same labels, so its own
-    catalogue is returned.
+    catalogue's record is returned.
     """
     if h.order == 1:
-        return _forest_catalogue(g)
+        return _forest_catalogue(g).aggregates
     from .independence import _independent_catalogue  # independence imports this module
 
     m, n, adj = g.order, h.order, g.adj
@@ -507,8 +503,7 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
         """Tally each admissible role choice on the induced forest ``pmask``
         of G, whose components are ``comps``, and update ``best``."""
         isolated = internal = dominated = 0
-        forced = (0, 0, 0)  # the BIG, ONE and UNIV masks of the units with one option
-        units = []  # the options of the other leaves and K2 components, as such masks
+        units = []  # per leaf and K2 component: its options, as (BIG, ONE, UNIV) masks
         for c in comps:
             if not c & (c - 1):
                 isolated |= c
@@ -520,16 +515,11 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
             dominated |= twice  # two neighbours in c
             if c.bit_count() == 2:
                 a = c & -c
-                new = [((a, c ^ a, 0), (c ^ a, a, 0)) * has_big + ((0, 0, c),) * has_univ]
+                units.append(((a, c ^ a, 0), (c ^ a, a, 0)) * has_big + ((0, 0, c),) * has_univ)
             else:
                 internal |= c & twice
-                new = [((1 << v, 0, 0),) * has_big + ((0, 0, 1 << v),) * has_univ
-                       for v in iter_bits(c & ~twice)]
-            for opts in new:
-                if len(opts) == 1:
-                    forced = tuple(x | y for x, y in zip(forced, opts[0]))
-                else:
-                    units.append(opts)
+                units += [((1 << v, 0, 0),) * has_big + ((0, 0, 1 << v),) * has_univ
+                          for v in iter_bits(c & ~twice)]
         if has_edge:
             for v in iter_bits(isolated):
                 dominated |= adj[v]
@@ -542,7 +532,7 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
             needs.append(need)
         top = (pmask.bit_length() - 1) * n
         for choice in product(*units):
-            big, one, univ = forced
+            big = one = univ = 0
             for b, o, u in choice:
                 big |= b
                 one |= o
@@ -561,24 +551,18 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
                     if better or cand < mask:
                         best[pick] = (t, cand)
 
-    def stranded(w: int, alive: int, dead: int) -> bool:
+    def stranded(w: int, alive: int) -> bool:
         """Whether the excluded vertex w can no longer be dominated: it has
-        no potential neighbour in ``alive``, or only one, which is in
-        ``dead`` or, when H has no edge, has no potential neighbour itself
-        and so ends isolated."""
+        no potential neighbour in ``alive``, or, when H has no edge, only
+        one, which has no potential neighbour itself and so ends isolated."""
         near = adj[w] & alive
         if near & (near - 1):
             return False
-        return not near or bool(near & dead) or not (has_edge or adj[near.bit_length() - 1] & alive)
+        return not near or not (has_edge or adj[near.bit_length() - 1] & alive)
 
     sequence = sorted(range(m), key=lambda v: (-adj[v].bit_count(), v))
 
-    def walk(i: int, pmask: int, undecided: int, once: int, twice: int, comps: list[int]) -> None:
-        """``once`` and ``twice``: the vertices with at least one and at
-        least two neighbours in ``pmask``.  A lone potential neighbour of an
-        excluded vertex must end isolated (H with an edge) or a leaf of BIG
-        role, so it is dead once in ``twice``, or in ``once`` when H has no
-        MIS of two or more vertices."""
+    def walk(i: int, pmask: int, undecided: int, comps: list[int]) -> None:
         if i == m:
             patterns(pmask, comps)
             return
@@ -586,7 +570,6 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
         bit = 1 << v
         undecided &= ~bit
         nbrs = adj[v]
-        potential = pmask | undecided
         merged = bit
         rest = []
         for c in comps:
@@ -598,31 +581,22 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
             else:
                 merged |= c
         else:
-            # include v, unless that strands an excluded neighbour of a
-            # vertex it makes dead
-            once2, twice2 = once | nbrs, twice | (once & nbrs)
-            dead, dead2 = (twice, twice2) if has_big else (once, once2)
-            near = 0
-            for u in iter_bits(dead2 & ~dead & potential):
-                near |= adj[u]
-            alive = potential | bit
-            if not any(stranded(w, alive, dead2) for w in iter_bits(near & ~alive)):
-                rest.append(merged)
-                walk(i + 1, pmask | bit, undecided, once2, twice2, rest)
+            rest.append(merged)
+            walk(i + 1, pmask | bit, undecided, rest)
         # exclude v, unless that strands v, an excluded neighbour of v, or
         # one of a neighbour that v leaves with no potential neighbour
-        dead = twice if has_big else once
+        potential = pmask | undecided
         check = nbrs & ~potential | bit
         if not has_edge:
             for a in iter_bits(nbrs & potential):
                 if not adj[a] & potential:
                     check |= adj[a] & ~potential
         for w in iter_bits(check):
-            if stranded(w, potential, dead):
+            if stranded(w, potential):
                 return
-        walk(i + 1, pmask, undecided, once, twice, comps)
+        walk(i + 1, pmask, undecided, comps)
 
-    walk(0, 0, full, 0, 0, [])
+    walk(0, 0, full, [])
     total: dict[int, int] = {}
     for counts, times in tally.items():
         poly = {0: times}
@@ -631,14 +605,14 @@ def product_profile(g: Graph, h: Graph) -> ProductProfile | Catalogue:
                 poly = _convolve(poly, hists[r])
         for k, c in poly.items():
             total[k] = total.get(k, 0) + c
-    return ProductProfile(m * n, tuple(sorted(total.items())), best[min][1], best[max][1])
+    return Aggregates(m * n, tuple(sorted(total.items())), best[min][1], best[max][1])
 
 
-def _forest_aggregates(g: Graph, max_order: int | None) -> ProductProfile | Catalogue:
+def _forest_aggregates(g: Graph, max_order: int | None) -> Aggregates:
     """What the aggregate queries read: for a graph built by
-    ``lexicographic`` the profile from its factors, else its catalogue."""
+    ``lexicographic`` the profile from its factors, else its catalogue's."""
     g = _within_bound(g, max_order)
-    return _forest_catalogue(g) if g.factors is None else product_profile(*g.factors)
+    return _forest_catalogue(g).aggregates if g.factors is None else product_profile(*g.factors)
 
 
 def enumerate_maximal_induced_forests(

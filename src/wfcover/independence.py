@@ -64,7 +64,7 @@ def enumerate_maximal_independent_sets(
 
 def independence_number(g: Graph, max_order: int | None = None) -> int:
     """Size of a maximum independent set."""
-    return _independent_catalogue(_within_bound(g, max_order)).number()
+    return _independent_catalogue(_within_bound(g, max_order)).aggregates.number()
 
 
 def is_well_covered(
@@ -74,4 +74,4 @@ def is_well_covered(
 
     When they do not, also return a witness pair (smaller, larger).
     """
-    return _independent_catalogue(_within_bound(g, max_order)).uniform()
+    return _independent_catalogue(_within_bound(g, max_order)).aggregates.uniform()

@@ -346,6 +346,17 @@ def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
     return WitnessRecord(kind, subset, len(subset), True, detail)
 
 
+def _verdict(witnesses: list[WitnessRecord], conditions_hold: bool, wfc_product: bool) -> str:
+    """A witness that fails verification, or a well-f-covered product whose
+    necessary conditions fail, is a violation; conditions that hold on a
+    product that is not well-f-covered are a non-sufficiency witness."""
+    if not all(w.verified for w in witnesses) or (wfc_product and not conditions_hold):
+        return VERDICT_VIOLATION
+    if conditions_hold and not wfc_product:
+        return VERDICT_NON_SUFFICIENCY
+    return VERDICT_CONSISTENT
+
+
 def _product_ground_truth(product: Graph, max_order: int | None) -> dict:
     f_p = forest_number(product, max_order)
     wfc_p, witness = is_well_f_covered(product, max_order)
@@ -419,14 +430,7 @@ def check_thm32(
         witnesses.append(
             _record("vstar_empty_second", detail, construct_vstar_empty_second, g, spec, n)
         )
-    verification_failed = not all(w.verified for w in witnesses)
     all_hold = all(r.holds for r in records)
-    if verification_failed or (truth["well_f_covered_product"] and not all_hold):
-        verdict = VERDICT_VIOLATION
-    elif all_hold and not truth["well_f_covered_product"]:
-        verdict = VERDICT_NON_SUFFICIENCY
-    else:
-        verdict = VERDICT_CONSISTENT
     return TheoremReport(
         theorem_id="thm32",
         hypotheses={"h_empty": True, "n": n, "g_order": g.order},
@@ -434,7 +438,7 @@ def check_thm32(
         condition_values=tuple(records),
         ground_truth=truth,
         witnesses=tuple(witnesses),
-        verdict=verdict,
+        verdict=_verdict(witnesses, all_hold, truth["well_f_covered_product"]),
     )
 
 
@@ -529,13 +533,6 @@ def check_thm35(
         "condition_4": cond4,
     }
     all_conditions = cond1 and cond2 and cond3 and cond4
-    verification_failed = not all(w.verified for w in witnesses)
-    if verification_failed or (wfc_p and not all_conditions):
-        verdict = VERDICT_VIOLATION
-    elif all_conditions and not wfc_p:
-        verdict = VERDICT_NON_SUFFICIENCY
-    else:
-        verdict = VERDICT_CONSISTENT
     return TheoremReport(
         theorem_id="thm35",
         hypotheses={
@@ -548,7 +545,7 @@ def check_thm35(
         condition_values=tuple(records),
         ground_truth=truth,
         witnesses=tuple(witnesses),
-        verdict=verdict,
+        verdict=_verdict(witnesses, all_conditions, wfc_p),
     )
 
 

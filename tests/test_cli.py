@@ -269,6 +269,11 @@ class TestUsageAndBounds:
         assert code == 2
         assert "error" in err
 
+    def test_family_error_in_a_factor_is_named(self):
+        code, out, err = invoke(["product", "--g", "fig1:3", "--h", "path:2"])
+        assert (code, out) == (2, "")
+        assert err == "error: fig1 takes no size parameter\n"
+
     def test_bad_graph6_exit_two(self):
         code, _, err = invoke(["analyze", "--graph6", "!!"])
         assert code == 2

@@ -142,7 +142,7 @@ def kernel_counters(g: Graph) -> tuple[tuple[int, int, int], int]:
     finally:
         sys.setprofile(previous)
     reps = sum(len(reps) for reps, _ in catalogue.components)
-    return (counts["decide"], counts["leaf_is_maximal"], reps), sum(catalogue.histogram().values())
+    return (counts["decide"], counts["leaf_is_maximal"], reps), sum(catalogue.aggregates.histogram().values())
 
 
 class TestKernelCounters:
@@ -208,10 +208,10 @@ class TestTwinOrbits:
         k5 = fam("complete:5")
         forest_catalogue = forests._forest_catalogue(k5)
         assert forest_catalogue.components == (((0b11,), (0b11111,)),)
-        assert forest_catalogue.histogram() == {2: 10}
+        assert forest_catalogue.aggregates.histogram() == {2: 10}
         mis_catalogue = independence._independent_catalogue(k5)
         assert mis_catalogue.components == (((0b1,), (0b11111,)),)
-        assert mis_catalogue.histogram() == {1: 5}
+        assert mis_catalogue.aggregates.histogram() == {1: 5}
 
 
 class TestForestNumber:

@@ -8,6 +8,8 @@ send through the kernel.  Both must agree mask for mask.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -39,7 +41,7 @@ def aggregates(catalogue) -> tuple:
 
 def assert_parity(g: Graph, h: Graph) -> None:
     product, _ = lexicographic(g, h)
-    expected = aggregates(forests._forest_catalogue(Graph(product.order, product.adj)))
+    expected = aggregates(forests._forest_catalogue(Graph(product.order, product.adj)).aggregates)
     assert aggregates(forests.product_profile(g, h)) == expected, (g.edges(), h.edges())
     # the public queries on the product read the profile
     wfc, pair = expected[2]
@@ -103,6 +105,45 @@ ROLE_CASES = {
     # |H| = 1 reads the catalogue of G itself
     "fig1oK1": (fam("fig1"), fam("complete:1")),
 }
+
+
+def profile_counters(g: Graph, h: Graph) -> tuple[int, int]:
+    """Nodes and leaves of one profile walk: calls of the profile's closures
+    ``walk`` and ``patterns`` (one per complete induced forest of G),
+    counted by a profile hook on an uncached run."""
+    counts = {"walk": 0, "patterns": 0}
+    profile_file = forests.product_profile.__wrapped__.__code__.co_filename
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in counts and code.co_filename == profile_file:
+            counts[code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        forests.product_profile.__wrapped__(g, h)
+    finally:
+        sys.setprofile(previous)
+    return counts["walk"], counts["patterns"]
+
+
+class TestProfileCounters:
+    """Exact work counts of the profile walk, free of timing noise: a
+    change to its cuts shows up as a counter diff.  P12∘2K1 and C8∘P3 are
+    the largest walks of the bench products; in C5∘K3, H is complete, so
+    only the no-potential-neighbour cut applies."""
+
+    @pytest.mark.parametrize(
+        "g,h,expected",
+        [
+            ("path:12", "empty:2", (1_311, 428)),
+            ("cycle:8", "path:3", (306, 130)),
+            ("cycle:5", "complete:3", (47, 20)),
+        ],
+    )
+    def test_walk_nodes_and_leaves(self, g, h, expected):
+        assert profile_counters(fam(g), fam(h)) == expected
 
 
 @pytest.mark.parametrize("name", ROLE_CASES)

@@ -144,8 +144,8 @@ def test_catalogues_match_all_subsets_oracle_with_twins(g):
         cat = catalogue(g)
         assert cat.sets() == expected
         sizes = [len(s) for s in expected]
-        assert cat.histogram() == {k: sizes.count(k) for k in sorted(set(sizes))}
-        assert cat.number() == max(sizes)
+        assert cat.aggregates.histogram() == {k: sizes.count(k) for k in sorted(set(sizes))}
+        assert cat.aggregates.number() == max(sizes)
         # per component, the smallest-mask set of least and of greatest size
         lo = hi = 0
         for comp in connected_components(g):
@@ -153,7 +153,7 @@ def test_catalogues_match_all_subsets_oracle_with_twins(g):
             lo |= min(parts, key=lambda m: (m.bit_count(), m))
             hi |= max(parts, key=lambda m: (m.bit_count(), -m))
         pair = (VertexSubset(g.order, lo), VertexSubset(g.order, hi))
-        assert cat.uniform() == ((True, None) if min(sizes) == max(sizes) else (False, pair))
+        assert cat.aggregates.uniform() == ((True, None) if min(sizes) == max(sizes) else (False, pair))
 
 
 @settings(max_examples=60, deadline=None)
