@@ -16,10 +16,15 @@ traversal.
 For a product built by ``lexicographic``, the forest number, the order
 histogram and the well-f-covered decision with its witness pair are
 computed from the factors instead (``product_profile``): a maximal forest
-of G∘H is an induced forest of G with a role for each of its vertices, and
-the roles read only the catalogues of H.  The answers equal the
-catalogue's; a graph with the same adjacency but no factors still goes
-through the kernel, and so does ``enumerate_maximal_induced_forests``.
+of G∘H is an induced forest of G with a role for each of its vertices.
+Which role patterns are admissible depends on H only through its
+signature (whether it has an edge, a universal vertex, a maximal
+independent set of two or more vertices), so a G-side table of them,
+``_role_patterns``, is walked once and cached per (G, signature); an
+H-side fold then reads the catalogues of H to sum their sizes and find the
+witnesses.  The answers equal the catalogue's; a graph with the same
+adjacency but no factors still goes through the kernel, and so does
+``enumerate_maximal_induced_forests``.
 """
 
 from __future__ import annotations
@@ -389,137 +394,75 @@ def _forest_catalogue(g: Graph) -> Catalogue:
 
 # The roles of a vertex g of P in the forest G[P], named by the fibres S_g
 # they allow: a maximal forest of H, any one vertex, one universal vertex of
-# H, or a maximal independent set of H with two or more vertices.
+# H, or a maximal independent set of H with two or more vertices.  A role
+# pattern holds, per role, the mask of the vertices of P that take it.
 _ISO, _ONE, _UNIV, _BIG = range(4)
 
 
-@lru_cache(maxsize=8)
-def product_profile(g: Graph, h: Graph) -> Aggregates:
-    """``histogram()``, ``number()`` and ``uniform()`` of the maximal
-    induced forests of G∘H, equal to those of its catalogue, from G and from
-    the catalogues of H alone.
+# An H of two or more vertices is edgeless, complete, or has an edge and an
+# MIS of two or more vertices, with or without a universal vertex: four
+# signatures, so this holds the tables of four G.  The largest measured,
+# C12 with P3's signature, has 5 495 patterns in about 0.9 MB.
+@lru_cache(maxsize=16)
+def _role_patterns(
+    g: Graph, has_edge: bool, has_univ: bool, has_big: bool
+) -> tuple[tuple[tuple[int, int, int, int], tuple[tuple[int, int, int, int], ...]], ...]:
+    """The admissible role patterns (P, roles) of G, by the rules of
+    ``product_profile``, for every H whose signature is (``has_edge``: H has
+    an edge, ``has_univ``: a universal vertex, ``has_big``: a maximal
+    independent set of two or more vertices).  They are grouped by the
+    number of vertices of each role: pairs (counts, patterns), each pattern
+    its role masks (ISO, ONE, UNIV, BIG).
 
-    Let S be an induced forest of G∘H, ``S_g`` its fibre in {g}×V(H), and
-    P = {g : S_g nonempty}.  One vertex from each fibre of P spans a copy of
-    G[P], so G[P] is a forest.  Two vertices of one fibre and a vertex of a
-    neighbouring fibre make a triangle if they are adjacent, and a C4 with a
-    vertex of a second neighbouring fibre (or two of the same one).  Adding
-    a vertex (g, x) closes a cycle exactly when it has two neighbours in
-    one component of S.  So S is a maximal forest exactly when each vertex
-    of P has a role by its place in G[P]:
-
-    - isolated: S_g is a maximal forest of H;
-    - of degree >= 2: S_g is one vertex, any of the n = |H|;
-    - a leaf of a component of three or more vertices: S_g is a maximal
-      independent set (MIS) of H, of size 1 (a universal vertex) or >= 2;
-    - one end of a component {a, b}: S_a is an MIS of size >= 2 and S_b
-      any one vertex, or the mirror image, or S_a and S_b are each one
-      universal vertex of H;
-
-    and every g outside P is dominated: it has a neighbour isolated in G[P]
-    while H has an edge (the fibre there is a maximal forest of H, which
-    then has an edge), or two neighbours in one component of G[P], or a
-    neighbour whose role is an MIS of size >= 2 in a component of two or
-    more vertices.  P ranges over every induced forest of G, not only the
-    maximal ones, and distinct role choices give disjoint sets of forests.
-
-    Each admissible pattern (P, roles) adds the convolution of its
-    vertices' fibre size histograms to the total.  The induced forests P are
-    walked by include/exclude in descending-degree order, passing the
-    components down as masks as the forest kernel does.  Only the exclude
-    branch is cut: once an excluded vertex can no longer be dominated, as it
-    has no potential neighbour left or, when H has no edge, only one, which
-    itself has none left and so ends isolated.
-
-    The fibre of g is the bit block starting at g*n, so within one pattern
-    the smallest mask of a given order takes, from the top fibre down, the
-    smallest option of each fibre whose size leaves an order that the lower
-    fibres can still reach.  The smallest over all patterns is the
-    catalogue's: its witness masks are unions of disjoint per-component
-    masks, and the smallest union is the union of the smallest parts.  For
-    |H| = 1 the product is G itself, with the same labels, so its own
-    catalogue's record is returned.
+    The induced forests P are walked by include/exclude in descending-degree
+    order, passing the components down as masks as the forest kernel does.
+    Only the exclude branch is cut: once an excluded vertex can no longer
+    be dominated, as it has no potential neighbour left or, when H has no
+    edge, only one, which itself has none left and so ends isolated.  The
+    role choices of a component of two or more vertices depend only on its
+    mask, so they are worked out once per mask and reused at every forest
+    of the walk that holds it.
     """
-    if h.order == 1:
-        return _forest_catalogue(g).aggregates
-    from .independence import _independent_catalogue  # independence imports this module
-
-    m, n, adj = g.order, h.order, g.adj
-    mis = _independent_catalogue(h).sets()
-    options = (
-        [s.mask for s in _forest_catalogue(h).sets()],
-        [1 << x for x in range(n)],
-        [s.mask for s in mis if len(s) == 1],
-        [s.mask for s in mis if len(s) > 1],
-    )
-    # per role: the size histogram of its fibres and the smallest fibre of each size
-    hists: list[dict[int, int]] = []
-    smallest: list[dict[int, int]] = []
-    for masks in options:
-        hist: dict[int, int] = {}
-        first: dict[int, int] = {}
-        for mask in masks:
-            k = mask.bit_count()
-            hist[k] = hist.get(k, 0) + 1
-            first.setdefault(k, mask)
-        hists.append(hist)
-        smallest.append(first)
-    lows = [min(hist, default=0) for hist in hists]
-    highs = [max(hist, default=0) for hist in hists]
-    has_edge, has_univ, has_big = h.edge_count > 0, bool(options[_UNIV]), bool(options[_BIG])
+    m, adj = g.order, g.adj
     full = (1 << m) - 1
-    tally: dict[tuple[int, ...], int] = {}
-    # min -> (least order so far, its smallest mask); max -> the same for the greatest
-    best = {min: (m * n + 1, 0), max: (-1, 0)}
+    table: dict[tuple[int, int, int, int], list[tuple[int, int, int, int]]] = {}
+    # per component mask: (twice, internal, choices) as returned by component
+    facts: dict[int, tuple[int, int, list[tuple[int, int, int]]]] = {}
 
-    def smallest_mask(masks: tuple[int, int, int, int], t: int) -> int:
-        """The smallest mask of order t in the pattern whose vertices of
-        each role are ``masks``."""
-        roles = [-1] * m
-        for r, mask in enumerate(masks):
-            for v in iter_bits(mask):
-                roles[v] = r
-        reach = [1]  # reach[v]: the orders fibres 0..v-1 can sum to, as bits
-        for r in roles:
-            acc = reach[-1]
-            if r >= 0:
-                acc = 0
-                for k in smallest[r]:
-                    acc |= reach[-1] << k
-            reach.append(acc)
-        mask = 0
-        for v in range(m - 1, -1, -1):
-            r = roles[v]
-            if r >= 0:
-                k, fibre = min(
-                    ((k, f) for k, f in smallest[r].items() if k <= t and reach[v] >> (t - k) & 1),
-                    key=lambda kf: kf[1],
-                )
-                t -= k
-                mask |= fibre << v * n
-        return mask
+    def component(c: int) -> tuple[int, int, list[tuple[int, int, int]]]:
+        """The vertices of the component ``c`` with two neighbours in it, its
+        vertices of degree >= 2 (none for a K2), and its role choices as
+        (BIG, ONE, UNIV) masks: per leaf a BIG or a UNIV fibre, or for a K2
+        one end BIG and the other ONE, or both UNIV."""
+        once = twice = 0
+        for v in iter_bits(c):
+            twice |= once & adj[v]
+            once |= adj[v]
+        if c.bit_count() == 2:
+            a = c & -c
+            return twice, 0, [(a, c ^ a, 0), (c ^ a, a, 0)] * has_big + [(0, 0, c)] * has_univ
+        choices = [(0, 0, 0)]
+        for v in iter_bits(c & ~twice):
+            unit = [(1 << v, 0, 0)] * has_big + [(0, 0, 1 << v)] * has_univ
+            choices = [(b | b2, o, u | u2) for b, o, u in choices for b2, _, u2 in unit]
+        return twice, c & twice, choices
 
     def patterns(pmask: int, comps: list[int]) -> None:
-        """Tally each admissible role choice on the induced forest ``pmask``
-        of G, whose components are ``comps``, and update ``best``."""
+        """Add each admissible role choice on the induced forest ``pmask``
+        of G, whose components are ``comps``, to the table."""
         isolated = internal = dominated = 0
-        units = []  # per leaf and K2 component: its options, as (BIG, ONE, UNIV) masks
+        units = []  # per component of two or more vertices: its role choices
         for c in comps:
             if not c & (c - 1):
                 isolated |= c
                 continue
-            once = twice = 0
-            for v in iter_bits(c):
-                twice |= once & adj[v]
-                once |= adj[v]
+            fact = facts.get(c)
+            if fact is None:
+                fact = facts[c] = component(c)
+            twice, inner, choices = fact
             dominated |= twice  # two neighbours in c
-            if c.bit_count() == 2:
-                a = c & -c
-                units.append(((a, c ^ a, 0), (c ^ a, a, 0)) * has_big + ((0, 0, c),) * has_univ)
-            else:
-                internal |= c & twice
-                units += [((1 << v, 0, 0),) * has_big + ((0, 0, 1 << v),) * has_univ
-                          for v in iter_bits(c & ~twice)]
+            internal |= inner
+            units.append(choices)
         if has_edge:
             for v in iter_bits(isolated):
                 dominated |= adj[v]
@@ -530,7 +473,7 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
             if not need:
                 return
             needs.append(need)
-        top = (pmask.bit_length() - 1) * n
+        n_iso, n_int = isolated.bit_count(), internal.bit_count()
         for choice in product(*units):
             big = one = univ = 0
             for b, o, u in choice:
@@ -539,17 +482,8 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
                 univ |= u
             if not all(need & big for need in needs):
                 continue
-            masks = (isolated, internal | one, univ, big)
-            counts = tuple(mask.bit_count() for mask in masks)
-            tally[counts] = tally.get(counts, 0) + 1
-            for pick, ends in ((min, lows), (max, highs)):
-                t = sum(k * e for k, e in zip(counts, ends))
-                order, mask = best[pick]
-                better = t < order if pick is min else t > order
-                if better or (t == order and mask >> top):
-                    cand = smallest_mask(masks, t)
-                    if better or cand < mask:
-                        best[pick] = (t, cand)
+            counts = (n_iso, n_int + one.bit_count(), univ.bit_count(), big.bit_count())
+            table.setdefault(counts, []).append((isolated, internal | one, univ, big))
 
     def stranded(w: int, alive: int) -> bool:
         """Whether the excluded vertex w can no longer be dominated: it has
@@ -597,15 +531,133 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
         walk(i + 1, pmask, undecided, comps)
 
     walk(0, 0, full, [])
+    return tuple((counts, tuple(pats)) for counts, pats in table.items())
+
+
+@lru_cache(maxsize=8)
+def product_profile(g: Graph, h: Graph) -> Aggregates:
+    """``histogram()``, ``number()`` and ``uniform()`` of the maximal
+    induced forests of G∘H, equal to those of its catalogue, from G and from
+    the catalogues of H alone.
+
+    Let S be an induced forest of G∘H, ``S_g`` its fibre in {g}×V(H), and
+    P = {g : S_g nonempty}.  One vertex from each fibre of P spans a copy of
+    G[P], so G[P] is a forest.  Two vertices of one fibre and a vertex of a
+    neighbouring fibre make a triangle if they are adjacent, and a C4 with a
+    vertex of a second neighbouring fibre (or two of the same one).  Adding
+    a vertex (g, x) closes a cycle exactly when it has two neighbours in
+    one component of S.  So S is a maximal forest exactly when each vertex
+    of P has a role by its place in G[P]:
+
+    - isolated: S_g is a maximal forest of H;
+    - of degree >= 2: S_g is one vertex, any of the n = |H|;
+    - a leaf of a component of three or more vertices: S_g is a maximal
+      independent set (MIS) of H, of size 1 (a universal vertex) or >= 2;
+    - one end of a component {a, b}: S_a is an MIS of size >= 2 and S_b
+      any one vertex, or the mirror image, or S_a and S_b are each one
+      universal vertex of H;
+
+    and every g outside P is dominated: it has a neighbour isolated in G[P]
+    while H has an edge (the fibre there is a maximal forest of H, which
+    then has an edge), or two neighbours in one component of G[P], or a
+    neighbour whose role is an MIS of size >= 2 in a component of two or
+    more vertices.  P ranges over every induced forest of G, not only the
+    maximal ones, and distinct role choices give disjoint sets of forests.
+
+    Which patterns (P, roles) are admissible reads H only through its
+    signature: whether it has an edge, a universal vertex and an MIS of two
+    or more vertices.  So the walk over the induced forests of G that finds
+    them is a table, ``_role_patterns``, cached per (G, signature) and
+    shared by every H with that signature.  The fold here reads the rest of
+    H: each pattern adds the convolution of its vertices' fibre size
+    histograms to the total, so patterns with equal role counts are summed
+    at once.
+
+    The fibre of g is the bit block starting at g*n, so within one pattern
+    the smallest mask of a given order takes, from the top fibre down, the
+    smallest option of each fibre whose size leaves an order that the lower
+    fibres can still reach.  The smallest over all patterns of the least
+    (greatest) order is the catalogue's: its witness masks are unions of
+    disjoint per-component masks, and the smallest union is the union of
+    the smallest parts.  A pattern whose top fibre lies above the best mask
+    so far cannot beat it.  For |H| = 1 the product is G itself, with the
+    same labels, so its own catalogue's record is returned.
+    """
+    if h.order == 1:
+        return _forest_catalogue(g).aggregates
+    from .independence import _independent_catalogue  # independence imports this module
+
+    m, n = g.order, h.order
+    mis = _independent_catalogue(h).sets()
+    options = (
+        [s.mask for s in _forest_catalogue(h).sets()],
+        [1 << x for x in range(n)],
+        [s.mask for s in mis if len(s) == 1],
+        [s.mask for s in mis if len(s) > 1],
+    )
+    # per role: the size histogram of its fibres and the smallest fibre of each size
+    hists: list[dict[int, int]] = []
+    smallest: list[dict[int, int]] = []
+    for masks in options:
+        hist: dict[int, int] = {}
+        first: dict[int, int] = {}
+        for mask in masks:
+            k = mask.bit_count()
+            hist[k] = hist.get(k, 0) + 1
+            first.setdefault(k, mask)
+        hists.append(hist)
+        smallest.append(first)
+    table = _role_patterns(g, h.edge_count > 0, bool(options[_UNIV]), bool(options[_BIG]))
+
+    def smallest_mask(masks: tuple[int, int, int, int], t: int) -> int:
+        """The smallest mask of order t in the pattern whose vertices of
+        each role are ``masks``."""
+        roles = [-1] * m
+        for r, mask in enumerate(masks):
+            for v in iter_bits(mask):
+                roles[v] = r
+        reach = [1]  # reach[v]: the orders fibres 0..v-1 can sum to, as bits
+        for r in roles:
+            acc = reach[-1]
+            if r >= 0:
+                acc = 0
+                for k in smallest[r]:
+                    acc |= reach[-1] << k
+            reach.append(acc)
+        mask = 0
+        for v in range(m - 1, -1, -1):
+            r = roles[v]
+            if r >= 0:
+                k, fibre = min(
+                    ((k, f) for k, f in smallest[r].items() if k <= t and reach[v] >> (t - k) & 1),
+                    key=lambda kf: kf[1],
+                )
+                t -= k
+                mask |= fibre << v * n
+        return mask
+
     total: dict[int, int] = {}
-    for counts, times in tally.items():
-        poly = {0: times}
+    for counts, pats in table:
+        poly = {0: len(pats)}
         for r, k in enumerate(counts):
             for _ in range(k):
                 poly = _convolve(poly, hists[r])
         for k, c in poly.items():
             total[k] = total.get(k, 0) + c
-    return Aggregates(m * n, tuple(sorted(total.items())), best[min][1], best[max][1])
+    witnesses = []
+    for pick in (min, max):
+        ends = [pick(hist, default=0) for hist in hists]
+        t = pick(total)
+        best = 1 << m * n  # above every mask of the product
+        for counts, pats in table:
+            if sum(k * e for k, e in zip(counts, ends)) != t:
+                continue
+            for masks in pats:
+                top = ((masks[0] | masks[1] | masks[2] | masks[3]).bit_length() - 1) * n
+                if best >> top:
+                    best = min(best, smallest_mask(masks, t))
+        witnesses.append(best)
+    return Aggregates(m * n, tuple(sorted(total.items())), *witnesses)
 
 
 def _forest_aggregates(g: Graph, max_order: int | None) -> Aggregates:

@@ -451,6 +451,8 @@ def check_thm35(
 ) -> TheoremReport:
     """Evaluate conditions (1)-(4) for factors that both contain an edge."""
     _require("thm35", g, h)
+    if anchor is not None and not 0 <= anchor < h.order:
+        raise ValueError(f"anchor {anchor} out of range for second factor of order {h.order}")
     truth = _product_ground_truth(_product(g, h), max_order)
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]

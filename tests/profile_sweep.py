@@ -9,8 +9,10 @@ for any change to the profile; pytest does not collect it.
 
     python tests/profile_sweep.py
 
-prints the pairs, mismatches and seconds per sweep and in total, and exits 1
-on any mismatch.
+prints per sweep and in total the pairs, the role-pattern tables built (the
+misses of ``forests._role_patterns``, cached per G and signature of H; the
+sweeps run G-major, as a census pairs each G with every H of a file), the
+mismatches and the seconds, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from networkx.generators.atlas import graph_atlas_g
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wfcover import Graph, lexicographic  # noqa: E402
-from wfcover.forests import Catalogue, _maximal_forest_masks, product_profile  # noqa: E402
+from wfcover.forests import (  # noqa: E402
+    Catalogue,
+    _maximal_forest_masks,
+    _role_patterns,
+    product_profile,
+)
 
 # (orders of G, orders of H)
 SWEEPS = (
@@ -50,6 +57,7 @@ def main() -> int:
     pairs = mismatches = 0
     for g_orders, h_orders in SWEEPS:
         sweep_start = time.perf_counter()
+        builds_before = _role_patterns.cache_info().misses
         sweep_pairs = sweep_mismatches = 0
         for g in (g for n in g_orders for g in atlas[n]):
             for h in (h for n in h_orders for h in atlas[n]):
@@ -62,10 +70,12 @@ def main() -> int:
                           file=sys.stderr)
         print(f"G of order {'/'.join(map(str, g_orders))} x H of order "
               f"{'/'.join(map(str, h_orders))}: {sweep_pairs} pairs, "
+              f"{_role_patterns.cache_info().misses - builds_before} table builds, "
               f"{sweep_mismatches} mismatches, {time.perf_counter() - sweep_start:.1f} s")
         pairs += sweep_pairs
         mismatches += sweep_mismatches
-    print(f"total: {pairs} pairs, {mismatches} mismatches, {time.perf_counter() - start:.1f} s")
+    print(f"total: {pairs} pairs, {_role_patterns.cache_info().misses} table builds, "
+          f"{mismatches} mismatches, {time.perf_counter() - start:.1f} s")
     return 1 if mismatches else 0
 
 

@@ -211,6 +211,13 @@ class TestCheckTheorem:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--anchor" in err and "--z-tiebreak" in err
 
+    @pytest.mark.parametrize("theorem,h", [("thm32", "empty:3"), ("thm35", "path:3")])
+    def test_anchor_out_of_range_is_named(self, theorem, h):
+        code, out, err = invoke(
+            ["check-theorem", theorem, "--g", "path:3", "--h", h, "--anchor", "5"]
+        )
+        assert (code, out, err) == (2, "", "error: anchor 5 out of range for second factor of order 3\n")
+
 
 class TestSearchCommand:
     def test_finding_exit_one_and_jsonl(self, tmp_path):

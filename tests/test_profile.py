@@ -51,9 +51,12 @@ def assert_parity(g: Graph, h: Graph) -> None:
 
 
 def test_every_atlas_pair_le5_by_le4(atlas_le5, atlas_le4):
+    forests._role_patterns.cache_clear()
     for g in atlas_le5:
         for h in atlas_le4:
             assert_parity(g, h)
+    # each G's table serves every H of the same signature
+    assert forests._role_patterns.cache_info().hits > 0
 
 
 BENCH_PRODUCTS = (
@@ -107,10 +110,12 @@ ROLE_CASES = {
 }
 
 
-def profile_counters(g: Graph, h: Graph) -> tuple[int, int]:
-    """Nodes and leaves of one profile walk: calls of the profile's closures
-    ``walk`` and ``patterns`` (one per complete induced forest of G),
-    counted by a profile hook on an uncached run."""
+def walk_counters(g: Graph, h: Graph) -> tuple[int, int]:
+    """Nodes and leaves walked by one profile of G∘H: calls of the closures
+    ``walk`` and ``patterns`` (one per complete induced forest of G) of the
+    role-pattern table, counted by a profile hook on a run that bypasses
+    the profile's own cache.  A table already cached for G and H's
+    signature walks nothing."""
     counts = {"walk": 0, "patterns": 0}
     profile_file = forests.product_profile.__wrapped__.__code__.co_filename
 
@@ -126,6 +131,12 @@ def profile_counters(g: Graph, h: Graph) -> tuple[int, int]:
     finally:
         sys.setprofile(previous)
     return counts["walk"], counts["patterns"]
+
+
+def profile_counters(g: Graph, h: Graph) -> tuple[int, int]:
+    """Nodes and leaves of one uncached profile walk of G∘H."""
+    forests._role_patterns.cache_clear()
+    return walk_counters(g, h)
 
 
 class TestProfileCounters:
@@ -144,6 +155,15 @@ class TestProfileCounters:
     )
     def test_walk_nodes_and_leaves(self, g, h, expected):
         assert profile_counters(fam(g), fam(h)) == expected
+
+    def test_table_is_shared_by_second_factors_of_one_signature(self):
+        # 2K1 and 3K1: no edge, no universal vertex, an MIS of two or more
+        g = fam("path:12")
+        assert profile_counters(g, fam("empty:2")) == (1_311, 428)
+        assert walk_counters(g, fam("empty:3")) == (0, 0)
+        # P3 and K1,3 have an edge and a universal vertex: another table
+        assert walk_counters(g, fam("path:3"))[1] > 0
+        assert walk_counters(g, star(3)) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ROLE_CASES)

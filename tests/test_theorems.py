@@ -228,6 +228,14 @@ class TestCheckThm35:
         with pytest.raises(ValueError):
             check_thm35(fam("cycle:5"), fam("cycle:4"), anchor=1)
 
+    def test_anchor_out_of_range_is_rejected_before_any_work(self, monkeypatch):
+        def no_product(g, h):
+            raise AssertionError("product built before the anchor was checked")
+
+        monkeypatch.setattr(theorems, "_product", no_product)
+        with pytest.raises(ValueError, match="anchor 5 out of range for second factor of order 4"):
+            check_thm35(fam("cycle:5"), fam("cycle:4"), anchor=5)
+
 
 class TestConstructVm:
     def test_c5_c4_two_path_copies(self):
