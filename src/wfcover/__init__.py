@@ -40,7 +40,6 @@ from .theorems import (
     HypothesisError,
     TheoremReport,
     WitnessRecord,
-    WitnessSpec,
     WitnessVerificationError,
     check,
     check_thm31,
@@ -50,7 +49,6 @@ from .theorems import (
     construct_vstar_empty_second,
     construct_vstar_nonempty_second,
     hypothesis_filter,
-    make_witness_spec,
     thm32_lhs,
     thm35_lhs,
 )

@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_bound(p: argparse.ArgumentParser) -> None:
+        """The enumeration bound, for the commands that enumerate."""
         p.add_argument(
             "--max-order",
             type=int,
@@ -323,19 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a family graph and print it")
     p_gen.add_argument("--family", required=True, help="path:4, cycle:5, empty:3, complete:4, fig1")
-    add_common(p_gen)
 
     p_product = sub.add_parser("product", help="build a lexicographic product")
     p_product.add_argument("--g", required=True, help="first factor (family, g6:..., file:..., or graph6)")
     p_product.add_argument("--h", required=True, help="second factor")
-    add_common(p_product)
 
     p_analyze = sub.add_parser("analyze", help="forest/independence analysis of one graph")
     group = p_analyze.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="family syntax, e.g. cycle:4")
     group.add_argument("--graph6", help="a graph6 record")
     group.add_argument("--file", help="file with graph6 records (first is analyzed)")
-    add_common(p_analyze)
+    add_bound(p_analyze)
 
     p_check = sub.add_parser("check-theorem", help="evaluate one condition set on a pair")
     p_check.add_argument("theorem", choices=list(THEOREM_IDS))
@@ -343,10 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--h", required=True, help="second factor")
     p_check.add_argument("--z-tiebreak", choices=list(Z_CHOICES), default=None)
     p_check.add_argument("--anchor", type=int, default=None, help="second-factor anchor vertex override")
-    add_common(p_check)
+    add_bound(p_check)
 
     p_verify = sub.add_parser("verify-paper", help="re-check the bundled case studies")
-    add_common(p_verify)
+    add_bound(p_verify)
 
     p_search = sub.add_parser("search", help="scan graph6 files for non-sufficiency witnesses")
     p_search.add_argument("--g-file", required=True, help="graph6 file for first factors")
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip malformed graph6 lines instead of aborting",
     )
-    add_common(p_search)
+    add_bound(p_search)
 
     return parser
 
@@ -384,9 +383,10 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.max_order is None:
-            args.max_order = _default_max_order()
-        _validate_max_order(args.max_order)
+        if hasattr(args, "max_order"):
+            if args.max_order is None:
+                args.max_order = _default_max_order()
+            _validate_max_order(args.max_order)
         return _COMMANDS[args.subcommand](args, stdout, stderr)
     except (
         FamilyError,

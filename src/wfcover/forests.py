@@ -21,8 +21,9 @@ Which role patterns are admissible depends on H only through its
 signature (whether it has an edge, a universal vertex, a maximal
 independent set of two or more vertices), so a G-side table of them,
 ``_role_patterns``, is walked once and cached per (G, signature); an
-H-side fold then reads the catalogues of H to sum their sizes and find the
-witnesses.  The answers equal the catalogue's; a graph with the same
+H-side fold then reads the catalogues of H to sum their sizes, and its
+witnesses are the patterns of extreme order with the least or the greatest
+fibres of H lifted onto them (``products.lift``).  The answers equal the catalogue's; a graph with the same
 adjacency but no factors still goes through the kernel, and so does
 ``enumerate_maximal_induced_forests``.
 """
@@ -42,6 +43,7 @@ from .graphs import (
     components_within,
     iter_bits,
 )
+from .products import lift
 
 DEFAULT_MAX_ORDER = 24
 
@@ -573,15 +575,17 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     histograms to the total, so patterns with equal role counts are summed
     at once.
 
-    The fibre of g is the bit block starting at g*n, so within one pattern
-    the smallest mask of a given order takes, from the top fibre down, the
-    smallest option of each fibre whose size leaves an order that the lower
-    fibres can still reach.  The smallest over all patterns of the least
-    (greatest) order is the catalogue's: its witness masks are unions of
-    disjoint per-component masks, and the smallest union is the union of
-    the smallest parts.  A pattern whose top fibre lies above the best mask
-    so far cannot beat it.  For |H| = 1 the product is G itself, with the
-    same labels, so its own catalogue's record is returned.
+    A pattern's orders are the sums of one fibre size per vertex, so a
+    pattern reaches the least (greatest) order of the product only if its
+    least (greatest) sum is that order, and its forests of that order then
+    take the least (greatest) fibre size of each vertex's role.  The fibres
+    are disjoint bit blocks of the product, so the smallest such mask takes,
+    per role, its smallest fibre of that size: it is the ``lift`` of the
+    role masks with those fibres.  The catalogue's witness masks are the
+    smallest masks of least and of greatest order, so they are the smallest
+    of these lifts over the patterns that reach the extreme orders.  For
+    |H| = 1 the product is G itself, with the same labels, so its own
+    catalogue's record is returned.
     """
     if h.order == 1:
         return _forest_catalogue(g).aggregates
@@ -595,46 +599,20 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
         [s.mask for s in mis if len(s) == 1],
         [s.mask for s in mis if len(s) > 1],
     )
-    # per role: the size histogram of its fibres and the smallest fibre of each size
+    # per role: the size histogram of its fibres, and its smallest fibre of
+    # least and of greatest size (0 for a role H has no fibre for)
     hists: list[dict[int, int]] = []
-    smallest: list[dict[int, int]] = []
+    lows: list[int] = []
+    highs: list[int] = []
     for masks in options:
         hist: dict[int, int] = {}
-        first: dict[int, int] = {}
         for mask in masks:
             k = mask.bit_count()
             hist[k] = hist.get(k, 0) + 1
-            first.setdefault(k, mask)
         hists.append(hist)
-        smallest.append(first)
+        lows.append(min(masks, key=lambda f: (f.bit_count(), f), default=0))
+        highs.append(min(masks, key=lambda f: (-f.bit_count(), f), default=0))
     table = _role_patterns(g, h.edge_count > 0, bool(options[_UNIV]), bool(options[_BIG]))
-
-    def smallest_mask(masks: tuple[int, int, int, int], t: int) -> int:
-        """The smallest mask of order t in the pattern whose vertices of
-        each role are ``masks``."""
-        roles = [-1] * m
-        for r, mask in enumerate(masks):
-            for v in iter_bits(mask):
-                roles[v] = r
-        reach = [1]  # reach[v]: the orders fibres 0..v-1 can sum to, as bits
-        for r in roles:
-            acc = reach[-1]
-            if r >= 0:
-                acc = 0
-                for k in smallest[r]:
-                    acc |= reach[-1] << k
-            reach.append(acc)
-        mask = 0
-        for v in range(m - 1, -1, -1):
-            r = roles[v]
-            if r >= 0:
-                k, fibre = min(
-                    ((k, f) for k, f in smallest[r].items() if k <= t and reach[v] >> (t - k) & 1),
-                    key=lambda kf: kf[1],
-                )
-                t -= k
-                mask |= fibre << v * n
-        return mask
 
     total: dict[int, int] = {}
     for counts, pats in table:
@@ -645,18 +623,15 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
         for k, c in poly.items():
             total[k] = total.get(k, 0) + c
     witnesses = []
-    for pick in (min, max):
-        ends = [pick(hist, default=0) for hist in hists]
-        t = pick(total)
-        best = 1 << m * n  # above every mask of the product
-        for counts, pats in table:
-            if sum(k * e for k, e in zip(counts, ends)) != t:
-                continue
-            for masks in pats:
-                top = ((masks[0] | masks[1] | masks[2] | masks[3]).bit_length() - 1) * n
-                if best >> top:
-                    best = min(best, smallest_mask(masks, t))
-        witnesses.append(best)
+    for t, fibres in ((min(total), lows), (max(total), highs)):
+        witnesses.append(
+            min(
+                lift(zip(masks, fibres), n)
+                for counts, pats in table
+                if sum(k * f.bit_count() for k, f in zip(counts, fibres)) == t
+                for masks in pats
+            )
+        )
     return Aggregates(m * n, tuple(sorted(total.items())), *witnesses)
 
 

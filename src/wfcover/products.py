@@ -2,7 +2,9 @@
 
 The product G∘H puts a copy of H at every vertex of G; (g1,h1) and (g2,h2)
 are adjacent iff g1g2 is an edge of G, or g1=g2 and h1h2 is an edge of H.
-Product vertices are numbered row-major: (g, h) -> g*|V(H)| + h.
+Product vertices are numbered row-major: (g, h) -> g*|V(H)| + h.  This
+module is the one home of that layout: a set of product vertices that is a
+union of blocks gmask × hmask is built by ``lift``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ class ProductIndexMap:
         return VertexSubset(self.order, mask)
 
 
+def lift(blocks: Iterable[tuple[int, int]], h_order: int) -> int:
+    """The union of the blocks ``gmask × hmask`` of G∘H, as a product mask:
+    the fibre of each vertex g of ``gmask`` holds ``hmask`` in its bit block
+    starting at g*h_order."""
+    mask = 0
+    for gmask, hmask in blocks:
+        for gv in iter_bits(gmask):
+            mask |= hmask << (gv * h_order)
+    return mask
+
+
 def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductIndexMap]:
     """Build G∘H together with the row-major index map.  The product
     remembers its factors, so its forest aggregates come from them
@@ -66,19 +79,13 @@ def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductIndexMap]:
             "product order %d exceeds the graph6 export limit %d", order, GRAPH6_MAX_ORDER
         )
     h_block = (1 << n) - 1
-    # For each first-factor vertex, the mask of all product vertices whose
-    # first factor is one of its neighbours.
-    cross = []
-    for a in range(m):
-        mask = 0
-        for b in iter_bits(g.adj[a]):
-            mask |= h_block << (b * n)
-        cross.append(mask)
     rows = []
     for a in range(m):
+        # every product vertex whose first factor is a neighbour of a
+        cross = lift(((g.adj[a], h_block),), n)
         base = a * n
         for i in range(n):
-            rows.append(cross[a] | (h.adj[i] << base))
+            rows.append(cross | (h.adj[i] << base))
     name = None
     if g.name and h.name:
         name = f"lex({g.name},{h.name})"

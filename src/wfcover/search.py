@@ -1,7 +1,8 @@
 """Batch scanning of graph pairs for non-sufficiency witnesses.
 
 Pairs are filtered by the selected check's hypotheses, checked (optionally
-by a process pool), and reported as Findings in input order.  Findings with
+by a process pool, one task per run of consecutive pairs that share their
+first factor), and reported as Findings in input order.  Findings with
 a non-consistent verdict are also appended to a JSON Lines file so long
 scans can stream their results.
 """
@@ -13,6 +14,8 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -79,8 +82,7 @@ class ScanConfig:
             raise ValueError("workers must be at least 1")
 
 
-def _check_pair(payload: tuple[str, Graph, Graph, int]) -> Finding:
-    theorem, g, h, max_order = payload
+def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
     report = check(theorem, g, h, max_order)
     truth = report.ground_truth
     # alpha(G) and f(H) are not part of every report's ground truth; they are
@@ -103,6 +105,13 @@ def _check_pair(payload: tuple[str, Graph, Graph, int]) -> Finding:
     )
 
 
+def _check_run(task: tuple[str, Graph, tuple[Graph, ...], int]) -> list[Finding]:
+    """Check G against each second factor of one run, in order: the
+    catalogues and role tables of G are built once, in one process."""
+    theorem, g, hs, max_order = task
+    return [_check_pair(theorem, g, h, max_order) for h in hs]
+
+
 def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[Finding]:
     """Check each applicable pair, yielding Findings in input order.
 
@@ -112,7 +121,7 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
     silently.  The pool has at most as many workers as this process may
     use CPUs.
     """
-    payloads = []
+    kept = []
     for g, h in pairs:
         if not hypothesis_filter(config.theorem, g, h):
             continue
@@ -125,7 +134,11 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
                 config.max_order,
             )
             continue
-        payloads.append((config.theorem, g, h, config.max_order))
+        kept.append((g, h))
+    tasks = [
+        (config.theorem, g, tuple(h for _, h in run), config.max_order)
+        for g, run in groupby(kept, key=itemgetter(0))
+    ]
 
     out_file: IO[str] | None = None
     pool: ProcessPoolExecutor | None = None
@@ -135,11 +148,11 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
     workers = min(config.workers, len(os.sched_getaffinity(0)))
     try:
         if workers == 1:
-            results: Iterable[Finding] = map(_check_pair, payloads)
+            runs: Iterable[list[Finding]] = map(_check_run, tasks)
         else:
             pool = ProcessPoolExecutor(max_workers=workers)
-            results = pool.map(_check_pair, payloads, chunksize=8)
-        for finding in results:
+            runs = pool.map(_check_run, tasks)
+        for finding in chain.from_iterable(runs):
             if finding.verdict != "consistent" and out_file is not None:
                 out_file.write(json.dumps(finding.to_dict(), sort_keys=True) + "\n")
                 out_file.flush()

@@ -19,7 +19,10 @@ thm35  both factors have an edge: if G∘H is well-f-covered then
            satisfy f(H)*I(F) + |M_H|*(K2(F)+L(F)) + K2(F) + L'(F) = f(G∘H).
 
 The necessary conditions come with explicit witness forests inside the
-product (V_M and the two V* constructions); each constructed witness is
+product: V_M = M × F_H, and V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪
+((Y ∪ T) × {anchor}) from the partition of a maximal forest of G.  Each is a
+union of blocks gmask × hmask, lifted into the product by ``products.lift``;
+thm32's V* is thm35's with F_H = M_H = V(nK1).  Each constructed witness is
 re-verified by brute force and a failure is never silently ignored.
 
 Ground truth is exact.  The product's forest number, maximal forest orders
@@ -40,10 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import FamilySpec, Graph, VertexSubset, generate, iter_bits
-from .products import lexicographic
+from .graphs import FamilySpec, Graph, VertexSubset, generate
+from .products import lexicographic, lift
 from .forests import (
-    ForestPartition,
     ForestStats,
     enumerate_maximal_induced_forests,
     forest_number,
@@ -89,21 +91,6 @@ class WitnessVerificationError(Exception):
     def __init__(self, message: str, subset: VertexSubset | None = None) -> None:
         super().__init__(message)
         self.subset = subset
-
-
-@dataclass(frozen=True)
-class WitnessSpec:
-    """Ingredients for a witness-forest construction.
-
-    ``anchor`` is the fixed second-factor vertex used for the Y and T blocks;
-    for thm35 constructions it must belong to ``h_independent``.
-    """
-
-    forest: VertexSubset
-    partition: ForestPartition
-    anchor: int
-    h_forest: VertexSubset | None = None
-    h_independent: VertexSubset | None = None
 
 
 @dataclass(frozen=True)
@@ -181,11 +168,7 @@ def thm32_lhs(stats: ForestStats, n: int) -> int:
     """n*(I + K2 + L) + K2 + L' — the per-forest value of the thm32 condition."""
     if n < 1:
         raise ValueError("second-factor order must be positive")
-    return (
-        n * (stats.isolated + stats.k2_components + stats.outer_leaves)
-        + stats.k2_components
-        + stats.internal
-    )
+    return thm35_lhs(stats, n, n)
 
 
 def thm35_lhs(stats: ForestStats, f_h: int, m_h_size: int) -> int:
@@ -198,40 +181,6 @@ def thm35_lhs(stats: ForestStats, f_h: int, m_h_size: int) -> int:
     )
 
 
-def make_witness_spec(
-    g: Graph,
-    forest: VertexSubset,
-    *,
-    z_choice: str = "min",
-    h_forest: VertexSubset | None = None,
-    h_independent: VertexSubset | None = None,
-    anchor: int | None = None,
-) -> WitnessSpec:
-    """Assemble a WitnessSpec, defaulting the anchor to min(M_H) or vertex 0."""
-    partition = forest_partition(g, forest, z_choice=z_choice)
-    if anchor is None:
-        anchor = h_independent.vertices()[0] if h_independent is not None else 0
-    return WitnessSpec(
-        forest=forest,
-        partition=partition,
-        anchor=anchor,
-        h_forest=h_forest,
-        h_independent=h_independent,
-    )
-
-
-def _validate_partition(spec: WitnessSpec) -> None:
-    p = spec.partition
-    parts = (p.x1.mask, p.x2.mask, p.y.mask, p.z.mask, p.t.mask)
-    union = 0
-    total = 0
-    for m in parts:
-        union |= m
-        total += m.bit_count()
-    if union != spec.forest.mask or total != spec.forest.mask.bit_count():
-        raise ValueError("partition does not partition the forest's vertex set")
-
-
 @lru_cache(maxsize=1)
 def _product(g: Graph, h: Graph) -> Graph:
     """G∘H, kept for the latest pair: a check and every witness it
@@ -239,32 +188,11 @@ def _product(g: Graph, h: Graph) -> Graph:
     return lexicographic(g, h)[0]
 
 
-def _vstar_blocks(p: ForestPartition, h_forest: int, h_independent: int, anchor: int) -> tuple:
-    """V* as (G-mask, H-mask) blocks: X1×F_H, (X2∪Z)×M_H, (Y∪T)×{anchor}."""
-    point = 1 << anchor
-    return (
-        (p.x1.mask, h_forest),
-        (p.x2.mask, h_independent),
-        (p.z.mask, h_independent),
-        (p.y.mask, point),
-        (p.t.mask, point),
-    )
-
-
-def _lift(blocks, h_order: int) -> int:
-    """The union of the blocks gmask × hmask, as a mask of G∘H."""
-    mask = 0
-    for gmask, hmask in blocks:
-        for v in iter_bits(gmask):
-            mask |= hmask << (v * h_order)
-    return mask
-
-
 def _witness(g: Graph, h: Graph, blocks, what: str) -> VertexSubset:
     """Lift ``blocks`` into G∘H, check the size formula sum |gmask|*|hmask|,
     and brute-force verify that the set is a maximal induced forest."""
     product = _product(g, h)
-    subset = VertexSubset(product.order, _lift(blocks, h.order))
+    subset = VertexSubset(product.order, lift(blocks, h.order))
     expected = sum(gmask.bit_count() * hmask.bit_count() for gmask, hmask in blocks)
     if len(subset) != expected:
         raise WitnessVerificationError(
@@ -278,7 +206,32 @@ def _witness(g: Graph, h: Graph, blocks, what: str) -> VertexSubset:
     return subset
 
 
-def construct_vstar_empty_second(g: Graph, spec: WitnessSpec, n: int) -> VertexSubset:
+def _vstar(
+    g: Graph,
+    forest: VertexSubset,
+    h: Graph,
+    h_forest: int,
+    h_independent: int,
+    z_choice: str,
+    anchor: int,
+) -> VertexSubset:
+    """V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪ ((Y ∪ T) × {anchor}) in G∘H, from
+    the partition of ``forest``, which must be a maximal forest of G."""
+    p = forest_partition(g, forest, z_choice=z_choice)
+    point = 1 << anchor
+    blocks = (
+        (p.x1.mask, h_forest),
+        (p.x2.mask, h_independent),
+        (p.z.mask, h_independent),
+        (p.y.mask, point),
+        (p.t.mask, point),
+    )
+    return _witness(g, h, blocks, "V*")
+
+
+def construct_vstar_empty_second(
+    g: Graph, forest: VertexSubset, n: int, *, z_choice: str = "min", anchor: int = 0
+) -> VertexSubset:
     """Witness forest in G∘(n-vertex edgeless H) for a maximal forest of G.
 
     V* = ((X ∪ Z) × V(H)) ∪ ((Y ∪ T) × {anchor}); its order is
@@ -287,14 +240,10 @@ def construct_vstar_empty_second(g: Graph, spec: WitnessSpec, n: int) -> VertexS
     """
     if n < 1:
         raise ValueError("second-factor order must be positive")
-    if not 0 <= spec.anchor < n:
-        raise ValueError(f"anchor {spec.anchor} out of range for second factor of order {n}")
-    if not is_maximal_induced_forest(g, spec.forest):
-        raise ValueError("witness construction requires a maximal induced forest")
-    _validate_partition(spec)
+    if not 0 <= anchor < n:
+        raise ValueError(f"anchor {anchor} out of range for second factor of order {n}")
     h = generate(FamilySpec("empty", n))
-    blocks = _vstar_blocks(spec.partition, h.vertices_mask, h.vertices_mask, spec.anchor)
-    return _witness(g, h, blocks, "V*")
+    return _vstar(g, forest, h, h.vertices_mask, h.vertices_mask, z_choice, anchor)
 
 
 def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> VertexSubset:
@@ -312,34 +261,42 @@ def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> Vert
     return _witness(g, h, ((m.mask, f_h.mask),), "V_M")
 
 
-def construct_vstar_nonempty_second(g: Graph, spec: WitnessSpec, h: Graph) -> VertexSubset:
+def construct_vstar_nonempty_second(
+    g: Graph,
+    forest: VertexSubset,
+    h: Graph,
+    h_forest: VertexSubset,
+    h_independent: VertexSubset,
+    *,
+    z_choice: str = "min",
+    anchor: int | None = None,
+) -> VertexSubset:
     """Witness forest in G∘H (both factors with an edge) for a maximal forest of G.
 
     V* = (X1 × V(F_H)) ∪ ((X2 ∪ Z) × M_H) ∪ ((Y ∪ T) × {anchor}) with
-    anchor ∈ M_H; its order is |F_H|*I + |M_H|*(K2+L) + K2 + L'.  The
-    returned set is brute-force verified to be a maximal induced forest.
+    anchor ∈ M_H, by default its smallest vertex; its order is
+    |F_H|*I + |M_H|*(K2+L) + K2 + L'.  The returned set is brute-force
+    verified to be a maximal induced forest.
     """
     if g.edge_count == 0 or h.edge_count == 0:
         raise ValueError("both factors must contain an edge")
-    if spec.h_forest is None or spec.h_independent is None:
+    if h_forest is None or h_independent is None:
         raise ValueError("construction needs both a maximal forest and a maximal independent set of H")
-    if not is_maximal_induced_forest(g, spec.forest):
-        raise ValueError("witness construction requires a maximal induced forest")
-    if not is_maximal_induced_forest(h, spec.h_forest):
+    if not is_maximal_induced_forest(h, h_forest):
         raise ValueError("h_forest must be a maximal induced forest of H")
-    if not is_maximal_independent_set(h, spec.h_independent):
+    if not is_maximal_independent_set(h, h_independent):
         raise ValueError("h_independent must be a maximal independent set of H")
-    if spec.anchor not in spec.h_independent:
-        raise ValueError(f"anchor {spec.anchor} must belong to the maximal independent set of H")
-    _validate_partition(spec)
-    blocks = _vstar_blocks(spec.partition, spec.h_forest.mask, spec.h_independent.mask, spec.anchor)
-    return _witness(g, h, blocks, "V*")
+    if anchor is None:
+        anchor = h_independent.vertices()[0]
+    if anchor not in h_independent:
+        raise ValueError(f"anchor {anchor} must belong to the maximal independent set of H")
+    return _vstar(g, forest, h, h_forest.mask, h_independent.mask, z_choice, anchor)
 
 
-def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
+def _record(kind: str, detail: dict, construct, *args, **kwargs) -> WitnessRecord:
     """Run one ``construct_*``; a failed verification is recorded, not raised."""
     try:
-        subset = construct(*args)
+        subset = construct(*args, **kwargs)
     except WitnessVerificationError as exc:
         size = len(exc.subset) if exc.subset is not None else None
         return WitnessRecord(kind, exc.subset, size, False, dict(detail, error=str(exc)))
@@ -421,14 +378,16 @@ def check_thm32(
         records.append(
             ConditionRecord(forest=forest, stats=stats, lhs=lhs, rhs=f_p, holds=lhs == f_p)
         )
-        spec = make_witness_spec(g, forest, z_choice=z_choice, anchor=anchor_val)
         detail = {
             "forest": list(forest.vertices()),
             "anchor": anchor_val,
             "z_choice": z_choice,
         }
         witnesses.append(
-            _record("vstar_empty_second", detail, construct_vstar_empty_second, g, spec, n)
+            _record(
+                "vstar_empty_second", detail, construct_vstar_empty_second, g, forest, n,
+                z_choice=z_choice, anchor=anchor_val,
+            )
         )
     all_hold = all(r.holds for r in records)
     return TheoremReport(
@@ -502,7 +461,6 @@ def check_thm35(
         witnesses.append(_record("vm", detail, construct_vm, g, m, h, fh_canon))
 
     for forest, stats in zip(forests_g, stats_g):
-        partition = forest_partition(g, forest, z_choice=z_choice)
         for m_h in mis_h:
             lhs = thm35_lhs(stats, f_h, len(m_h))
             records.append(
@@ -516,7 +474,6 @@ def check_thm35(
                     f"anchor {anchor_val} does not belong to the maximal independent set "
                     f"{sorted(m_h.vertices())}"
                 )
-            spec = WitnessSpec(forest, partition, anchor_val, fh_canon, m_h)
             detail = {
                 "forest": list(forest.vertices()),
                 "m_h": list(m_h.vertices()),
@@ -524,7 +481,10 @@ def check_thm35(
                 "z_choice": z_choice,
             }
             witnesses.append(
-                _record("vstar_nonempty_second", detail, construct_vstar_nonempty_second, g, spec, h)
+                _record(
+                    "vstar_nonempty_second", detail, construct_vstar_nonempty_second,
+                    g, forest, h, fh_canon, m_h, z_choice=z_choice, anchor=anchor_val,
+                )
             )
 
     cond4 = all(r.holds for r in records)

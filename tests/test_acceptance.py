@@ -34,7 +34,6 @@ from wfcover import (
     is_well_covered,
     is_well_f_covered,
     lexicographic,
-    make_witness_spec,
     parse_family,
     scan,
     thm35_lhs,
@@ -168,8 +167,9 @@ def test_criterion_6_witness_soundness():
                 for forest in forests:
                     for z_choice in ("min", "max"):
                         for anchor in range(n):
-                            spec = make_witness_spec(g, forest, z_choice=z_choice, anchor=anchor)
-                            vstar = construct_vstar_empty_second(g, spec, n)
+                            vstar = construct_vstar_empty_second(
+                                g, forest, n, z_choice=z_choice, anchor=anchor
+                            )
                             assert len(vstar) > 0
                             built_empty += 1
         # both factors nonempty: V_M for every (M, F_H); V* for every
@@ -191,15 +191,9 @@ def test_criterion_6_witness_soundness():
                     for z_choice in ("min", "max"):
                         for m_h in mis_h:
                             for anchor in m_h.vertices():
-                                spec = make_witness_spec(
-                                    g,
-                                    forest,
-                                    z_choice=z_choice,
-                                    h_forest=fh_canon,
-                                    h_independent=m_h,
-                                    anchor=anchor,
+                                construct_vstar_nonempty_second(
+                                    g, forest, h, fh_canon, m_h, z_choice=z_choice, anchor=anchor
                                 )
-                                construct_vstar_nonempty_second(g, spec, h)
                                 built_vstar += 1
         print(
             f"  witnesses verified: {built_empty} empty-second V*, "

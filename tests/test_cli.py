@@ -309,6 +309,19 @@ class TestUsageAndBounds:
         code, _, err = invoke(["analyze", "--family", "cycle:5"])
         assert code == 2
 
+    def test_commands_that_do_not_enumerate_resolve_no_bound(self, monkeypatch):
+        monkeypatch.setenv("WFCOVER_MAX_ORDER", "lots")
+        assert invoke(["gen", "--family", "path:3"])[0] == 0
+        assert invoke(["product", "--g", "path:3", "--h", "path:2"])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["gen", "--family", "path:3"], ["product", "--g", "path:3", "--h", "path:2"]]
+    )
+    def test_commands_that_do_not_enumerate_take_no_bound(self, argv, capsys):
+        code, out, err = invoke(argv + ["--max-order", "99"])
+        assert (code, out, err) == (2, "", "")
+        assert "unrecognized arguments: --max-order 99" in capsys.readouterr().err
+
     def test_verify_paper_exit_zero(self):
         code, doc, _ = invoke_json(["verify-paper"])
         assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import random
 
 import pytest
 
@@ -14,6 +15,9 @@ from wfcover import (
     parse_family,
     VertexSubset,
 )
+
+from wfcover.graphs import iter_bits
+from wfcover.products import ProductIndexMap, lift
 
 from conftest import atlas_graphs, connected_components, induced_subgraph
 
@@ -107,3 +111,16 @@ class TestIndexMap:
             index_map.subset_from_pairs([(2, 0)])
         with pytest.raises(ValueError):
             index_map.subset_from_pairs([(0, 2)])
+
+
+class TestLift:
+    def test_matches_the_index_map_on_random_blocks(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            blocks = [
+                (rng.getrandbits(m), rng.getrandbits(n)) for _ in range(rng.randint(0, 4))
+            ]
+            pairs = [(gv, hv) for gm, hm in blocks for gv in iter_bits(gm) for hv in iter_bits(hm)]
+            expected = ProductIndexMap(m, n).subset_from_pairs(pairs)
+            assert lift(blocks, n) == expected.mask

@@ -126,6 +126,34 @@ class TestScan:
         assert started == expected
         assert [f.verdict for f in findings] == ["non_sufficiency_witness"]
 
+    def test_pool_gets_one_task_per_run_of_a_first_factor(self, monkeypatch):
+        tasks = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, items, chunksize=1):
+                items = list(items)
+                tasks.extend(items)
+                return map(fn, items)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1})
+        gs = [fam("path:3"), fam("cycle:4")]
+        hs = [fam("path:2"), fam("path:3"), fam("cycle:3")]
+        pairs = [(g, h) for g in gs for h in hs]
+        findings = list(scan(pairs, ScanConfig(theorem="thm35", workers=2)))
+        assert len(tasks) == 2
+        sequential = list(scan(pairs, ScanConfig(theorem="thm35", workers=1)))
+        assert findings == sequential
+        assert [(f.g_graph6, f.h_graph6) for f in findings] == [
+            (to_graph6(g).decode(), to_graph6(h).decode()) for g, h in pairs
+        ]
+
     def test_closing_the_scan_cancels_queued_pairs(self, monkeypatch):
         checked, cancelled = [], []
 

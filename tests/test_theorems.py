@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-import dataclasses
-
 import wfcover.examples as examples
 import wfcover.forests as forests
 import wfcover.theorems as theorems
@@ -33,7 +31,6 @@ from wfcover import (
     is_maximal_induced_forest,
     is_well_f_covered,
     lexicographic,
-    make_witness_spec,
     parse_family,
     thm32_lhs,
     thm35_lhs,
@@ -139,8 +136,7 @@ class TestCheckThm32:
 class TestConstructVstarEmptySecond:
     def test_k2_gives_path_in_c4(self):
         g = fam("complete:2")
-        spec = make_witness_spec(g, subset(g, [0, 1]))
-        vstar = construct_vstar_empty_second(g, spec, 2)
+        vstar = construct_vstar_empty_second(g, subset(g, [0, 1]), 2)
         # (0,0), (0,1), (1,0) in the 4-vertex product
         assert vstar.vertices() == (0, 1, 2)
         product, _ = lexicographic(g, fam("empty:2"))
@@ -148,8 +144,7 @@ class TestConstructVstarEmptySecond:
 
     def test_p3_gives_star(self):
         g = fam("path:3")
-        spec = make_witness_spec(g, subset(g, range(3)))
-        vstar = construct_vstar_empty_second(g, spec, 2)
+        vstar = construct_vstar_empty_second(g, subset(g, range(3)), 2)
         assert len(vstar) == 5
         product, _ = lexicographic(g, fam("empty:2"))
         sub = induced_subgraph(product, vstar)
@@ -163,30 +158,21 @@ class TestConstructVstarEmptySecond:
                 for n in (1, 2, 3):
                     for z_choice in ("min", "max"):
                         for anchor in range(n):
-                            spec = make_witness_spec(g, f, z_choice=z_choice, anchor=anchor)
-                            vstar = construct_vstar_empty_second(g, spec, n)
+                            vstar = construct_vstar_empty_second(
+                                g, f, n, z_choice=z_choice, anchor=anchor
+                            )
                             assert len(vstar) == thm32_lhs(stats, n)
 
     def test_rejects_non_maximal_forest(self):
         g = fam("fig1")
         f = subset(g, [0, 1, 2])
         with pytest.raises(ValueError):
-            spec = make_witness_spec(g, f)
+            construct_vstar_empty_second(g, f, 2)
 
     def test_rejects_bad_anchor(self):
         g = fam("complete:2")
-        spec = make_witness_spec(g, subset(g, [0, 1]), anchor=5)
         with pytest.raises(ValueError):
-            construct_vstar_empty_second(g, spec, 2)
-
-    def test_rejects_partition_not_covering_forest(self):
-        g = fam("path:3")
-        spec = make_witness_spec(g, subset(g, range(3)))
-        spec = dataclasses.replace(
-            spec, partition=dataclasses.replace(spec.partition, y=subset(g, []))
-        )
-        with pytest.raises(ValueError, match="does not partition the forest's vertex set"):
-            construct_vstar_empty_second(g, spec, 2)
+            construct_vstar_empty_second(g, subset(g, [0, 1]), 2, anchor=5)
 
 
 class TestCheckThm35:
@@ -280,14 +266,9 @@ class TestConstructVm:
 class TestConstructVstarNonemptySecond:
     def test_k2_c4_example(self):
         g, h = fam("complete:2"), fam("cycle:4")
-        spec = make_witness_spec(
-            g,
-            subset(g, [0, 1]),
-            h_forest=subset(h, [0, 1, 2]),
-            h_independent=subset(h, [0, 2]),
-            anchor=0,
+        vstar = construct_vstar_nonempty_second(
+            g, subset(g, [0, 1]), h, subset(h, [0, 1, 2]), subset(h, [0, 2]), anchor=0
         )
-        vstar = construct_vstar_nonempty_second(g, spec, h)
         # {(0,0), (0,2), (1,0)} encoded with h_order 4
         assert vstar.vertices() == (0, 2, 4)
         product, _ = lexicographic(g, h)
@@ -296,13 +277,9 @@ class TestConstructVstarNonemptySecond:
 
     def test_fig1_eabc_gives_size_six(self):
         g, h = fam("fig1"), fam("cycle:4")
-        spec = make_witness_spec(
-            g,
-            subset(g, [0, 1, 2, 4]),
-            h_forest=subset(h, [0, 1, 2]),
-            h_independent=subset(h, [0, 2]),
+        vstar = construct_vstar_nonempty_second(
+            g, subset(g, [0, 1, 2, 4]), h, subset(h, [0, 1, 2]), subset(h, [0, 2])
         )
-        vstar = construct_vstar_nonempty_second(g, spec, h)
         assert len(vstar) == 6
         product, _ = lexicographic(g, h)
         assert is_maximal_induced_forest(product, vstar)
@@ -319,40 +296,20 @@ class TestConstructVstarNonemptySecond:
                 for f in forests_g:
                     stats = forest_stats(g, f)
                     for m_h in enumerate_maximal_independent_sets(h):
-                        spec = make_witness_spec(
-                            g, f, h_forest=fh, h_independent=m_h
-                        )
-                        vstar = construct_vstar_nonempty_second(g, spec, h)
+                        vstar = construct_vstar_nonempty_second(g, f, h, fh, m_h)
                         assert len(vstar) == thm35_lhs(stats, f_h_order, len(m_h))
 
     def test_rejects_anchor_outside_mh(self):
         g, h = fam("complete:2"), fam("cycle:4")
-        spec = make_witness_spec(
-            g,
-            subset(g, [0, 1]),
-            h_forest=subset(h, [0, 1, 2]),
-            h_independent=subset(h, [0, 2]),
-            anchor=1,
-        )
         with pytest.raises(ValueError):
-            construct_vstar_nonempty_second(g, spec, h)
+            construct_vstar_nonempty_second(
+                g, subset(g, [0, 1]), h, subset(h, [0, 1, 2]), subset(h, [0, 2]), anchor=1
+            )
 
     def test_rejects_missing_h_parts(self):
         g, h = fam("complete:2"), fam("cycle:4")
-        spec = make_witness_spec(g, subset(g, [0, 1]))
         with pytest.raises(ValueError):
-            construct_vstar_nonempty_second(g, spec, h)
-
-    def test_rejects_partition_not_covering_forest(self):
-        g, h = fam("path:3"), fam("cycle:4")
-        spec = make_witness_spec(
-            g, subset(g, range(3)), h_forest=subset(h, [0, 1, 2]), h_independent=subset(h, [0, 2])
-        )
-        spec = dataclasses.replace(
-            spec, partition=dataclasses.replace(spec.partition, y=subset(g, []))
-        )
-        with pytest.raises(ValueError, match="does not partition the forest's vertex set"):
-            construct_vstar_nonempty_second(g, spec, h)
+            construct_vstar_nonempty_second(g, subset(g, [0, 1]), h, None, None)
 
 
 class TestCheck:
