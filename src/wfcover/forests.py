@@ -104,6 +104,11 @@ class ForestPartition:
     def x(self) -> VertexSubset:
         return VertexSubset(self.x1.order, self.x1.mask | self.x2.mask)
 
+    @property
+    def stats(self) -> ForestStats:
+        """The forest's counters: I = |X1|, K2 = |Z|, L = |X2|, L' = |Y|."""
+        return ForestStats(len(self.x1), len(self.z), len(self.x2), len(self.y))
+
 
 def _within_bound(g: Graph, max_order: int | None) -> Graph:
     """``g`` itself, once its order is checked against ``max_order``
@@ -669,11 +674,11 @@ def is_well_f_covered(
     return _forest_aggregates(g, max_order).uniform()
 
 
-def _classify(adj: tuple[int, ...], forest: int) -> tuple[int, int, int, int, int]:
-    """Sort the vertices of a forest mask by their role in its component:
-    the masks of isolated vertices, of leaves of components larger than an
-    edge, and of vertices of degree >= 2, then the masks of the lower and
-    of the higher endpoints of the single-edge components."""
+def _partition(n: int, adj: tuple[int, ...], forest: int, z_choice: str = "min") -> ForestPartition:
+    """Sort the vertices of a forest mask of the graph (n, adj) by their
+    role in its component: isolated vertices, leaves of components larger
+    than an edge, vertices of degree >= 2, and the endpoints of the
+    single-edge components, the ``z_choice`` one of each in Z."""
     isolated = leaves = internal = lo = hi = 0
     for comp in components_within(adj, forest):
         sz = comp.bit_count()
@@ -689,7 +694,8 @@ def _classify(adj: tuple[int, ...], forest: int) -> tuple[int, int, int, int, in
                     leaves |= 1 << v
                 else:
                     internal |= 1 << v
-    return isolated, leaves, internal, lo, hi
+    z, t = (lo, hi) if z_choice == "min" else (hi, lo)
+    return ForestPartition(*(VertexSubset(n, mask) for mask in (isolated, leaves, internal, z, t)))
 
 
 def forest_stats(g: Graph, f: VertexSubset) -> ForestStats:
@@ -698,10 +704,7 @@ def forest_stats(g: Graph, f: VertexSubset) -> ForestStats:
         raise ValueError("subset belongs to a graph of different order")
     if not _is_forest_mask(g.adj, f.mask):
         raise ValueError("subset does not induce a forest")
-    isolated, leaves, internal, lo, _ = _classify(g.adj, f.mask)
-    return ForestStats(
-        isolated.bit_count(), lo.bit_count(), leaves.bit_count(), internal.bit_count()
-    )
+    return _partition(g.order, g.adj, f.mask).stats
 
 
 def forest_partition(g: Graph, f: VertexSubset, z_choice: str = "min") -> ForestPartition:
@@ -717,13 +720,4 @@ def forest_partition(g: Graph, f: VertexSubset, z_choice: str = "min") -> Forest
         raise ValueError("subset belongs to a graph of different order")
     if not _is_maximal_forest_mask(g.order, g.adj, f.mask):
         raise ValueError("witness constructions require a maximal induced forest")
-    x1, x2, y, lo, hi = _classify(g.adj, f.mask)
-    z, t = (lo, hi) if z_choice == "min" else (hi, lo)
-    n = g.order
-    return ForestPartition(
-        x1=VertexSubset(n, x1),
-        x2=VertexSubset(n, x2),
-        y=VertexSubset(n, y),
-        z=VertexSubset(n, z),
-        t=VertexSubset(n, t),
-    )
+    return _partition(g.order, g.adj, f.mask, z_choice)

@@ -82,7 +82,7 @@ class ScanConfig:
             raise ValueError("workers must be at least 1")
 
 
-def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
+def _check_pair(theorem: str, g: Graph, g_graph6: str, h: Graph, max_order: int) -> Finding:
     report = check(theorem, g, h, max_order)
     truth = report.ground_truth
     # alpha(G) and f(H) are not part of every report's ground truth; they are
@@ -94,7 +94,7 @@ def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
     if f_h is None:
         f_h = forest_number(h)
     return Finding(
-        g_graph6=to_graph6(g).decode("ascii"),
+        g_graph6=g_graph6,
         h_graph6=to_graph6(h).decode("ascii"),
         theorem_id=theorem,
         verdict=report.verdict,
@@ -107,9 +107,10 @@ def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
 
 def _check_run(task: tuple[str, Graph, tuple[Graph, ...], int]) -> list[Finding]:
     """Check G against each second factor of one run, in order: the
-    catalogues and role tables of G are built once, in one process."""
+    catalogues, role tables and graph6 text of G are made once, in one process."""
     theorem, g, hs, max_order = task
-    return [_check_pair(theorem, g, h, max_order) for h in hs]
+    g_graph6 = to_graph6(g).decode("ascii")
+    return [_check_pair(theorem, g, g_graph6, h, max_order) for h in hs]
 
 
 def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[Finding]:

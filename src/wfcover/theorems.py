@@ -23,7 +23,9 @@ product: V_M = M × F_H, and V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪
 ((Y ∪ T) × {anchor}) from the partition of a maximal forest of G.  Each is a
 union of blocks gmask × hmask, lifted into the product by ``products.lift``;
 thm32's V* is thm35's with F_H = M_H = V(nK1).  Each constructed witness is
-re-verified by brute force and a failure is never silently ignored.
+re-verified by brute force and a failure is never silently ignored.  The
+public ``construct_*`` check their inputs on every call; a check partitions
+each maximal forest of G once, and checks each M_H and anchor once.
 
 Ground truth is exact.  The product's forest number, maximal forest orders
 and witness pair come from ``forests.product_profile``, which derives them
@@ -34,8 +36,9 @@ while a necessary condition fails (or a constructed witness fails
 verification), ``non_sufficiency_witness`` iff every condition holds yet the
 product is not well-f-covered, and ``consistent`` otherwise.
 
-The enumeration bound is checked once per check, on the product: it is the
-first heavy call, and a factor is never larger than its product.
+The enumeration bound is checked once per check, on the product, which no
+factor outgrows.  Only thm35's anchor check, over the maximal independent
+sets of H, comes first, so that a bad anchor is rejected before any build.
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ from functools import lru_cache
 from .graphs import FamilySpec, Graph, VertexSubset, generate
 from .products import lexicographic, lift
 from .forests import (
+    ForestPartition,
     ForestStats,
     enumerate_maximal_induced_forests,
     forest_number,
     forest_partition,
-    forest_stats,
     is_maximal_induced_forest,
     is_well_f_covered,
     maximal_forest_order_histogram,
@@ -183,16 +186,15 @@ def thm35_lhs(stats: ForestStats, f_h: int, m_h_size: int) -> int:
 
 @lru_cache(maxsize=1)
 def _product(g: Graph, h: Graph) -> Graph:
-    """G∘H, kept for the latest pair: a check and every witness it
-    constructs share one build."""
+    """G∘H, kept for the latest pair: a check and the public ``construct_*``
+    calls on its pair share one build."""
     return lexicographic(g, h)[0]
 
 
-def _witness(g: Graph, h: Graph, blocks, what: str) -> VertexSubset:
-    """Lift ``blocks`` into G∘H, check the size formula sum |gmask|*|hmask|,
-    and brute-force verify that the set is a maximal induced forest."""
-    product = _product(g, h)
-    subset = VertexSubset(product.order, lift(blocks, h.order))
+def _witness(product: Graph, h_order: int, blocks, what: str) -> VertexSubset:
+    """Lift ``blocks`` into ``product``, check the size formula sum
+    |gmask|*|hmask|, and brute-force verify that it is a maximal forest."""
+    subset = VertexSubset(product.order, lift(blocks, h_order))
     expected = sum(gmask.bit_count() * hmask.bit_count() for gmask, hmask in blocks)
     if len(subset) != expected:
         raise WitnessVerificationError(
@@ -207,17 +209,10 @@ def _witness(g: Graph, h: Graph, blocks, what: str) -> VertexSubset:
 
 
 def _vstar(
-    g: Graph,
-    forest: VertexSubset,
-    h: Graph,
-    h_forest: int,
-    h_independent: int,
-    z_choice: str,
-    anchor: int,
+    product: Graph, h_order: int, p: ForestPartition, h_forest: int, h_independent: int, anchor: int
 ) -> VertexSubset:
-    """V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪ ((Y ∪ T) × {anchor}) in G∘H, from
-    the partition of ``forest``, which must be a maximal forest of G."""
-    p = forest_partition(g, forest, z_choice=z_choice)
+    """V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪ ((Y ∪ T) × {anchor}) in ``product``,
+    from the partition ``p`` of a maximal forest of G and masks of F_H, M_H."""
     point = 1 << anchor
     blocks = (
         (p.x1.mask, h_forest),
@@ -226,7 +221,21 @@ def _vstar(
         (p.y.mask, point),
         (p.t.mask, point),
     )
-    return _witness(g, h, blocks, "V*")
+    return _witness(product, h_order, blocks, "V*")
+
+
+def _anchor(h: Graph, h_independent: VertexSubset, anchor: int | None) -> int:
+    """``anchor``, by default the smallest vertex of M_H = ``h_independent``,
+    once M_H is checked to be a maximal independent set of H that holds it."""
+    if not is_maximal_independent_set(h, h_independent):
+        raise ValueError("h_independent must be a maximal independent set of H")
+    anchor = h_independent.vertices()[0] if anchor is None else anchor
+    if anchor not in h_independent:
+        raise ValueError(
+            f"anchor {anchor} does not belong to the maximal independent set "
+            f"{sorted(h_independent.vertices())}"
+        )
+    return anchor
 
 
 def construct_vstar_empty_second(
@@ -243,7 +252,8 @@ def construct_vstar_empty_second(
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} out of range for second factor of order {n}")
     h = generate(FamilySpec("empty", n))
-    return _vstar(g, forest, h, h.vertices_mask, h.vertices_mask, z_choice, anchor)
+    p = forest_partition(g, forest, z_choice=z_choice)
+    return _vstar(_product(g, h), n, p, h.vertices_mask, h.vertices_mask, anchor)
 
 
 def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> VertexSubset:
@@ -258,7 +268,7 @@ def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> Vert
         raise ValueError("witness construction requires a maximal independent set")
     if not is_maximal_induced_forest(h, f_h):
         raise ValueError("witness construction requires a maximal induced forest of H")
-    return _witness(g, h, ((m.mask, f_h.mask),), "V_M")
+    return _witness(_product(g, h), h.order, ((m.mask, f_h.mask),), "V_M")
 
 
 def construct_vstar_nonempty_second(
@@ -284,22 +294,17 @@ def construct_vstar_nonempty_second(
         raise ValueError("construction needs both a maximal forest and a maximal independent set of H")
     if not is_maximal_induced_forest(h, h_forest):
         raise ValueError("h_forest must be a maximal induced forest of H")
-    if not is_maximal_independent_set(h, h_independent):
-        raise ValueError("h_independent must be a maximal independent set of H")
-    if anchor is None:
-        anchor = h_independent.vertices()[0]
-    if anchor not in h_independent:
-        raise ValueError(f"anchor {anchor} must belong to the maximal independent set of H")
-    return _vstar(g, forest, h, h_forest.mask, h_independent.mask, z_choice, anchor)
+    anchor = _anchor(h, h_independent, anchor)
+    p = forest_partition(g, forest, z_choice=z_choice)
+    return _vstar(_product(g, h), h.order, p, h_forest.mask, h_independent.mask, anchor)
 
 
-def _record(kind: str, detail: dict, construct, *args, **kwargs) -> WitnessRecord:
-    """Run one ``construct_*``; a failed verification is recorded, not raised."""
+def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
+    """Build one witness; a failed verification is recorded, not raised."""
     try:
-        subset = construct(*args, **kwargs)
+        subset = construct(*args)
     except WitnessVerificationError as exc:
-        size = len(exc.subset) if exc.subset is not None else None
-        return WitnessRecord(kind, exc.subset, size, False, dict(detail, error=str(exc)))
+        return WitnessRecord(kind, exc.subset, len(exc.subset), False, dict(detail, error=str(exc)))
     return WitnessRecord(kind, subset, len(subset), True, detail)
 
 
@@ -368,12 +373,15 @@ def check_thm32(
     anchor_val = 0 if anchor is None else anchor
     if not 0 <= anchor_val < n:
         raise ValueError(f"anchor {anchor_val} out of range for second factor of order {n}")
-    truth = _product_ground_truth(_product(g, generate(FamilySpec("empty", n))), max_order)
+    h = generate(FamilySpec("empty", n))
+    product = _product(g, h)
+    truth = _product_ground_truth(product, max_order)
     f_p = truth["f_product"]
     records = []
     witnesses = []
     for forest in enumerate_maximal_induced_forests(g):
-        stats = forest_stats(g, forest)
+        p = forest_partition(g, forest, z_choice=z_choice)
+        stats = p.stats
         lhs = thm32_lhs(stats, n)
         records.append(
             ConditionRecord(forest=forest, stats=stats, lhs=lhs, rhs=f_p, holds=lhs == f_p)
@@ -385,8 +393,8 @@ def check_thm32(
         }
         witnesses.append(
             _record(
-                "vstar_empty_second", detail, construct_vstar_empty_second, g, forest, n,
-                z_choice=z_choice, anchor=anchor_val,
+                "vstar_empty_second", detail, _vstar, product, n, p,
+                h.vertices_mask, h.vertices_mask, anchor_val,
             )
         )
     all_hold = all(r.holds for r in records)
@@ -412,14 +420,18 @@ def check_thm35(
     _require("thm35", g, h)
     if anchor is not None and not 0 <= anchor < h.order:
         raise ValueError(f"anchor {anchor} out of range for second factor of order {h.order}")
-    truth = _product_ground_truth(_product(g, h), max_order)
+    # each M_H and its anchor are checked once, before the product is built
+    mis_h = enumerate_maximal_independent_sets(h)
+    anchors = [_anchor(h, m_h, anchor) for m_h in mis_h]
+    product = _product(g, h)
+    truth = _product_ground_truth(product, max_order)
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]
 
     forests_g = enumerate_maximal_induced_forests(g)
-    stats_g = [forest_stats(g, forest) for forest in forests_g]
+    partitions = [forest_partition(g, forest, z_choice=z_choice) for forest in forests_g]
+    stats_g = [p.stats for p in partitions]
     mis_g = enumerate_maximal_independent_sets(g)
-    mis_h = enumerate_maximal_independent_sets(h)
     forests_h = enumerate_maximal_induced_forests(h)
     alpha_g = independence_number(g)
     f_g = forest_number(g)
@@ -449,31 +461,23 @@ def check_thm35(
     records = []
     witnesses = []
 
-    # canonical F_H: the smallest-mask maximal forest of maximum order, so
-    # that |F_H| = f(H) and the size identities read off directly
+    # canonical F_H: the smallest-mask maximal forest of maximum order, so that
+    # each V* has condition (4)'s order; construct_vm checks it before any V*
     fh_canon = next(s for s in forests_h if len(s) == f_h)
     for m in mis_g:
         detail = {"m": list(m.vertices()), "f_h": list(fh_canon.vertices())}
         if wfc_p:
-            detail["quotient_holds"] = (
-                f_p % len(fh_canon) == 0 and len(m) == f_p // len(fh_canon)
-            )
+            detail["quotient_holds"] = len(m) * len(fh_canon) == f_p
         witnesses.append(_record("vm", detail, construct_vm, g, m, h, fh_canon))
 
-    for forest, stats in zip(forests_g, stats_g):
-        for m_h in mis_h:
+    for forest, p, stats in zip(forests_g, partitions, stats_g):
+        for m_h, anchor_val in zip(mis_h, anchors):
             lhs = thm35_lhs(stats, f_h, len(m_h))
             records.append(
                 ConditionRecord(
                     forest=forest, stats=stats, lhs=lhs, rhs=f_p, holds=lhs == f_p, m_h=m_h
                 )
             )
-            anchor_val = m_h.vertices()[0] if anchor is None else anchor
-            if anchor_val not in m_h:
-                raise ValueError(
-                    f"anchor {anchor_val} does not belong to the maximal independent set "
-                    f"{sorted(m_h.vertices())}"
-                )
             detail = {
                 "forest": list(forest.vertices()),
                 "m_h": list(m_h.vertices()),
@@ -482,8 +486,8 @@ def check_thm35(
             }
             witnesses.append(
                 _record(
-                    "vstar_nonempty_second", detail, construct_vstar_nonempty_second,
-                    g, forest, h, fh_canon, m_h, z_choice=z_choice, anchor=anchor_val,
+                    "vstar_nonempty_second", detail, _vstar, product, h.order, p,
+                    fh_canon.mask, m_h.mask, anchor_val,
                 )
             )
 

@@ -154,6 +154,21 @@ class TestScan:
             (to_graph6(g).decode(), to_graph6(h).decode()) for g, h in pairs
         ]
 
+    def test_first_factor_is_encoded_once_per_run(self, monkeypatch):
+        encoded = []
+        real = search.to_graph6
+
+        def counting(g):
+            encoded.append(g)
+            return real(g)
+
+        monkeypatch.setattr(search, "to_graph6", counting)
+        gs = [fam("path:4"), fam("cycle:4")]
+        hs = [fam("path:2"), fam("path:3"), fam("cycle:3")]
+        findings = list(scan([(g, h) for g in gs for h in hs], ScanConfig(theorem="thm35")))
+        assert len(findings) == 6
+        assert [encoded.count(g) for g in gs] == [1, 1]
+
     def test_closing_the_scan_cancels_queued_pairs(self, monkeypatch):
         checked, cancelled = [], []
 

@@ -222,6 +222,14 @@ class TestCheckThm35:
         with pytest.raises(ValueError, match="anchor 5 out of range for second factor of order 4"):
             check_thm35(fam("cycle:5"), fam("cycle:4"), anchor=5)
 
+    def test_anchor_outside_an_mh_is_rejected_before_any_work(self, monkeypatch):
+        def no_product(g, h):
+            raise AssertionError("product built before the anchor was checked")
+
+        monkeypatch.setattr(theorems, "_product", no_product)
+        with pytest.raises(ValueError, match=r"anchor 1 does not belong to .* set \[0, 2\]"):
+            check_thm35(fam("cycle:5"), fam("cycle:4"), anchor=1)
+
 
 class TestConstructVm:
     def test_c5_c4_two_path_copies(self):
@@ -421,3 +429,66 @@ class TestCheckPath:
             assert not got.verified
             assert (got.kind, got.subset, got.size) == (want.kind, want.subset, want.size)
             assert "not a maximal induced forest" in got.detail["error"]
+
+    @pytest.mark.parametrize(
+        "theorem,g,h,partitions,h_forest_checks,h_independent_checks",
+        [
+            # construct_vm checks F_H once per maximal independent set of G (5 for C5)
+            ("thm35", "cycle:5", "cycle:4", 5, 5, 2),
+            # P4 is its own and only maximal forest; thm32 builds nK1 itself
+            ("thm32", "path:4", "empty:2", 1, 0, 0),
+        ],
+    )
+    def test_factor_inputs_are_checked_once_per_check(
+        self, monkeypatch, theorem, g, h, partitions, h_forest_checks, h_independent_checks
+    ):
+        g, h = fam(g), fam(h)
+        calls = []
+        for name in ("forest_partition", "is_maximal_induced_forest", "is_maximal_independent_set"):
+
+            def counting(graph, *args, _name=name, _real=getattr(theorems, name), **kwargs):
+                calls.append((_name, graph))
+                return _real(graph, *args, **kwargs)
+
+            monkeypatch.setattr(theorems, name, counting)
+        report = check(theorem, g, h)
+
+        def count(name, matches):
+            return sum(1 for called, graph in calls if called == name and matches(graph))
+
+        assert count("forest_partition", lambda graph: graph == g) == partitions
+        assert count("is_maximal_induced_forest", lambda graph: graph == h) == h_forest_checks
+        assert count("is_maximal_independent_set", lambda graph: graph == h) == h_independent_checks
+        product_order = g.order * h.order
+        product_checks = count("is_maximal_induced_forest", lambda graph: graph.order == product_order)
+        assert product_checks == len(report.witnesses) > 0
+
+    @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
+    def test_witnesses_match_the_public_constructors(self, atlas_le4, theorem):
+        for g in atlas_le4:
+            for h in atlas_le4:
+                if not hypothesis_filter(theorem, g, h):
+                    continue
+                mis_h = enumerate_maximal_independent_sets(h)
+                if theorem == "thm32":
+                    anchors = range(h.order)
+                else:
+                    f_h = forest_number(h)
+                    fh = next(s for s in enumerate_maximal_induced_forests(h) if len(s) == f_h)
+                    anchors = [None] + [a for a in range(h.order) if all(a in m for m in mis_h)]
+                for z_choice in ("min", "max"):
+                    for anchor in anchors:
+                        report = check(theorem, g, h, z_choice=z_choice, anchor=anchor)
+                        vstar = [w for w in report.witnesses if w.kind.startswith("vstar")]
+                        assert len(vstar) == len(report.condition_values) > 0
+                        for rec, w in zip(report.condition_values, vstar):
+                            assert rec.stats == forest_stats(g, rec.forest)
+                            if theorem == "thm32":
+                                want = construct_vstar_empty_second(
+                                    g, rec.forest, h.order, z_choice=z_choice, anchor=anchor
+                                )
+                            else:
+                                want = construct_vstar_nonempty_second(
+                                    g, rec.forest, h, fh, rec.m_h, z_choice=z_choice, anchor=anchor
+                                )
+                            assert w.verified and w.subset == want
