@@ -9,9 +9,12 @@ has fewer than two neighbours left to choose; each completed set is then
 tested for maximality.  Twins (vertices with one open or one closed
 neighbourhood) can be swapped by an automorphism, so the walk includes a
 twin only after its predecessor in the class and keeps one representative
-per orbit; the catalogue expands or counts the orbits.  Results are
-returned in a canonical ascending-bitmask order regardless of internal
-traversal.
+per orbit; the catalogue expands or counts the orbits, each once per
+catalogue.  Results are returned in a canonical ascending-bitmask order
+regardless of internal traversal.  ``is_maximal_induced_forest`` is one
+walk over the components of the set: the degrees inside the set of each
+component c must sum to 2(|c| - 1), and every outside vertex must have two
+neighbours in one of them, the rule the kernel's leaves are kept by.
 
 For a product built by ``lexicographic``, the forest number, the order
 histogram and the well-f-covered decision with its witness pair are
@@ -20,11 +23,14 @@ of G∘H is an induced forest of G with a role for each of its vertices.
 Which role patterns are admissible depends on H only through its
 signature (whether it has an edge, a universal vertex, a maximal
 independent set of two or more vertices), so a G-side table of them,
-``_role_patterns``, is walked once and cached per (G, signature); an
-H-side fold then reads the catalogues of H to sum their sizes, and its
-witnesses are the patterns of extreme order with the least or the greatest
-fibres of H lifted onto them (``products.lift``).  The answers equal the catalogue's; a graph with the same
-adjacency but no factors still goes through the kernel, and so does
+``_role_patterns``, is walked once and cached per (G, signature).  What
+the profile reads of H, its signature and per role the fibre size
+histogram and extreme fibres, is one record, ``_fibres``, read from the
+catalogues of H once and cached per H.  Per pair only a fold remains: it
+sums the sizes of the patterns, and its witnesses are the patterns of
+extreme order with the least or the greatest fibres of H lifted onto them
+(``products.lift``).  The answers equal the catalogue's; a graph with the
+same adjacency but no factors still goes through the kernel, and so does
 ``enumerate_maximal_induced_forests``.
 """
 
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from .graphs import (
     Graph,
@@ -110,13 +116,12 @@ class ForestPartition:
         return ForestStats(len(self.x1), len(self.z), len(self.x2), len(self.y))
 
 
-def _within_bound(g: Graph, max_order: int | None) -> Graph:
-    """``g`` itself, once its order is checked against ``max_order``
-    (``DEFAULT_MAX_ORDER`` when None)."""
+def _within_bound(order: int, max_order: int | None) -> None:
+    """Raise EnumerationBoundError if a graph of ``order`` vertices exceeds
+    ``max_order`` (``DEFAULT_MAX_ORDER`` when None)."""
     bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    if g.order > bound:
-        raise EnumerationBoundError(g.order, bound)
-    return g
+    if order > bound:
+        raise EnumerationBoundError(order, bound)
 
 
 def _twin_classes(adj: tuple[int, ...], comp: int) -> list[list[int]]:
@@ -186,9 +191,9 @@ class Catalogue:
     smallest mask of each orbit: the one taking the lowest-numbered members
     of every class.  The maximal sets of the whole graph are the unions of
     one per component, so every query combines the components by product.
-    ``sets()`` lists them; the ``aggregates`` record, computed once per
-    catalogue, is the one source of the histogram, the number and the
-    uniformity test with its witness pair.
+    ``sets()`` lists them, expanded once per catalogue; the ``aggregates``
+    record, also computed once per catalogue, is the one source of the
+    histogram, the number and the uniformity test with its witness pair.
     """
 
     order: int
@@ -234,13 +239,17 @@ class Catalogue:
         return cls(g.order, tuple(per_comp))
 
     def sets(self) -> list[VertexSubset]:
-        """Every maximal set, each once, ascending by bitmask."""
+        """Every maximal set, each once, ascending by bitmask, as a new list."""
+        return list(self._sets)
+
+    @cached_property
+    def _sets(self) -> tuple[VertexSubset, ...]:
         combined = [0]
         for reps, classes in self.components:
             masks = [m for rep in reps for m in _orbit(rep, classes)]
             combined = [acc | m for acc in combined for m in masks]
         combined.sort()
-        return [VertexSubset(self.order, m) for m in combined]
+        return tuple(VertexSubset(self.order, m) for m in combined)
 
     @cached_property
     def aggregates(self) -> Aggregates:
@@ -260,31 +269,52 @@ class Catalogue:
                 for c, size in zip(classes, sizes):
                     weight *= comb(size, (m & c).bit_count())
                 comp_hist[k] = comp_hist.get(k, 0) + weight
-            hist = _convolve(hist, comp_hist)
+            hist = _convolve(hist, comp_hist.items())
             lo |= min(reps, key=lambda m: (m.bit_count(), m))
             hi |= max(reps, key=lambda m: (m.bit_count(), -m))
         return Aggregates(self.order, tuple(sorted(hist.items())), lo, hi)
 
 
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _convolve(a: dict[int, int], b: Collection[tuple[int, int]]) -> dict[int, int]:
     """The size histogram of the unions of one set counted by ``a`` with one
-    disjoint set counted by ``b``."""
+    disjoint set counted by the (size, number) pairs ``b``."""
     out: dict[int, int] = {}
     for i, ci in a.items():
-        for j, cj in b.items():
+        for j, cj in b:
             out[i + j] = out.get(i + j, 0) + ci * cj
     return out
 
 
-def _edges_within(adj: tuple[int, ...], mask: int) -> int:
-    total = 0
-    for v in iter_bits(mask):
-        total += (adj[v] & mask).bit_count()
-    return total // 2
+def _forest_blocked(adj: tuple[int, ...], mask: int) -> int:
+    """-1 if ``mask`` does not induce a forest, else the vertices with two
+    neighbours in one of its components: the vertices that cannot join it.
+
+    One walk over the components, reading each vertex's row once, when the
+    search reaches it: for the degree sum inside ``mask``, which is
+    2(|c| - 1) exactly when the component c is a tree, and for the
+    ``once``/``twice`` sets of the component."""
+    blocked = 0
+    rem = mask
+    while rem:
+        comp = degrees = once = twice = 0
+        todo = rem & -rem
+        while todo:
+            bit = todo & -todo
+            comp |= bit
+            nbrs = adj[bit.bit_length() - 1]
+            degrees += (nbrs & mask).bit_count()
+            twice |= once & nbrs
+            once |= nbrs
+            todo = (todo | nbrs & mask) & ~comp
+        if degrees != 2 * comp.bit_count() - 2:
+            return -1
+        blocked |= twice
+        rem &= ~comp
+    return blocked
 
 
 def _is_forest_mask(adj: tuple[int, ...], mask: int) -> bool:
-    return _edges_within(adj, mask) == mask.bit_count() - len(components_within(adj, mask))
+    return _forest_blocked(adj, mask) >= 0
 
 
 def _extends(adj: tuple[int, ...], outside: int, smask: int, comps: list[int]) -> bool:
@@ -303,10 +333,10 @@ def _extends(adj: tuple[int, ...], outside: int, smask: int, comps: list[int]) -
 
 
 def _is_maximal_forest_mask(order: int, adj: tuple[int, ...], mask: int) -> bool:
-    comps = components_within(adj, mask)
-    if _edges_within(adj, mask) != mask.bit_count() - len(comps):
-        return False
-    return not _extends(adj, ((1 << order) - 1) & ~mask, mask, comps)
+    """The rule of ``_extends``, from one walk: ``mask`` is a forest and no
+    outside vertex escapes the vertices it blocks."""
+    blocked = _forest_blocked(adj, mask)
+    return blocked >= 0 and not ((1 << order) - 1) & ~mask & ~blocked
 
 
 def is_induced_forest(g: Graph, s: VertexSubset) -> bool:
@@ -541,11 +571,52 @@ def _role_patterns(
     return tuple((counts, tuple(pats)) for counts, pats in table.items())
 
 
+class Fibres(NamedTuple):
+    """What the profile of G∘H reads of H beyond G: its signature (whether
+    it has an edge, a universal vertex, a maximal independent set of two or
+    more vertices) and, per role (ISO, ONE, UNIV, BIG), the size histogram
+    of the fibres the role allows as (size, number) pairs, and its smallest
+    fibre of least and of greatest size (0 for a role H has no fibre for)."""
+
+    signature: tuple[bool, bool, bool]
+    hists: tuple[tuple[tuple[int, int], ...], ...]
+    lows: tuple[int, ...]
+    highs: tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def _fibres(h: Graph) -> Fibres:
+    """The ``Fibres`` record of H, read from its catalogues once per H and
+    shared by every first factor."""
+    from .independence import _independent_catalogue  # independence imports this module
+
+    mis = _independent_catalogue(h).sets()
+    options = (
+        [s.mask for s in _forest_catalogue(h).sets()],
+        [1 << x for x in range(h.order)],
+        [s.mask for s in mis if len(s) == 1],
+        [s.mask for s in mis if len(s) > 1],
+    )
+    hists = []
+    for masks in options:
+        hist: dict[int, int] = {}
+        for mask in masks:
+            k = mask.bit_count()
+            hist[k] = hist.get(k, 0) + 1
+        hists.append(tuple(sorted(hist.items())))
+    return Fibres(
+        (h.edge_count > 0, bool(options[_UNIV]), bool(options[_BIG])),
+        tuple(hists),
+        tuple(min(masks, key=lambda f: (f.bit_count(), f), default=0) for masks in options),
+        tuple(min(masks, key=lambda f: (-f.bit_count(), f), default=0) for masks in options),
+    )
+
+
 @lru_cache(maxsize=8)
 def product_profile(g: Graph, h: Graph) -> Aggregates:
     """``histogram()``, ``number()`` and ``uniform()`` of the maximal
-    induced forests of G∘H, equal to those of its catalogue, from G and from
-    the catalogues of H alone.
+    induced forests of G∘H, equal to those of its catalogue, from a record
+    of G per signature and a record of H.
 
     Let S be an induced forest of G∘H, ``S_g`` its fibre in {g}×V(H), and
     P = {g : S_g nonempty}.  One vertex from each fibre of P spans a copy of
@@ -575,10 +646,12 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     signature: whether it has an edge, a universal vertex and an MIS of two
     or more vertices.  So the walk over the induced forests of G that finds
     them is a table, ``_role_patterns``, cached per (G, signature) and
-    shared by every H with that signature.  The fold here reads the rest of
-    H: each pattern adds the convolution of its vertices' fibre size
-    histograms to the total, so patterns with equal role counts are summed
-    at once.
+    shared by every H with that signature.  The rest of H that the profile
+    reads, the signature and each role's fibre size histogram and extreme
+    fibres, is one record, ``_fibres``, cached per H and shared by every G.
+    The fold here is the only work per pair: each pattern adds the
+    convolution of its vertices' fibre size histograms to the total, so
+    patterns with equal role counts are summed at once.
 
     A pattern's orders are the sums of one fibre size per vertex, so a
     pattern reaches the least (greatest) order of the product only if its
@@ -594,56 +667,35 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     """
     if h.order == 1:
         return _forest_catalogue(g).aggregates
-    from .independence import _independent_catalogue  # independence imports this module
-
-    m, n = g.order, h.order
-    mis = _independent_catalogue(h).sets()
-    options = (
-        [s.mask for s in _forest_catalogue(h).sets()],
-        [1 << x for x in range(n)],
-        [s.mask for s in mis if len(s) == 1],
-        [s.mask for s in mis if len(s) > 1],
-    )
-    # per role: the size histogram of its fibres, and its smallest fibre of
-    # least and of greatest size (0 for a role H has no fibre for)
-    hists: list[dict[int, int]] = []
-    lows: list[int] = []
-    highs: list[int] = []
-    for masks in options:
-        hist: dict[int, int] = {}
-        for mask in masks:
-            k = mask.bit_count()
-            hist[k] = hist.get(k, 0) + 1
-        hists.append(hist)
-        lows.append(min(masks, key=lambda f: (f.bit_count(), f), default=0))
-        highs.append(min(masks, key=lambda f: (-f.bit_count(), f), default=0))
-    table = _role_patterns(g, h.edge_count > 0, bool(options[_UNIV]), bool(options[_BIG]))
+    fibres = _fibres(h)
+    table = _role_patterns(g, *fibres.signature)
 
     total: dict[int, int] = {}
     for counts, pats in table:
         poly = {0: len(pats)}
         for r, k in enumerate(counts):
             for _ in range(k):
-                poly = _convolve(poly, hists[r])
+                poly = _convolve(poly, fibres.hists[r])
         for k, c in poly.items():
             total[k] = total.get(k, 0) + c
     witnesses = []
-    for t, fibres in ((min(total), lows), (max(total), highs)):
+    n = h.order
+    for t, extremes in ((min(total), fibres.lows), (max(total), fibres.highs)):
         witnesses.append(
             min(
-                lift(zip(masks, fibres), n)
+                lift(zip(masks, extremes), n)
                 for counts, pats in table
-                if sum(k * f.bit_count() for k, f in zip(counts, fibres)) == t
+                if sum(k * f.bit_count() for k, f in zip(counts, extremes)) == t
                 for masks in pats
             )
         )
-    return Aggregates(m * n, tuple(sorted(total.items())), *witnesses)
+    return Aggregates(g.order * n, tuple(sorted(total.items())), *witnesses)
 
 
 def _forest_aggregates(g: Graph, max_order: int | None) -> Aggregates:
     """What the aggregate queries read: for a graph built by
     ``lexicographic`` the profile from its factors, else its catalogue's."""
-    g = _within_bound(g, max_order)
+    _within_bound(g.order, max_order)
     return _forest_catalogue(g).aggregates if g.factors is None else product_profile(*g.factors)
 
 
@@ -651,7 +703,8 @@ def enumerate_maximal_induced_forests(
     g: Graph, max_order: int | None = None
 ) -> list[VertexSubset]:
     """Exactly the maximal induced forests, each once, ascending by bitmask."""
-    return _forest_catalogue(_within_bound(g, max_order)).sets()
+    _within_bound(g.order, max_order)
+    return _forest_catalogue(g).sets()
 
 
 def maximal_forest_order_histogram(g: Graph, max_order: int | None = None) -> dict[int, int]:

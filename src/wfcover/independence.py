@@ -59,12 +59,14 @@ def enumerate_maximal_independent_sets(
     g: Graph, max_order: int | None = None
 ) -> list[VertexSubset]:
     """Exactly the maximal independent sets, each once, ascending by bitmask."""
-    return _independent_catalogue(_within_bound(g, max_order)).sets()
+    _within_bound(g.order, max_order)
+    return _independent_catalogue(g).sets()
 
 
 def independence_number(g: Graph, max_order: int | None = None) -> int:
     """Size of a maximum independent set."""
-    return _independent_catalogue(_within_bound(g, max_order)).aggregates.number()
+    _within_bound(g.order, max_order)
+    return _independent_catalogue(g).aggregates.number()
 
 
 def is_well_covered(
@@ -74,4 +76,5 @@ def is_well_covered(
 
     When they do not, also return a witness pair (smaller, larger).
     """
-    return _independent_catalogue(_within_bound(g, max_order)).aggregates.uniform()
+    _within_bound(g.order, max_order)
+    return _independent_catalogue(g).aggregates.uniform()

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import GRAPH6_MAX_ORDER, Graph, VertexSubset, iter_bits
+from .graphs import GRAPH6_MAX_ORDER, Graph, VertexSubset
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +58,10 @@ def lift(blocks: Iterable[tuple[int, int]], h_order: int) -> int:
     starting at g*h_order."""
     mask = 0
     for gmask, hmask in blocks:
-        for gv in iter_bits(gmask):
-            mask |= hmask << (gv * h_order)
+        while gmask:
+            low = gmask & -gmask
+            mask |= hmask << (low.bit_length() - 1) * h_order
+            gmask ^= low
     return mask
 
 

@@ -24,8 +24,11 @@ product: V_M = M × F_H, and V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪
 union of blocks gmask × hmask, lifted into the product by ``products.lift``;
 thm32's V* is thm35's with F_H = M_H = V(nK1).  Each constructed witness is
 re-verified by brute force and a failure is never silently ignored.  The
-public ``construct_*`` check their inputs on every call; a check partitions
-each maximal forest of G once, and checks each M_H and anchor once.
+public ``construct_*`` check their inputs on every call.  A check reads the
+maximal forests of G with their partitions from one record per
+(G, z_choice), ``_forest_partitions``, so each forest is partitioned and
+checked once for every second factor checked against G; each M_H and
+anchor are checked once per check.
 
 Ground truth is exact.  The product's forest number, maximal forest orders
 and witness pair come from ``forests.product_profile``, which derives them
@@ -36,9 +39,10 @@ while a necessary condition fails (or a constructed witness fails
 verification), ``non_sufficiency_witness`` iff every condition holds yet the
 product is not well-f-covered, and ``consistent`` otherwise.
 
-The enumeration bound is checked once per check, on the product, which no
-factor outgrows.  Only thm35's anchor check, over the maximal independent
-sets of H, comes first, so that a bad anchor is rejected before any build.
+The enumeration bound is checked on |G|·|H|, the order of the product,
+which no factor outgrows, right after the range checks of a check's
+arguments: an oversized pair is rejected before either factor is enumerated
+or the product built.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .products import lexicographic, lift
 from .forests import (
     ForestPartition,
     ForestStats,
+    _within_bound,
     enumerate_maximal_induced_forests,
     forest_number,
     forest_partition,
@@ -182,6 +187,21 @@ def thm35_lhs(stats: ForestStats, f_h: int, m_h_size: int) -> int:
         + stats.k2_components
         + stats.internal
     )
+
+
+@lru_cache(maxsize=64)
+def _forest_partitions(
+    g: Graph, z_choice: str
+) -> tuple[tuple[VertexSubset, ForestPartition, ForestStats], ...]:
+    """Each maximal forest of G, ascending, with its partition and counters:
+    the part of thm32's and thm35's per-forest work that reads G alone, so
+    every second factor checked against G shares it.  ``forest_partition``
+    checks each forest's maximality once per (G, ``z_choice``)."""
+    out = []
+    for forest in enumerate_maximal_induced_forests(g):
+        p = forest_partition(g, forest, z_choice=z_choice)
+        out.append((forest, p, p.stats))
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -337,6 +357,7 @@ def _product_ground_truth(product: Graph, max_order: int | None) -> dict:
 def check_thm31(g: Graph, h: Graph, max_order: int | None = None) -> TheoremReport:
     """Check the empty-first-factor characterization against brute force."""
     _require("thm31", g, h)
+    _within_bound(g.order * h.order, max_order)
     m = g.order
     truth = _product_ground_truth(_product(g, h), max_order)
     wfc_h, _ = is_well_f_covered(h)
@@ -373,15 +394,14 @@ def check_thm32(
     anchor_val = 0 if anchor is None else anchor
     if not 0 <= anchor_val < n:
         raise ValueError(f"anchor {anchor_val} out of range for second factor of order {n}")
+    _within_bound(g.order * n, max_order)
     h = generate(FamilySpec("empty", n))
     product = _product(g, h)
     truth = _product_ground_truth(product, max_order)
     f_p = truth["f_product"]
     records = []
     witnesses = []
-    for forest in enumerate_maximal_induced_forests(g):
-        p = forest_partition(g, forest, z_choice=z_choice)
-        stats = p.stats
+    for forest, p, stats in _forest_partitions(g, z_choice):
         lhs = thm32_lhs(stats, n)
         records.append(
             ConditionRecord(forest=forest, stats=stats, lhs=lhs, rhs=f_p, holds=lhs == f_p)
@@ -420,6 +440,7 @@ def check_thm35(
     _require("thm35", g, h)
     if anchor is not None and not 0 <= anchor < h.order:
         raise ValueError(f"anchor {anchor} out of range for second factor of order {h.order}")
+    _within_bound(g.order * h.order, max_order)
     # each M_H and its anchor are checked once, before the product is built
     mis_h = enumerate_maximal_independent_sets(h)
     anchors = [_anchor(h, m_h, anchor) for m_h in mis_h]
@@ -428,9 +449,7 @@ def check_thm35(
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]
 
-    forests_g = enumerate_maximal_induced_forests(g)
-    partitions = [forest_partition(g, forest, z_choice=z_choice) for forest in forests_g]
-    stats_g = [p.stats for p in partitions]
+    forests_g = _forest_partitions(g, z_choice)
     mis_g = enumerate_maximal_independent_sets(g)
     forests_h = enumerate_maximal_induced_forests(h)
     alpha_g = independence_number(g)
@@ -452,9 +471,9 @@ def check_thm35(
         }
     )
 
-    premise1 = all(s.isolated == 0 for s in stats_g) and any(len(m) == 1 for m in mis_h)
+    premise1 = all(s.isolated == 0 for _, _, s in forests_g) and any(len(m) == 1 for m in mis_h)
     cond1 = wc_g and ((not premise1) or (wfc_g and f_g == f_p))
-    premise2 = any(s.k2_components + s.outer_leaves > 0 for s in stats_g)
+    premise2 = any(s.k2_components + s.outer_leaves > 0 for _, _, s in forests_g)
     cond2 = wfc_h and ((not premise2) or wc_h)
     cond3 = f_p == alpha_g * f_h
 
@@ -470,8 +489,10 @@ def check_thm35(
             detail["quotient_holds"] = len(m) * len(fh_canon) == f_p
         witnesses.append(_record("vm", detail, construct_vm, g, m, h, fh_canon))
 
-    for forest, p, stats in zip(forests_g, partitions, stats_g):
-        for m_h, anchor_val in zip(mis_h, anchors):
+    mis_h_vertices = [m_h.vertices() for m_h in mis_h]
+    for forest, p, stats in forests_g:
+        forest_vertices = forest.vertices()
+        for m_h, m_h_vertices, anchor_val in zip(mis_h, mis_h_vertices, anchors):
             lhs = thm35_lhs(stats, f_h, len(m_h))
             records.append(
                 ConditionRecord(
@@ -479,8 +500,8 @@ def check_thm35(
                 )
             )
             detail = {
-                "forest": list(forest.vertices()),
-                "m_h": list(m_h.vertices()),
+                "forest": list(forest_vertices),
+                "m_h": list(m_h_vertices),
                 "anchor": anchor_val,
                 "z_choice": z_choice,
             }

@@ -9,6 +9,7 @@ induced subgraphs, disjoint unions) live here as well.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -19,6 +20,17 @@ from networkx.generators.atlas import graph_atlas_g
 from wfcover import Graph, VertexSubset
 
 ATLAS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+
+def clear_wfcover_caches() -> None:
+    """Empty every ``lru_cache`` bound in a wfcover module, found the way the
+    benchmark finds them, so that a count taken next starts cold whatever
+    the tests before it left warm."""
+    for name, mod in list(sys.modules.items()):
+        if name == "wfcover" or name.startswith("wfcover."):
+            for value in vars(mod).values():
+                if hasattr(value, "cache_info") and callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 def to_nx(g: Graph) -> nx.Graph:

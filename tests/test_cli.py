@@ -218,6 +218,19 @@ class TestCheckTheorem:
         )
         assert (code, out, err) == (2, "", "error: anchor 5 out of range for second factor of order 3\n")
 
+    @pytest.mark.parametrize(
+        "g,h,options,order",
+        [
+            # H alone is past the bound: the error names the product, not H
+            ("complete:2", "path:25", [], 50),
+            # an anchor outside some M_H of P9: the bound is checked first
+            ("complete:3", "path:9", ["--anchor", "1"], 27),
+        ],
+    )
+    def test_bound_names_the_product_before_any_enumeration(self, g, h, options, order):
+        code, out, err = invoke(["check-theorem", "thm35", "--g", g, "--h", h, *options])
+        assert (code, out, err) == (2, "", f"error: graph order {order} exceeds the enumeration bound 24\n")
+
 
 class TestSearchCommand:
     def test_finding_exit_one_and_jsonl(self, tmp_path):

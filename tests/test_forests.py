@@ -109,6 +109,15 @@ class TestEnumeration:
         masks = [f.mask for f in first]
         assert masks == sorted(masks)
 
+    def test_mutating_a_returned_list_leaves_the_next_call_unchanged(self):
+        g = fam("fig1")
+        for catalogue in (forests._forest_catalogue(g), independence._independent_catalogue(g)):
+            first = catalogue.sets()
+            want = list(first)
+            first.reverse()
+            first.pop()
+            assert catalogue.sets() == want
+
     def test_matches_naive_oracle_le4(self, atlas_le4):
         for g in atlas_le4:
             ours = {frozenset(f.vertices()) for f in enumerate_maximal_induced_forests(g)}

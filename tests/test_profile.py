@@ -24,7 +24,7 @@ from wfcover import (
     parse_family,
 )
 
-from conftest import graphs, twin_rich_graphs
+from conftest import clear_wfcover_caches, graphs, twin_rich_graphs
 
 
 def fam(text: str) -> Graph:
@@ -135,7 +135,7 @@ def walk_counters(g: Graph, h: Graph) -> tuple[int, int]:
 
 def profile_counters(g: Graph, h: Graph) -> tuple[int, int]:
     """Nodes and leaves of one uncached profile walk of G∘H."""
-    forests._role_patterns.cache_clear()
+    clear_wfcover_caches()
     return walk_counters(g, h)
 
 

@@ -25,7 +25,14 @@ from wfcover import (
     to_graph6,
 )
 
-from conftest import connected_components, disjoint_union, graphs, twin_rich_graphs
+from conftest import (
+    connected_components,
+    dfs_has_cycle,
+    disjoint_union,
+    graphs,
+    induced_subgraph,
+    twin_rich_graphs,
+)
 
 
 @given(graphs(max_order=20))
@@ -126,6 +133,32 @@ def test_kernels_match_all_subsets_oracle_hub_last(name):
 def test_kernels_match_all_subsets_oracle(g):
     for enumerate_sets, is_maximal in KERNELS:
         assert enumerate_sets(g) == all_subsets_oracle(g, is_maximal)
+
+
+def assert_forest_tests_match_dfs_oracle(g: Graph) -> None:
+    """``is_induced_forest`` and ``is_maximal_induced_forest`` on every subset
+    against the DFS cycle finder: a maximal forest is a forest to which each
+    outside vertex adds a cycle."""
+    acyclic = [
+        not mask or not dfs_has_cycle(induced_subgraph(g, VertexSubset(g.order, mask)))
+        for mask in range(1 << g.order)
+    ]
+    for mask in range(1 << g.order):
+        s = VertexSubset(g.order, mask)
+        grows = any(acyclic[mask | 1 << v] for v in range(g.order) if not mask >> v & 1)
+        assert is_induced_forest(g, s) == acyclic[mask]
+        assert is_maximal_induced_forest(g, s) == (acyclic[mask] and not grows)
+
+
+@pytest.mark.parametrize("name", HUB_LAST)
+def test_forest_tests_match_dfs_oracle_hub_last(name):
+    assert_forest_tests_match_dfs_oracle(HUB_LAST[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_order=10))
+def test_forest_tests_match_dfs_oracle(g):
+    assert_forest_tests_match_dfs_oracle(g)
 
 
 # Both catalogues with every query against the same oracle, on graphs full of

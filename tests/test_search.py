@@ -13,6 +13,8 @@ from wfcover import (
     Graph,
     Graph6Error,
     ScanConfig,
+    check,
+    enumerate_maximal_induced_forests,
     from_graph6,
     generate,
     hypothesis_filter,
@@ -21,8 +23,12 @@ from wfcover import (
     scan,
     to_graph6,
 )
+import wfcover.forests as forests
 import wfcover.search as search
+import wfcover.theorems as theorems
 from wfcover.search import read_findings
+
+from conftest import clear_wfcover_caches
 
 
 def fam(text: str) -> Graph:
@@ -168,6 +174,25 @@ class TestScan:
         findings = list(scan([(g, h) for g in gs for h in hs], ScanConfig(theorem="thm35")))
         assert len(findings) == 6
         assert [encoded.count(g) for g in gs] == [1, 1]
+
+    def test_factor_records_are_built_once_per_factor(self, monkeypatch):
+        # P3 and K1,3 share a signature (an edge, a universal vertex, an MIS
+        # of two or more vertices); C4 has no universal vertex
+        g = fam("cycle:5")
+        hs = (fam("path:3"), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), fam("cycle:4"))
+        partitioned = []
+        real = theorems.forest_partition
+
+        def counting(graph, forest, **kwargs):
+            partitioned.append(forest)
+            return real(graph, forest, **kwargs)
+
+        monkeypatch.setattr(theorems, "forest_partition", counting)
+        clear_wfcover_caches()
+        findings = search._check_run(("thm35", g, hs, 24))
+        assert [f.verdict for f in findings] == [check("thm35", g, h).verdict for h in hs]
+        assert sorted(f.mask for f in partitioned) == [f.mask for f in enumerate_maximal_induced_forests(g)]
+        assert forests._fibres.cache_info().misses == len(hs)
 
     def test_closing_the_scan_cancels_queued_pairs(self, monkeypatch):
         checked, cancelled = [], []

@@ -7,7 +7,7 @@ import pytest
 import wfcover.examples as examples
 import wfcover.forests as forests
 import wfcover.theorems as theorems
-from conftest import atlas_graphs, induced_subgraph
+from conftest import atlas_graphs, clear_wfcover_caches, induced_subgraph
 from wfcover import (
     EnumerationBoundError,
     ForestStats,
@@ -393,8 +393,7 @@ class TestCheckPath:
             return kernel(n, adj, prev)
 
         monkeypatch.setattr(forests, "_maximal_forest_masks", counting)
-        for cache in (forests._forest_catalogue, forests.product_profile, theorems._product):
-            cache.cache_clear()
+        clear_wfcover_caches()
         check(theorem, g, h)
         assert seen and max(seen) <= max(g.order, h.order)
         assert forests._forest_catalogue.cache_info().currsize == 2  # G and H, no product
@@ -451,6 +450,7 @@ class TestCheckPath:
                 return _real(graph, *args, **kwargs)
 
             monkeypatch.setattr(theorems, name, counting)
+        clear_wfcover_caches()
         report = check(theorem, g, h)
 
         def count(name, matches):
