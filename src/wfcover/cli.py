@@ -2,8 +2,10 @@
 
 Every subcommand prints one JSON document (sorted keys, ``schema: 1``) on
 stdout and a short human summary on stderr, so reports are byte-stable for
-golden-file comparison.  Exit codes: 0 success/consistent, 1 findings or
-property failures, 2 usage or I/O errors.
+golden-file comparison.  Documents are rendered by ``_dumps``, whose output
+is byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``.  Exit
+codes: 0 success/consistent, 1 findings or property failures, 2 usage or I/O
+errors.
 """
 
 from __future__ import annotations
@@ -163,8 +165,57 @@ def report_to_dict(report: TheoremReport) -> dict:
     return out
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, nested at
+    ``indent``.
+
+    With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python
+    encoder.  This writer dispatches on exact type instead and joins each
+    all-int list (the vertex lists of a report) in one call.  Anything else
+    (floats, dicts with a key that is not a str, subclasses, unknown types)
+    goes to ``json.dumps`` itself, so it renders, or raises, exactly as
+    there.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return _int_repr(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        try:
+            # _encode_str raises TypeError on a key that is not a str
+            items = [f"{_encode_str(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj)]
+        except TypeError:
+            return _json_dumps(obj, indent)
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if all(type(item) is int for item in obj):
+            items = map(_int_repr, obj)
+        else:
+            items = [_dumps(item, inner) for item in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return _json_dumps(obj, indent)
+
+
+def _json_dumps(obj, indent: str) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
 def _emit(obj: dict, stdout: IO[str]) -> None:
-    stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    stdout.write(_dumps(obj) + "\n")
 
 
 def _graph_summary(g: Graph) -> dict:

@@ -7,6 +7,7 @@ vertex, which keeps subset work (components, forest tests) cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 GRAPH6_MAX_ORDER = 62
@@ -40,6 +41,42 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _tile(block: int, period: int, total: int) -> int:
+    """``block`` repeated every ``period`` bits over ``total`` bits."""
+    return block * (((1 << total) - 1) // ((1 << period) - 1))
+
+
+@lru_cache(maxsize=None)
+def _transpose_steps(width: int) -> tuple[tuple[int, int], ...]:
+    """The (shift, mask) delta swaps that transpose a ``width`` x ``width``
+    bit matrix packed row-major (row r at bits r*width ...), ``width`` a
+    power of two.  Step j swaps bit (r, c + j) with bit (r + j, c) wherever
+    r and c have bit j clear; its mask selects the lower bit of each pair,
+    the columns with bit j set in the rows with bit j clear."""
+    steps = []
+    j = width // 2
+    while j:
+        columns = _tile(((1 << j) - 1) << j, 2 * j, width)
+        rows = _tile(_tile(1, width, j * width), 2 * j * width, width * width)
+        steps.append((j * (width - 1), columns * rows))
+        j //= 2
+    return tuple(steps)
+
+
+def _is_symmetric(adj: tuple[int, ...]) -> bool:
+    """Whether the rows, each within ``len(adj)`` bits, equal their columns:
+    the packed matrix against its transpose, in log2 steps."""
+    width = 8
+    while width < len(adj):
+        width *= 2
+    packed = int.from_bytes(b"".join(row.to_bytes(width // 8, "little") for row in adj), "little")
+    t = packed
+    for shift, mask in _transpose_steps(width):
+        swap = ((t >> shift) ^ t) & mask
+        t ^= swap ^ (swap << shift)
+    return t == packed
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph on {0, ..., order-1}.
@@ -66,6 +103,9 @@ class Graph:
                 raise ValueError(f"adjacency row {v} mentions vertices outside the graph")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+        if _is_symmetric(self.adj):
+            return
+        # asymmetric: name the first one-sided pair, row by row
         for v in range(self.order):
             for u in iter_bits(self.adj[v]):
                 if not (self.adj[u] >> v) & 1:

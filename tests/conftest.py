@@ -165,6 +165,17 @@ def dfs_has_cycle(g: Graph) -> bool:
     return False
 
 
+def edgewise_symmetry_error(adj: tuple[int, ...]) -> str | None:
+    """The edge-by-edge symmetry rule: the message naming the first edge
+    u-v (v ascending, then u ascending in row v) whose reverse is missing,
+    or None when every row matches its column."""
+    for v, row in enumerate(adj):
+        for u in range(len(adj)):
+            if (row >> u) & 1 and not (adj[u] >> v) & 1:
+                return f"adjacency not symmetric between {u} and {v}"
+    return None
+
+
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex partition into connected components (networkx), ordered by
     smallest member."""

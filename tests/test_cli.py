@@ -7,8 +7,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from wfcover.cli import run
+from wfcover.cli import _dumps, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,6 +36,15 @@ class TestGoldenFiles:
             ),
             (["verify-paper"], "verify_paper.json"),
             (["gen", "--family", "fig1"], "gen_fig1.json"),
+            (
+                ["check-theorem", "thm35", "--g", "complete:4", "--h", "cycle:5"],
+                "check_thm35_complete4_cycle5.json",
+            ),
+            (
+                ["check-theorem", "thm32", "--g", "path:8", "--h", "empty:3"],
+                "check_thm32_path8_empty3.json",
+            ),
+            (["product", "--g", "cycle:4", "--h", "path:3"], "product_cycle4_path3.json"),
         ],
     )
     def test_byte_equality(self, argv, golden):
@@ -47,7 +57,7 @@ class TestGoldenFiles:
         _, second, _ = invoke(["verify-paper"])
         assert first == second
 
-    def test_cli_is_a_thin_shell_over_the_library(self):
+    def test_cli_is_a_thin_shell_over_the_library(self, tmp_path):
         # byte-identical reports come from library calls plus the renderer
         from wfcover import check_thm31, generate, parse_family, verify_paper_examples
         from wfcover.cli import report_to_dict
@@ -58,6 +68,80 @@ class TestGoldenFiles:
 
         _, out, _ = invoke(["verify-paper"])
         assert out == json.dumps(report_to_dict(verify_paper_examples()), sort_keys=True, indent=2) + "\n"
+
+        # one more input per subcommand, each rendered as json.dumps renders it
+        g_file = tmp_path / "g.g6"
+        g_file.write_text("Ch\nA_\n")  # P4, K2
+        commands = [
+            ["gen", "--family", "cycle:6"],
+            ["product", "--g", "fig1", "--h", "path:3"],
+            ["product", "--g", "complete:8", "--h", "complete:8"],  # 64 vertices, graph6 null
+            ["analyze", "--graph6", "Dlc"],
+            ["check-theorem", "thm32", "--g", "path:4", "--h", "empty:2"],
+            ["check-theorem", "thm35", "--g", "cycle:5", "--h", "cycle:4", "--z-tiebreak", "max"],
+            ["search", "--g-file", str(g_file), "--theorem", "thm35", "--out", str(tmp_path / "f.jsonl")],
+        ]
+        for argv in commands:
+            code, out, err = invoke(argv)
+            assert code in (0, 1), err
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
+
+
+_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),  # lone surrogates included
+        st.sampled_from("\x00\x1f\x7f\n\t\"\\/\u00e9\u2028\ud800\udfff\U0001f600"),
+    )
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**100), 2**100),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
+    _TEXT,
+)
+_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(st.integers()),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.dictionaries(_TEXT, children),
+        st.dictionaries(st.integers(), children),
+        st.dictionaries(_KEYS, children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    """``_dumps`` against its oracle, ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @staticmethod
+    def outcome(render, doc):
+        try:
+            return render(doc)
+        except TypeError as exc:
+            return ("TypeError", str(exc))
+
+    @given(_VALUES)
+    @example([[], {}, {"a": {}}, [1, True, None], (1, 2)])
+    @example({"b": 1, "a": [2, 3.5], "c": {10: ["y"], 2: "x"}})
+    def test_matches_json_dumps(self, doc):
+        expected = self.outcome(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
+        assert self.outcome(_dumps, doc) == expected
+
+    @pytest.mark.parametrize("doc", [{1, 2}, {"a": [1, {2}]}, [{"b": {3}}], {"a": 0, 1: 0}])
+    def test_raises_the_type_error_of_json_dumps(self, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            _dumps(doc)
+        assert str(got.value) == str(expected.value)
 
 
 class TestAnalyze:

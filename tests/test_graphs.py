@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfcover import (
     FamilyError,
@@ -19,6 +20,7 @@ from conftest import (
     connected_components,
     dfs_has_cycle,
     disjoint_union,
+    edgewise_symmetry_error,
     induced_subgraph,
 )
 
@@ -78,6 +80,32 @@ class TestGraphInvariants:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
+        # one-sided pairs 5->3 and 2->4: the message names the one in row 2
+        rows = (0, 0, 1 << 4, 0, 0, 1 << 3)
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric between 4 and 2$"):
+            Graph(6, rows)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_symmetry_decision_and_message_match_the_edgewise_rule(self, data):
+        # a symmetric graph up to order 70, with a few one-sided pairs on top
+        n = data.draw(st.integers(1, 70))
+        rows = [0] * n
+        for u, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+            if u != v:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        for u, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+            if u != v:
+                rows[u] ^= 1 << v
+        adj = tuple(rows)
+        expected = edgewise_symmetry_error(adj)
+        if expected is None:
+            assert Graph(n, adj).adj == adj
+        else:
+            with pytest.raises(ValueError) as err:
+                Graph(n, adj)
+            assert str(err.value) == expected
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
