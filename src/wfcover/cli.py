@@ -326,9 +326,11 @@ def _cmd_verify_paper(args, stdout, stderr) -> int:
 def _cmd_search(args, stdout, stderr) -> int:
     strict = not args.skip_malformed
     g_graphs = list(read_graph6_stream(args.g_file, strict=strict))
-    h_path = args.h_file if args.h_file is not None else args.g_file
-    h_graphs = list(read_graph6_stream(h_path, strict=strict))
-    pairs = [(g, h) for g in g_graphs for h in h_graphs]
+    if args.h_file is None:
+        h_graphs = g_graphs
+    else:
+        h_graphs = list(read_graph6_stream(args.h_file, strict=strict))
+    pairs = ((g, h) for g in g_graphs for h in h_graphs)
     scan_config = ScanConfig(
         theorem=args.theorem,
         max_order=args.max_order,
@@ -343,7 +345,7 @@ def _cmd_search(args, stdout, stderr) -> int:
     doc = {
         "schema": SCHEMA_VERSION,
         "theorem": args.theorem,
-        "pairs_supplied": len(pairs),
+        "pairs_supplied": len(g_graphs) * len(h_graphs),
         "pairs_checked": checked,
         "verdicts": verdicts,
         "findings_file": args.out,

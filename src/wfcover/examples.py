@@ -3,12 +3,12 @@
 Each case study is a list of checkable sentences about a specific product
 (P4 with two edgeless copies, the fig1 graph with C4, and C5 with C4).
 The audit recomputes every sentence by exhaustive enumeration and
-classifies it:
+classifies it by one rule, ``_claim``:
 
 confirmed   the sentence holds as printed
-refuted     the sentence is false as printed
 corrected   the sentence is false as printed, but a minimal repair of the
             referenced set keeps its point standing
+refuted     otherwise
 
 ``expected`` pins the adjudication the package ships with, so a divergent
 recomputation is loud (verify-paper exits nonzero, verdict flips to
@@ -26,7 +26,7 @@ from .forests import (
     is_induced_forest,
     is_maximal_induced_forest,
 )
-from .independence import enumerate_maximal_independent_sets, independence_number
+from .independence import enumerate_maximal_independent_sets
 from .theorems import (
     ClaimRecord,
     TheoremReport,
@@ -89,6 +89,65 @@ def _is_induced_path(g: Graph, s: VertexSubset) -> bool:
     )
 
 
+def _claim(
+    example: str,
+    claim: str,
+    text: str,
+    holds: bool,
+    expected: str,
+    facts: dict,
+    repaired: bool = False,
+) -> ClaimRecord:
+    """Adjudicate one sentence by the rule of this module: confirmed if it
+    holds as printed (``holds``), corrected if only its minimal repair holds
+    (``repaired``), refuted otherwise."""
+    if holds:
+        status = "confirmed"
+    elif repaired:
+        status = "corrected"
+    else:
+        status = "refuted"
+    return ClaimRecord(example, claim, text, status, expected, facts)
+
+
+def _not_well_f_covered(example: str, product: str, truth: dict) -> ClaimRecord:
+    """The sentence that the product named ``product`` is not well-f-covered."""
+    return _claim(
+        example=example,
+        claim="not_well_f_covered",
+        text=f"{product} is not well-f-covered",
+        holds=not truth["well_f_covered_product"],
+        expected="confirmed",
+        facts={"maximal_forest_orders": truth["maximal_forest_orders"]},
+    )
+
+
+def _product_forest_number(example: str, g: str, h: str, truth: dict) -> ClaimRecord:
+    """The sentence f(G o H) = 6 = alpha(G) * f(H), for the factors named
+    ``g`` and ``h``, from the ground truth of their thm35 check."""
+    f_product, alpha, f_h = truth["f_product"], truth["alpha_g"], truth["f_h"]
+    return _claim(
+        example=example,
+        claim="product_forest_number",
+        text=f"f({g} o {h}) = 6 = alpha({g}) * f({h})",
+        holds=f_product == 6 and f_product == alpha * f_h,
+        expected="confirmed",
+        facts={"f_product": f_product, "alpha_g": alpha, "f_h": f_h},
+    )
+
+
+def _summary(report: TheoremReport, **facts) -> dict:
+    """An example's ground truth: the product's forest number, whether it is
+    well-f-covered, the check's verdict, and ``facts``."""
+    truth = report.ground_truth
+    return {
+        "f_product": truth["f_product"],
+        "well_f_covered_product": truth["well_f_covered_product"],
+        **facts,
+        "verdict": report.verdict,
+    }
+
+
 def _audit_p4_with_two_copies(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
     g = generate(FamilySpec("path", 4))
     report = check_thm32(g, 2, max_order=max_order)
@@ -99,27 +158,20 @@ def _audit_p4_with_two_copies(max_order: int | None) -> tuple[list[ClaimRecord],
     p3_value = thm32_lhs(ForestStats(0, 0, 2, 1), 2)
     actual_values = [r.lhs for r in report.condition_values]
     claims = [
-        ClaimRecord(
+        _claim(
             example="p4_2k1",
             claim="forest_number",
             text="f(P4 o 2K1) = 6",
-            status="confirmed" if truth["f_product"] == 6 else "refuted",
+            holds=truth["f_product"] == 6,
             expected="confirmed",
             facts={"f_product": truth["f_product"]},
         ),
-        ClaimRecord(
-            example="p4_2k1",
-            claim="not_well_f_covered",
-            text="P4 o 2K1 is not well-f-covered",
-            status="confirmed" if not truth["well_f_covered_product"] else "refuted",
-            expected="confirmed",
-            facts={"maximal_forest_orders": truth["maximal_forest_orders"]},
-        ),
-        ClaimRecord(
+        _not_well_f_covered("p4_2k1", "P4 o 2K1", truth),
+        _claim(
             example="p4_2k1",
             claim="maximal_forests_are_p3",
             text="every maximal forest of P4 is an induced P3",
-            status="confirmed" if all_are_p3 else "refuted",
+            holds=all_are_p3,
             expected="refuted",
             facts={
                 "actual_maximal_forests": forests_json,
@@ -127,34 +179,24 @@ def _audit_p4_with_two_copies(max_order: int | None) -> tuple[list[ClaimRecord],
                 "actual_values": actual_values,
             },
         ),
-        ClaimRecord(
+        _claim(
             example="p4_2k1",
             claim="per_forest_total",
             text="the per-forest condition value is 6 = f(P4 o 2K1)",
-            status=(
-                "confirmed"
-                if truth["f_product"] == 6 and all(r.holds for r in report.condition_values)
-                else "refuted"
-            ),
+            holds=truth["f_product"] == 6 and all(r.holds for r in report.condition_values),
             expected="confirmed",
             facts={"values": actual_values, "f_product": truth["f_product"]},
         ),
-        ClaimRecord(
+        _claim(
             example="p4_2k1",
             claim="non_sufficiency",
             text="the condition holds for every maximal forest yet the product is not well-f-covered",
-            status="confirmed" if report.verdict == VERDICT_NON_SUFFICIENCY else "refuted",
+            holds=report.verdict == VERDICT_NON_SUFFICIENCY,
             expected="confirmed",
             facts={"verdict": report.verdict},
         ),
     ]
-    facts = {
-        "f_product": truth["f_product"],
-        "well_f_covered_product": truth["well_f_covered_product"],
-        "maximal_forest_orders": truth["maximal_forest_orders"],
-        "verdict": report.verdict,
-    }
-    return claims, facts
+    return claims, _summary(report, maximal_forest_orders=truth["maximal_forest_orders"])
 
 
 def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
@@ -162,7 +204,6 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
     h = generate(FamilySpec("cycle", 4))
     report = check_thm35(g, h, max_order=max_order)
     truth = report.ground_truth
-    alpha = independence_number(g)
     mis_h = enumerate_maximal_independent_sets(h)
 
     abc = _subset(g, _FIG1_ABC)
@@ -174,33 +215,21 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
     m_h_size = len(mis_h[0])
     value_abd = thm35_lhs(forest_stats(g, abd), f_h, m_h_size)
     value_eabc = thm35_lhs(forest_stats(g, eabc), f_h, m_h_size)
-    printed_pair_ok = abc_maximal and is_maximal_induced_forest(g, ebcd)
-    repaired_pair_ok = (
-        is_maximal_induced_forest(g, abd)
-        and is_maximal_induced_forest(g, eabc)
-        and value_abd != value_eabc
-    )
-    if printed_pair_ok:
-        values_status = "confirmed"
-    elif repaired_pair_ok:
-        values_status = "corrected"
-    else:
-        values_status = "refuted"
 
     claims = [
-        ClaimRecord(
+        _claim(
             example="fig1_c4",
             claim="g_well_covered",
             text="fig1 is well-covered with independence number 2",
-            status="confirmed" if truth["well_covered_g"] and alpha == 2 else "refuted",
+            holds=truth["well_covered_g"] and truth["alpha_g"] == 2,
             expected="confirmed",
-            facts={"well_covered_g": truth["well_covered_g"], "alpha_g": alpha},
+            facts={"well_covered_g": truth["well_covered_g"], "alpha_g": truth["alpha_g"]},
         ),
-        ClaimRecord(
+        _claim(
             example="fig1_c4",
             claim="abc_maximal_forest",
             text="G[{a,b,c}] is a maximal forest in G",
-            status="confirmed" if abc_maximal else "refuted",
+            holds=abc_maximal,
             expected="refuted",
             facts={
                 "set": list(abc.vertices()),
@@ -208,16 +237,14 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
                 "extends_with": _extenders(g, abc),
             },
         ),
-        ClaimRecord(
+        _claim(
             example="fig1_c4",
             claim="h_conditions",
             text="C4 is well-f-covered and well-covered with no size-1 maximal independent set",
-            status=(
-                "confirmed"
-                if truth["well_f_covered_h"]
+            holds=(
+                truth["well_f_covered_h"]
                 and truth["well_covered_h"]
                 and all(len(m) > 1 for m in mis_h)
-                else "refuted"
             ),
             expected="confirmed",
             facts={
@@ -226,23 +253,17 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
                 "maximal_independent_sizes": sorted({len(m) for m in mis_h}),
             },
         ),
-        ClaimRecord(
-            example="fig1_c4",
-            claim="product_forest_number",
-            text="f(G o C4) = 6 = alpha(G) * f(C4)",
-            status=(
-                "confirmed"
-                if truth["f_product"] == 6 and truth["f_product"] == alpha * f_h
-                else "refuted"
-            ),
-            expected="confirmed",
-            facts={"f_product": truth["f_product"], "alpha_g": alpha, "f_h": f_h},
-        ),
-        ClaimRecord(
+        _product_forest_number("fig1_c4", "G", "C4", truth),
+        _claim(
             example="fig1_c4",
             claim="condition4_values",
             text="condition (4) evaluates to 5 and 6 on two maximal forests of G",
-            status=values_status,
+            holds=abc_maximal and is_maximal_induced_forest(g, ebcd),
+            repaired=(
+                is_maximal_induced_forest(g, abd)
+                and is_maximal_induced_forest(g, eabc)
+                and value_abd != value_eabc
+            ),
             expected="corrected",
             facts={
                 "printed_forests": [list(abc.vertices()), list(ebcd.vertices())],
@@ -251,22 +272,9 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
                 "values": [value_abd, value_eabc],
             },
         ),
-        ClaimRecord(
-            example="fig1_c4",
-            claim="not_well_f_covered",
-            text="G o C4 is not well-f-covered",
-            status="confirmed" if not truth["well_f_covered_product"] else "refuted",
-            expected="confirmed",
-            facts={"maximal_forest_orders": truth["maximal_forest_orders"]},
-        ),
+        _not_well_f_covered("fig1_c4", "G o C4", truth),
     ]
-    facts = {
-        "f_product": truth["f_product"],
-        "well_f_covered_product": truth["well_f_covered_product"],
-        "conditions": dict(report.conditions),
-        "verdict": report.verdict,
-    }
-    return claims, facts
+    return claims, _summary(report, conditions=dict(report.conditions))
 
 
 def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
@@ -274,8 +282,6 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
     h = generate(FamilySpec("cycle", 4))
     report = check_thm35(g, h, max_order=max_order)
     truth = report.ground_truth
-    alpha = truth["alpha_g"]
-    f_h = truth["f_h"]
     # the product check_thm35 just built, from its one-entry memo
     product = _product(g, h)
     index_map = ProductIndexMap(g.order, h.order)
@@ -288,26 +294,14 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
     second_printed = index_map.subset_from_pairs(_C5C4_SECOND_PRINTED)
     second_fixed = index_map.subset_from_pairs(_C5C4_SECOND_FIXED)
     printed_triangle = _find_triangle(product, second_printed.vertices())
-    first_ok = is_maximal_induced_forest(product, first) and len(first) == 6
-    printed_ok = is_maximal_induced_forest(product, second_printed) and len(second_printed) == 5
     fixed_ok = is_maximal_induced_forest(product, second_fixed) and len(second_fixed) == 5
-    if printed_ok:
-        second_status = "confirmed"
-    elif fixed_ok:
-        second_status = "corrected"
-    else:
-        second_status = "refuted"
 
     claims = [
-        ClaimRecord(
+        _claim(
             example="c5_c4",
             claim="premises",
             text="C5 is well-covered with a leafy maximal forest; C4 is well-f-covered and well-covered",
-            status=(
-                "confirmed"
-                if truth["well_covered_g"] and truth["well_f_covered_h"] and truth["well_covered_h"]
-                else "refuted"
-            ),
+            holds=truth["well_covered_g"] and truth["well_f_covered_h"] and truth["well_covered_h"],
             expected="confirmed",
             facts={
                 "well_covered_g": truth["well_covered_g"],
@@ -315,39 +309,31 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
                 "well_covered_h": truth["well_covered_h"],
             },
         ),
-        ClaimRecord(
-            example="c5_c4",
-            claim="product_forest_number",
-            text="f(C5 o C4) = 6 = alpha(C5) * f(C4)",
-            status=(
-                "confirmed"
-                if truth["f_product"] == 6 and truth["f_product"] == alpha * f_h
-                else "refuted"
-            ),
-            expected="confirmed",
-            facts={"f_product": truth["f_product"], "alpha_g": alpha, "f_h": f_h},
-        ),
-        ClaimRecord(
+        _product_forest_number("c5_c4", "C5", "C4", truth),
+        _claim(
             example="c5_c4",
             claim="maximal_forests_p4",
             text="every maximal forest of C5 is an induced P4 with condition-(4) value 6",
-            status="confirmed" if all_p4 and values == [6] else "refuted",
+            holds=all_p4 and values == [6],
             expected="confirmed",
             facts={"forest_orders": sorted({len(f) for f in forests_g}), "values": values},
         ),
-        ClaimRecord(
+        _claim(
             example="c5_c4",
             claim="first_listed_set",
             text="the first listed subset is a maximal forest of C5 o C4 of order 6",
-            status="confirmed" if first_ok else "refuted",
+            holds=is_maximal_induced_forest(product, first) and len(first) == 6,
             expected="confirmed",
             facts={"pairs": [list(p) for p in _C5C4_FIRST], "order": len(first)},
         ),
-        ClaimRecord(
+        _claim(
             example="c5_c4",
             claim="second_listed_set",
             text="the second listed subset is a maximal forest of C5 o C4 of order 5",
-            status=second_status,
+            holds=(
+                is_maximal_induced_forest(product, second_printed) and len(second_printed) == 5
+            ),
+            repaired=fixed_ok,
             expected="corrected",
             facts={
                 "pairs_printed": [list(p) for p in _C5C4_SECOND_PRINTED],
@@ -359,30 +345,17 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
                 "fixed_is_maximal": fixed_ok,
             },
         ),
-        ClaimRecord(
-            example="c5_c4",
-            claim="not_well_f_covered",
-            text="C5 o C4 is not well-f-covered",
-            status="confirmed" if not truth["well_f_covered_product"] else "refuted",
-            expected="confirmed",
-            facts={"maximal_forest_orders": truth["maximal_forest_orders"]},
-        ),
-        ClaimRecord(
+        _not_well_f_covered("c5_c4", "C5 o C4", truth),
+        _claim(
             example="c5_c4",
             claim="non_sufficiency",
             text="conditions (1)-(4) hold yet the product is not well-f-covered",
-            status="confirmed" if report.verdict == VERDICT_NON_SUFFICIENCY else "refuted",
+            holds=report.verdict == VERDICT_NON_SUFFICIENCY,
             expected="confirmed",
             facts={"conditions": dict(report.conditions), "verdict": report.verdict},
         ),
     ]
-    facts = {
-        "f_product": truth["f_product"],
-        "well_f_covered_product": truth["well_f_covered_product"],
-        "conditions": dict(report.conditions),
-        "verdict": report.verdict,
-    }
-    return claims, facts
+    return claims, _summary(report, conditions=dict(report.conditions))
 
 
 def verify_paper_examples(max_order: int | None = None) -> TheoremReport:

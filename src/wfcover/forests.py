@@ -4,17 +4,20 @@
 is acyclic.  A forest is maximal when adding any outside vertex closes a
 cycle.  Enumeration is exhaustive: an include/exclude walk per connected
 component, deciding high-degree vertices first, that never includes a
-vertex closing a cycle and cuts a branch as soon as some excluded vertex
-has fewer than two neighbours left to choose; each completed set is then
-tested for maximality.  Twins (vertices with one open or one closed
+vertex closing a cycle (``_join``, the one include step, which the
+role-pattern walk below shares) and cuts a branch as soon as some excluded
+vertex has fewer than two neighbours left to choose; each completed set is
+then tested for maximality.  Twins (vertices with one open or one closed
 neighbourhood) can be swapped by an automorphism, so the walk includes a
 twin only after its predecessor in the class and keeps one representative
 per orbit; the catalogue expands or counts the orbits, each once per
 catalogue.  Results are returned in a canonical ascending-bitmask order
-regardless of internal traversal.  ``is_maximal_induced_forest`` is one
-walk over the components of the set: the degrees inside the set of each
+regardless of internal traversal.  Maximality has one rule,
+``_is_maximal_forest_mask``, behind the kernel's leaves and
+``is_maximal_induced_forest`` alike.  It is one walk over the components
+of the set (``_forest_blocked``): the degrees inside the set of each
 component c must sum to 2(|c| - 1), and every outside vertex must have two
-neighbours in one of them, the rule the kernel's leaves are kept by.
+neighbours in one of them.
 
 For a product built by ``lexicographic``, the forest number, the order
 histogram and the well-f-covered decision with its witness pair are
@@ -313,43 +316,47 @@ def _forest_blocked(adj: tuple[int, ...], mask: int) -> int:
     return blocked
 
 
-def _is_forest_mask(adj: tuple[int, ...], mask: int) -> bool:
-    return _forest_blocked(adj, mask) >= 0
-
-
-def _extends(adj: tuple[int, ...], outside: int, smask: int, comps: list[int]) -> bool:
-    """Whether some vertex of ``outside`` can join the forest ``smask``,
-    whose components are the masks ``comps``: it can unless two of its
-    neighbours lie in one component."""
-    for v in iter_bits(outside):
-        nb = adj[v] & smask
-        for c in comps:
-            hit = nb & c
-            if hit & (hit - 1):
-                break
-        else:
-            return True
-    return False
-
-
 def _is_maximal_forest_mask(order: int, adj: tuple[int, ...], mask: int) -> bool:
-    """The rule of ``_extends``, from one walk: ``mask`` is a forest and no
+    """The maximality rule, from one walk: ``mask`` is a forest and no
     outside vertex escapes the vertices it blocks."""
     blocked = _forest_blocked(adj, mask)
     return blocked >= 0 and not ((1 << order) - 1) & ~mask & ~blocked
 
 
-def is_induced_forest(g: Graph, s: VertexSubset) -> bool:
-    """True iff the subgraph induced by ``s`` is acyclic (empty set included)."""
+def _join(comps: list[int], bit: int, nbrs: int) -> list[int] | None:
+    """The components of a forest, given as the masks ``comps``, once the
+    vertex ``bit`` with neighbours ``nbrs`` joins it, merged with every
+    component it touches; None when two of its neighbours lie in one
+    component, so that it closes a cycle.  ``comps`` is left as it is."""
+    merged = bit
+    rest = []
+    for c in comps:
+        hit = nbrs & c
+        if not hit:
+            rest.append(c)
+        elif hit & (hit - 1):
+            return None
+        else:
+            merged |= c
+    rest.append(merged)
+    return rest
+
+
+def _same_order(g: Graph, s: VertexSubset) -> None:
+    """Raise ValueError unless ``s`` is a subset of a graph of ``g``'s order."""
     if s.order != g.order:
         raise ValueError("subset belongs to a graph of different order")
-    return _is_forest_mask(g.adj, s.mask)
+
+
+def is_induced_forest(g: Graph, s: VertexSubset) -> bool:
+    """True iff the subgraph induced by ``s`` is acyclic (empty set included)."""
+    _same_order(g, s)
+    return _forest_blocked(g.adj, s.mask) >= 0
 
 
 def is_maximal_induced_forest(g: Graph, s: VertexSubset) -> bool:
     """True iff ``s`` induces a forest and every added vertex closes a cycle."""
-    if s.order != g.order:
-        raise ValueError("subset belongs to a graph of different order")
+    _same_order(g, s)
     return _is_maximal_forest_mask(g.order, g.adj, s.mask)
 
 
@@ -361,11 +368,11 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
 
     Include/exclude walk over vertices 0..n-1 that passes down the
     components of the chosen set ``smask`` as a list of disjoint masks.
-    Including a vertex builds a new list, merging it with every component
-    it touches, so nothing is undone on the way back; a component holding
-    two of its neighbours means it closes a cycle.  A vertex's potential
-    neighbours are its neighbours in ``smask | undecided``.  An
-    excluded vertex with fewer than two of them can be added to every
+    Including a vertex builds a new list by ``_join``, which merges it with
+    every component it touches, so nothing is undone on the way back, and
+    refuses it when a component holds two of its neighbours, since it
+    closes a cycle.  A vertex's potential neighbours are its neighbours in
+    ``smask | undecided``.  An excluded vertex with fewer than two of them can be added to every
     completion of ``smask`` without closing a cycle, so its branch holds no
     maximal forest and is cut.  Excluding ``i`` takes a potential neighbour
     away only from the neighbours of ``i``, so the exclude branch re-checks
@@ -373,42 +380,29 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
     ``once`` and ``twice`` hold the vertices with at least one and at least
     two neighbours in ``smask``, and since ``smask`` only grows along a
     branch, a vertex in ``twice`` keeps two potential neighbours for good.
-    Completed subsets are kept only if no excluded vertex extends them
-    (``_extends``, the rule ``is_maximal_induced_forest`` uses too).
+    A completed subset is kept only if it is maximal: no excluded vertex
+    escapes the vertices its components block (``_is_maximal_forest_mask``,
+    the rule ``is_maximal_induced_forest`` uses too).
     The twin gate only skips include branches, so every cut above stays
     sound.
     """
     full = (1 << n) - 1
     out: list[int] = []
 
-    def leaf_is_maximal(smask: int, comps: list[int]) -> bool:
-        return not _extends(adj, full & ~smask, smask, comps)
-
     def decide(i: int, smask: int, undecided: int, once: int, twice: int, comps: list[int]) -> None:
         if i == n:
-            if leaf_is_maximal(smask, comps):
+            if _is_maximal_forest_mask(n, adj, smask):
                 out.append(smask)
             return
         bit = 1 << i
         undecided &= ~bit
         nbrs = adj[i]
         # include i unless its previous twin is excluded or it closes a cycle
-        # (two neighbours in one component)
         p = prev[i]
         if p < 0 or smask >> p & 1:
-            merged = bit
-            rest = []
-            for c in comps:
-                hit = nbrs & c
-                if not hit:
-                    rest.append(c)
-                elif hit & (hit - 1):
-                    break
-                else:
-                    merged |= c
-            else:
-                rest.append(merged)
-                decide(i + 1, smask | bit, undecided, once | nbrs, twice | (once & nbrs), rest)
+            joined = _join(comps, bit, nbrs)
+            if joined is not None:
+                decide(i + 1, smask | bit, undecided, once | nbrs, twice | (once & nbrs), joined)
         # exclude i: dead end if i, or an excluded neighbour of i that is not
         # yet in twice, keeps at most one potential neighbour, since that
         # vertex would then extend every completion of smask
@@ -452,7 +446,8 @@ def _role_patterns(
     its role masks (ISO, ONE, UNIV, BIG).
 
     The induced forests P are walked by include/exclude in descending-degree
-    order, passing the components down as masks as the forest kernel does.
+    order, passing the components down as masks through ``_join`` as the
+    forest kernel does.
     Only the exclude branch is cut: once an excluded vertex can no longer
     be dominated, as it has no potential neighbour left or, when H has no
     edge, only one, which itself has none left and so ends isolated.  The
@@ -467,14 +462,12 @@ def _role_patterns(
     facts: dict[int, tuple[int, int, list[tuple[int, int, int]]]] = {}
 
     def component(c: int) -> tuple[int, int, list[tuple[int, int, int]]]:
-        """The vertices of the component ``c`` with two neighbours in it, its
-        vertices of degree >= 2 (none for a K2), and its role choices as
-        (BIG, ONE, UNIV) masks: per leaf a BIG or a UNIV fibre, or for a K2
-        one end BIG and the other ONE, or both UNIV."""
-        once = twice = 0
-        for v in iter_bits(c):
-            twice |= once & adj[v]
-            once |= adj[v]
+        """The vertices with two neighbours in the component ``c`` (the
+        vertices a tree blocks, ``_forest_blocked``), its vertices of degree
+        >= 2 (none for a K2), and its role choices as (BIG, ONE, UNIV)
+        masks: per leaf a BIG or a UNIV fibre, or for a K2 one end BIG and
+        the other ONE, or both UNIV."""
+        twice = _forest_blocked(adj, c)
         if c.bit_count() == 2:
             a = c & -c
             return twice, 0, [(a, c ^ a, 0), (c ^ a, a, 0)] * has_big + [(0, 0, c)] * has_univ
@@ -541,19 +534,9 @@ def _role_patterns(
         bit = 1 << v
         undecided &= ~bit
         nbrs = adj[v]
-        merged = bit
-        rest = []
-        for c in comps:
-            hit = nbrs & c
-            if not hit:
-                rest.append(c)
-            elif hit & (hit - 1):
-                break
-            else:
-                merged |= c
-        else:
-            rest.append(merged)
-            walk(i + 1, pmask | bit, undecided, rest)
+        joined = _join(comps, bit, nbrs)
+        if joined is not None:
+            walk(i + 1, pmask | bit, undecided, joined)
         # exclude v, unless that strands v, an excluded neighbour of v, or
         # one of a neighbour that v leaves with no potential neighbour
         potential = pmask | undecided
@@ -753,9 +736,8 @@ def _partition(n: int, adj: tuple[int, ...], forest: int, z_choice: str = "min")
 
 def forest_stats(g: Graph, f: VertexSubset) -> ForestStats:
     """Count I(F), K2(F), L(F), L'(F) for an induced forest F."""
-    if f.order != g.order:
-        raise ValueError("subset belongs to a graph of different order")
-    if not _is_forest_mask(g.adj, f.mask):
+    _same_order(g, f)
+    if _forest_blocked(g.adj, f.mask) < 0:
         raise ValueError("subset does not induce a forest")
     return _partition(g.order, g.adj, f.mask).stats
 
@@ -769,8 +751,7 @@ def forest_partition(g: Graph, f: VertexSubset, z_choice: str = "min") -> Forest
     """
     if z_choice not in Z_CHOICES:
         raise ValueError(f"z_choice must be one of {Z_CHOICES}, got {z_choice!r}")
-    if f.order != g.order:
-        raise ValueError("subset belongs to a graph of different order")
+    _same_order(g, f)
     if not _is_maximal_forest_mask(g.order, g.adj, f.mask):
         raise ValueError("witness constructions require a maximal induced forest")
     return _partition(g.order, g.adj, f.mask, z_choice)

@@ -11,13 +11,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, VertexSubset, iter_bits
-from .forests import Catalogue, _within_bound
+from .forests import Catalogue, _same_order, _within_bound
 
 
 def is_maximal_independent_set(g: Graph, s: VertexSubset) -> bool:
     """True iff ``s`` is independent and dominates every outside vertex."""
-    if s.order != g.order:
-        raise ValueError("subset belongs to a graph of different order")
+    _same_order(g, s)
     covered = s.mask
     for v in iter_bits(s.mask):
         if g.adj[v] & s.mask:

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -41,29 +41,17 @@ class Finding:
     witness_orders: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "g_graph6": self.g_graph6,
-            "h_graph6": self.h_graph6,
-            "theorem_id": self.theorem_id,
-            "verdict": self.verdict,
-            "f_product": self.f_product,
-            "alpha_g": self.alpha_g,
-            "f_h": self.f_h,
-            "witness_orders": list(self.witness_orders),
-        }
+        """The record as one JSON object, ``witness_orders`` as a list."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["witness_orders"] = list(self.witness_orders)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> Finding:
-        return cls(
-            g_graph6=data["g_graph6"],
-            h_graph6=data["h_graph6"],
-            theorem_id=data["theorem_id"],
-            verdict=data["verdict"],
-            f_product=data["f_product"],
-            alpha_g=data["alpha_g"],
-            f_h=data["f_h"],
-            witness_orders=tuple(data["witness_orders"]),
-        )
+        """The record of a JSON object; keys that name no field are ignored."""
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["witness_orders"] = tuple(values["witness_orders"])
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -118,19 +106,22 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
 
     Pairs failing the hypothesis filter are skipped silently (they are out
     of the selected check's scope); pairs whose product exceeds the
-    enumeration bound are skipped with a logged warning, never dropped
-    silently.  The pool has at most as many workers as this process may
+    enumeration bound are skipped with a logged warning that names the
+    pair by its input position, counted from 1, and its factor orders; they
+    are never dropped silently.  The pool has at most as many workers as this process may
     use CPUs.
     """
     kept = []
-    for g, h in pairs:
+    for position, (g, h) in enumerate(pairs, start=1):
         if not hypothesis_filter(config.theorem, g, h):
             continue
         if g.order * h.order > config.max_order:
+            # named by position and orders, as graph6 here encodes at most 62 vertices
             logger.warning(
-                "skipping pair (%s, %s): product order %d exceeds bound %d",
-                to_graph6(g).decode("ascii"),
-                to_graph6(h).decode("ascii"),
+                "skipping pair %d (G of order %d, H of order %d): product order %d exceeds bound %d",
+                position,
+                g.order,
+                h.order,
                 g.order * h.order,
                 config.max_order,
             )

@@ -244,6 +244,13 @@ def _vstar(
     return _witness(product, h_order, blocks, "V*")
 
 
+def _anchor_in_range(anchor: int | None, n: int) -> None:
+    """Raise ValueError unless ``anchor`` is None or a vertex of a second
+    factor of order ``n``."""
+    if anchor is not None and not 0 <= anchor < n:
+        raise ValueError(f"anchor {anchor} out of range for second factor of order {n}")
+
+
 def _anchor(h: Graph, h_independent: VertexSubset, anchor: int | None) -> int:
     """``anchor``, by default the smallest vertex of M_H = ``h_independent``,
     once M_H is checked to be a maximal independent set of H that holds it."""
@@ -269,8 +276,7 @@ def construct_vstar_empty_second(
     """
     if n < 1:
         raise ValueError("second-factor order must be positive")
-    if not 0 <= anchor < n:
-        raise ValueError(f"anchor {anchor} out of range for second factor of order {n}")
+    _anchor_in_range(anchor, n)
     h = generate(FamilySpec("empty", n))
     p = forest_partition(g, forest, z_choice=z_choice)
     return _vstar(_product(g, h), n, p, h.vertices_mask, h.vertices_mask, anchor)
@@ -391,9 +397,8 @@ def check_thm32(
     """
     if n < 1:
         raise HypothesisError("thm32 requires a second factor with at least one vertex")
+    _anchor_in_range(anchor, n)
     anchor_val = 0 if anchor is None else anchor
-    if not 0 <= anchor_val < n:
-        raise ValueError(f"anchor {anchor_val} out of range for second factor of order {n}")
     _within_bound(g.order * n, max_order)
     h = generate(FamilySpec("empty", n))
     product = _product(g, h)
@@ -438,8 +443,7 @@ def check_thm35(
 ) -> TheoremReport:
     """Evaluate conditions (1)-(4) for factors that both contain an edge."""
     _require("thm35", g, h)
-    if anchor is not None and not 0 <= anchor < h.order:
-        raise ValueError(f"anchor {anchor} out of range for second factor of order {h.order}")
+    _anchor_in_range(anchor, h.order)
     _within_bound(g.order * h.order, max_order)
     # each M_H and its anchor are checked once, before the product is built
     mis_h = enumerate_maximal_independent_sets(h)

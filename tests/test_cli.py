@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -357,6 +358,19 @@ class TestSearchCommand:
         )
         assert code == 0
         assert doc["pairs_supplied"] == 1
+
+    def test_g_file_read_once_without_h_file(self, tmp_path, caplog):
+        g_file = tmp_path / "g.g6"
+        g_file.write_text("A_\nbroken-line-#\nBw\n")
+        with caplog.at_level(logging.WARNING, logger="wfcover.search"):
+            code, doc, _ = invoke_json(
+                ["search", "--g-file", str(g_file), "--theorem", "thm35", "--skip-malformed"]
+            )
+        assert code == 0
+        assert doc["pairs_supplied"] == 4
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1
+        assert messages[0].startswith("skipping malformed graph6 on line 2: ")
 
 
 class TestUsageAndBounds:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from wfcover import verify_paper_examples
+from wfcover.examples import _claim
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,21 @@ class TestOverall:
 
     def test_examples_covered(self, report):
         assert {c.example for c in report.claims} == {"p4_2k1", "fig1_c4", "c5_c4"}
+
+
+class TestAdjudication:
+    @pytest.mark.parametrize(
+        "holds,repaired,status",
+        [
+            (True, True, "confirmed"),
+            (True, False, "confirmed"),
+            (False, True, "corrected"),
+            (False, False, "refuted"),
+        ],
+    )
+    def test_printed_sentence_ranks_above_its_repair(self, holds, repaired, status):
+        record = _claim("x", "y", "z", holds=holds, repaired=repaired, expected="confirmed", facts={})
+        assert record.status == status
 
 
 class TestP4Audit:

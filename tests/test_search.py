@@ -18,6 +18,7 @@ from wfcover import (
     from_graph6,
     generate,
     hypothesis_filter,
+    lexicographic,
     parse_family,
     read_graph6_stream,
     scan,
@@ -98,6 +99,20 @@ class TestScan:
             findings = list(scan(pairs, config))
         assert len(findings) == 1
         assert any("exceeds bound" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("big_first", [True, False])
+    def test_pair_beyond_graph6_skipped_with_warning(self, caplog, big_first):
+        big, _ = lexicographic(fam("cycle:8"), fam("cycle:8"))
+        pair = (big, fam("complete:2")) if big_first else (fam("complete:2"), big)
+        pairs = [(fam("complete:2"), fam("complete:2")), pair]
+        with caplog.at_level(logging.WARNING, logger="wfcover.search"):
+            findings = list(scan(pairs, ScanConfig(theorem="thm35")))
+        assert len(findings) == 1
+        orders = (64, 2) if big_first else (2, 64)
+        assert [rec.getMessage() for rec in caplog.records if rec.name == "wfcover.search"] == [
+            f"skipping pair 2 (G of order {orders[0]}, H of order {orders[1]}): "
+            "product order 128 exceeds bound 24"
+        ]
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -237,6 +252,18 @@ class TestScan:
         finding = next(iter(scan([(fam("path:4"), fam("empty:2"))], config)))
         again = Finding.from_dict(json.loads(json.dumps(finding.to_dict())))
         assert again == finding
+
+    def test_findings_line_is_pinned(self, tmp_path):
+        out = tmp_path / "findings.jsonl"
+        list(scan([(fam("path:4"), fam("empty:2"))], ScanConfig(theorem="thm32", findings_path=out)))
+        assert out.read_bytes() == (
+            b'{"alpha_g": 2, "f_h": 2, "f_product": 6, "g_graph6": "Ch", "h_graph6": "A?", '
+            b'"theorem_id": "thm32", "verdict": "non_sufficiency_witness", '
+            b'"witness_orders": [5, 6]}\n'
+        )
+        data = json.loads(out.read_text())
+        data["unknown"] = 1
+        assert Finding.from_dict(data).witness_orders == (5, 6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
