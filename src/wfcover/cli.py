@@ -19,6 +19,7 @@ from typing import IO
 
 from .graphs import (
     FAMILY_KINDS,
+    GRAPH6_MAX_ORDER,
     FamilyError,
     Graph,
     Graph6Error,
@@ -244,10 +245,14 @@ def _cmd_product(args, stdout, stderr) -> int:
     g = _graph_from_arg(args.g)
     h = _graph_from_arg(args.h)
     product, index_map = lexicographic(g, h)
-    try:
+    product_g6 = None
+    if product.order > GRAPH6_MAX_ORDER:
+        # the products logger carries the warnings about product sizes
+        logging.getLogger("wfcover.products").warning(
+            "product order %d exceeds the graph6 export limit %d", product.order, GRAPH6_MAX_ORDER
+        )
+    else:
         product_g6 = to_graph6(product).decode("ascii")
-    except Graph6Error:
-        product_g6 = None
     doc = {
         "schema": SCHEMA_VERSION,
         "graph6": product_g6,

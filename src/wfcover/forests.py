@@ -12,12 +12,16 @@ neighbourhood) can be swapped by an automorphism, so the walk includes a
 twin only after its predecessor in the class and keeps one representative
 per orbit; the catalogue expands or counts the orbits, each once per
 catalogue.  Results are returned in a canonical ascending-bitmask order
-regardless of internal traversal.  Maximality has one rule,
-``_is_maximal_forest_mask``, behind the kernel's leaves and
-``is_maximal_induced_forest`` alike.  It is one walk over the components
-of the set (``_forest_blocked``): the degrees inside the set of each
-component c must sum to 2(|c| - 1), and every outside vertex must have two
-neighbours in one of them.
+regardless of internal traversal.  Maximality has one rule, stated over a
+list of component masks, ``_blocks_all``: every outside vertex has two
+neighbours in one component.  It returns at the first vertex that escapes,
+and the component that blocks a vertex blocks every vertex with two
+neighbours in it at once (``_blocked_by``).  The kernel applies it to each
+leaf with the component list it carries; ``is_maximal_induced_forest`` and
+``forest_partition`` get their components from one walk over the set
+(``_forest_components``), which also checks that the degrees inside the
+set of each component c sum to 2(|c| - 1); the role-pattern walk reads the
+vertices each component blocks.
 
 For a product built by ``lexicographic``, the forest number, the order
 histogram and the well-f-covered decision with its witness pair are
@@ -49,7 +53,6 @@ from .graphs import (
     Graph,
     VertexSubset,
     component_masks,
-    components_within,
     iter_bits,
 )
 from .products import lift
@@ -288,39 +291,78 @@ def _convolve(a: dict[int, int], b: Collection[tuple[int, int]]) -> dict[int, in
     return out
 
 
-def _forest_blocked(adj: tuple[int, ...], mask: int) -> int:
-    """-1 if ``mask`` does not induce a forest, else the vertices with two
-    neighbours in one of its components: the vertices that cannot join it.
+def _forest_components(adj: tuple[int, ...], mask: int) -> list[int] | None:
+    """The components of two or more vertices of the subgraph ``mask``
+    induces, as masks ordered by smallest member, or None when it has a
+    cycle.  (A lone vertex blocks nothing, so the maximality rule does not
+    need it, and ``_partition`` finds the isolated vertices as the rest.)
 
     One walk over the components, reading each vertex's row once, when the
-    search reaches it: for the degree sum inside ``mask``, which is
-    2(|c| - 1) exactly when the component c is a tree, and for the
-    ``once``/``twice`` sets of the component."""
-    blocked = 0
+    search reaches it, for the degree sum inside ``mask``, which is
+    2(|c| - 1) exactly when the component c is a tree."""
+    comps = []
     rem = mask
     while rem:
-        comp = degrees = once = twice = 0
+        start = rem
+        degrees = 0
         todo = rem & -rem
         while todo:
             bit = todo & -todo
-            comp |= bit
-            nbrs = adj[bit.bit_length() - 1]
-            degrees += (nbrs & mask).bit_count()
-            twice |= once & nbrs
-            once |= nbrs
-            todo = (todo | nbrs & mask) & ~comp
-        if degrees != 2 * comp.bit_count() - 2:
-            return -1
-        blocked |= twice
-        rem &= ~comp
-    return blocked
+            rem ^= bit
+            nbrs = adj[bit.bit_length() - 1] & mask
+            degrees += nbrs.bit_count()
+            todo = (todo | nbrs) & rem
+        if degrees:
+            comp = start ^ rem
+            if degrees != 2 * comp.bit_count() - 2:
+                return None
+            comps.append(comp)
+    return comps
 
 
-def _is_maximal_forest_mask(order: int, adj: tuple[int, ...], mask: int) -> bool:
-    """The maximality rule, from one walk: ``mask`` is a forest and no
-    outside vertex escapes the vertices it blocks."""
-    blocked = _forest_blocked(adj, mask)
-    return blocked >= 0 and not ((1 << order) - 1) & ~mask & ~blocked
+def _blocked_by(adj: tuple[int, ...], comp: int) -> int:
+    """The vertices with two neighbours in the tree ``comp``: those that
+    cannot join it without closing a cycle."""
+    once = twice = 0
+    while comp:
+        bit = comp & -comp
+        nbrs = adj[bit.bit_length() - 1]
+        twice |= once & nbrs
+        once |= nbrs
+        comp ^= bit
+    return twice
+
+
+def _blocks_all(adj: tuple[int, ...], comps: list[int], outside: int) -> bool:
+    """The maximality rule: whether every vertex of ``outside`` has two
+    neighbours in one of the forest components ``comps``, so that adding it
+    closes a cycle.  With ``outside`` every vertex the forest leaves out, it
+    decides that the forest is maximal.
+
+    It returns at the first vertex that escapes, one that could join the
+    forest.  The vertices are taken lowest first; the component that holds
+    two neighbours of one of them blocks, at once, every vertex with two
+    neighbours in it (``_blocked_by``)."""
+    while outside:
+        nbrs = adj[(outside & -outside).bit_length() - 1]
+        for c in comps:
+            hit = nbrs & c
+            if hit & (hit - 1):
+                break
+        else:
+            return False
+        outside &= ~_blocked_by(adj, c)
+    return True
+
+
+def _maximal_forest_components(order: int, adj: tuple[int, ...], mask: int) -> list[int] | None:
+    """The components of two or more vertices of ``mask`` when it is a
+    maximal forest of the graph (order, adj), else None: one walk for the
+    components, then the rule ``_blocks_all`` over them."""
+    comps = _forest_components(adj, mask)
+    if comps is None or not _blocks_all(adj, comps, ((1 << order) - 1) & ~mask):
+        return None
+    return comps
 
 
 def _join(comps: list[int], bit: int, nbrs: int) -> list[int] | None:
@@ -351,13 +393,13 @@ def _same_order(g: Graph, s: VertexSubset) -> None:
 def is_induced_forest(g: Graph, s: VertexSubset) -> bool:
     """True iff the subgraph induced by ``s`` is acyclic (empty set included)."""
     _same_order(g, s)
-    return _forest_blocked(g.adj, s.mask) >= 0
+    return _forest_components(g.adj, s.mask) is not None
 
 
 def is_maximal_induced_forest(g: Graph, s: VertexSubset) -> bool:
     """True iff ``s`` induces a forest and every added vertex closes a cycle."""
     _same_order(g, s)
-    return _is_maximal_forest_mask(g.order, g.adj, s.mask)
+    return _maximal_forest_components(g.order, g.adj, s.mask) is not None
 
 
 def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -> list[int]:
@@ -380,9 +422,10 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
     ``once`` and ``twice`` hold the vertices with at least one and at least
     two neighbours in ``smask``, and since ``smask`` only grows along a
     branch, a vertex in ``twice`` keeps two potential neighbours for good.
-    A completed subset is kept only if it is maximal: no excluded vertex
-    escapes the vertices its components block (``_is_maximal_forest_mask``,
-    the rule ``is_maximal_induced_forest`` uses too).
+    A completed subset is kept only if it is maximal: ``_blocks_all``, the
+    rule ``is_maximal_induced_forest`` uses too, tests the excluded vertices
+    against the component list ``comps`` and returns at the first that
+    escapes, so a leaf that is not maximal, most of them, costs little.
     The twin gate only skips include branches, so every cut above stays
     sound.
     """
@@ -391,7 +434,7 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
 
     def decide(i: int, smask: int, undecided: int, once: int, twice: int, comps: list[int]) -> None:
         if i == n:
-            if _is_maximal_forest_mask(n, adj, smask):
+            if _blocks_all(adj, comps, full & ~smask):
                 out.append(smask)
             return
         bit = 1 << i
@@ -463,11 +506,11 @@ def _role_patterns(
 
     def component(c: int) -> tuple[int, int, list[tuple[int, int, int]]]:
         """The vertices with two neighbours in the component ``c`` (the
-        vertices a tree blocks, ``_forest_blocked``), its vertices of degree
-        >= 2 (none for a K2), and its role choices as (BIG, ONE, UNIV)
-        masks: per leaf a BIG or a UNIV fibre, or for a K2 one end BIG and
-        the other ONE, or both UNIV."""
-        twice = _forest_blocked(adj, c)
+        vertices it blocks, ``_blocked_by``, the bulk step of the maximality
+        rule), its vertices of degree >= 2 (none for a K2), and its role
+        choices as (BIG, ONE, UNIV) masks: per leaf a BIG or a UNIV fibre,
+        or for a K2 one end BIG and the other ONE, or both UNIV."""
+        twice = _blocked_by(adj, c)
         if c.bit_count() == 2:
             a = c & -c
             return twice, 0, [(a, c ^ a, 0), (c ^ a, a, 0)] * has_big + [(0, 0, c)] * has_univ
@@ -710,17 +753,20 @@ def is_well_f_covered(
     return _forest_aggregates(g, max_order).uniform()
 
 
-def _partition(n: int, adj: tuple[int, ...], forest: int, z_choice: str = "min") -> ForestPartition:
-    """Sort the vertices of a forest mask of the graph (n, adj) by their
-    role in its component: isolated vertices, leaves of components larger
-    than an edge, vertices of degree >= 2, and the endpoints of the
-    single-edge components, the ``z_choice`` one of each in Z."""
-    isolated = leaves = internal = lo = hi = 0
-    for comp in components_within(adj, forest):
+def _partition(
+    n: int, adj: tuple[int, ...], forest: int, comps: list[int], z_choice: str = "min"
+) -> ForestPartition:
+    """Sort the vertices of a forest mask of the graph (n, adj), whose
+    components of two or more vertices are ``comps``, by their role in its
+    component: isolated vertices, leaves of components larger than an edge, vertices of degree
+    >= 2, and the endpoints of the single-edge components, the ``z_choice``
+    one of each in Z."""
+    isolated = forest
+    leaves = internal = lo = hi = 0
+    for comp in comps:
+        isolated &= ~comp
         sz = comp.bit_count()
-        if sz == 1:
-            isolated |= comp
-        elif sz == 2:
+        if sz == 2:
             low = comp & -comp
             lo |= low
             hi |= comp ^ low
@@ -737,9 +783,10 @@ def _partition(n: int, adj: tuple[int, ...], forest: int, z_choice: str = "min")
 def forest_stats(g: Graph, f: VertexSubset) -> ForestStats:
     """Count I(F), K2(F), L(F), L'(F) for an induced forest F."""
     _same_order(g, f)
-    if _forest_blocked(g.adj, f.mask) < 0:
+    comps = _forest_components(g.adj, f.mask)
+    if comps is None:
         raise ValueError("subset does not induce a forest")
-    return _partition(g.order, g.adj, f.mask).stats
+    return _partition(g.order, g.adj, f.mask, comps).stats
 
 
 def forest_partition(g: Graph, f: VertexSubset, z_choice: str = "min") -> ForestPartition:
@@ -752,6 +799,7 @@ def forest_partition(g: Graph, f: VertexSubset, z_choice: str = "min") -> Forest
     if z_choice not in Z_CHOICES:
         raise ValueError(f"z_choice must be one of {Z_CHOICES}, got {z_choice!r}")
     _same_order(g, f)
-    if not _is_maximal_forest_mask(g.order, g.adj, f.mask):
+    comps = _maximal_forest_components(g.order, g.adj, f.mask)
+    if comps is None:
         raise ValueError("witness constructions require a maximal induced forest")
-    return _partition(g.order, g.adj, f.mask, z_choice)
+    return _partition(g.order, g.adj, f.mask, comps, z_choice)

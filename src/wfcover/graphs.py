@@ -85,12 +85,14 @@ class Graph:
     hashable, so they can be shared freely across worker processes.  ``name``
     is a display label only, and ``factors`` is the pair (G, H) of a graph
     built by ``lexicographic``; neither takes part in equality.
+    ``edge_count`` is counted once, when the graph is made.
     """
 
     order: int
     adj: tuple[int, ...]
     name: str | None = field(default=None, compare=False)
     factors: tuple[Graph, Graph] | None = field(default=None, compare=False, repr=False)
+    edge_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -103,6 +105,7 @@ class Graph:
                 raise ValueError(f"adjacency row {v} mentions vertices outside the graph")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+        object.__setattr__(self, "edge_count", sum(row.bit_count() for row in self.adj) // 2)
         if _is_symmetric(self.adj):
             return
         # asymmetric: name the first one-sided pair, row by row
@@ -128,10 +131,6 @@ class Graph:
     @property
     def vertices_mask(self) -> int:
         return (1 << self.order) - 1
-
-    @property
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)

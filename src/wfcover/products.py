@@ -9,13 +9,10 @@ union of blocks gmask × hmask is built by ``lift``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import GRAPH6_MAX_ORDER, Graph, VertexSubset
-
-logger = logging.getLogger(__name__)
+from .graphs import Graph, VertexSubset
 
 
 @dataclass(frozen=True)
@@ -71,15 +68,11 @@ def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductIndexMap]:
     (``forests.product_profile``).
 
     |V| = |V(G)|*|V(H)| and |E| = |E(G)|*|V(H)|^2 + |V(G)|*|E(H)|.  Orders
-    above the graph6 export limit still construct fine in memory; a warning
-    is logged because such products cannot be serialized.
+    above the graph6 export limit construct fine in memory; only the
+    ``product`` command, which writes graph6, warns about them.
     """
     m, n = g.order, h.order
     order = m * n
-    if order > GRAPH6_MAX_ORDER:
-        logger.warning(
-            "product order %d exceeds the graph6 export limit %d", order, GRAPH6_MAX_ORDER
-        )
     h_block = (1 << n) - 1
     rows = []
     for a in range(m):

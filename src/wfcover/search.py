@@ -14,6 +14,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -70,7 +71,13 @@ class ScanConfig:
             raise ValueError("workers must be at least 1")
 
 
-def _check_pair(theorem: str, g: Graph, g_graph6: str, h: Graph, max_order: int) -> Finding:
+@lru_cache(maxsize=256)
+def _graph6_text(g: Graph) -> str:
+    """The graph6 text of a factor, encoded once per graph in each process."""
+    return to_graph6(g).decode("ascii")
+
+
+def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
     report = check(theorem, g, h, max_order)
     truth = report.ground_truth
     # alpha(G) and f(H) are not part of every report's ground truth; they are
@@ -82,8 +89,8 @@ def _check_pair(theorem: str, g: Graph, g_graph6: str, h: Graph, max_order: int)
     if f_h is None:
         f_h = forest_number(h)
     return Finding(
-        g_graph6=g_graph6,
-        h_graph6=to_graph6(h).decode("ascii"),
+        g_graph6=_graph6_text(g),
+        h_graph6=_graph6_text(h),
         theorem_id=theorem,
         verdict=report.verdict,
         f_product=truth["f_product"],
@@ -97,8 +104,7 @@ def _check_run(task: tuple[str, Graph, tuple[Graph, ...], int]) -> list[Finding]
     """Check G against each second factor of one run, in order: the
     catalogues, role tables and graph6 text of G are made once, in one process."""
     theorem, g, hs, max_order = task
-    g_graph6 = to_graph6(g).decode("ascii")
-    return [_check_pair(theorem, g, g_graph6, h, max_order) for h in hs]
+    return [_check_pair(theorem, g, h, max_order) for h in hs]
 
 
 def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[Finding]:

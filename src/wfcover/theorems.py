@@ -27,8 +27,9 @@ re-verified by brute force and a failure is never silently ignored.  The
 public ``construct_*`` check their inputs on every call.  A check reads the
 maximal forests of G with their partitions from one record per
 (G, z_choice), ``_forest_partitions``, so each forest is partitioned and
-checked once for every second factor checked against G; each M_H and
-anchor are checked once per check.
+checked once for every second factor checked against G.  Likewise each M_H
+is checked once per H (``_independent_sets_of``), and each check tests only
+that its anchor lies in every M_H.
 
 Ground truth is exact.  The product's forest number, maximal forest orders
 and witness pair come from ``forests.product_profile``, which derives them
@@ -251,11 +252,16 @@ def _anchor_in_range(anchor: int | None, n: int) -> None:
         raise ValueError(f"anchor {anchor} out of range for second factor of order {n}")
 
 
-def _anchor(h: Graph, h_independent: VertexSubset, anchor: int | None) -> int:
-    """``anchor``, by default the smallest vertex of M_H = ``h_independent``,
-    once M_H is checked to be a maximal independent set of H that holds it."""
+def _require_independent(h: Graph, h_independent: VertexSubset) -> None:
+    """Raise ValueError unless ``h_independent`` is a maximal independent set
+    of H."""
     if not is_maximal_independent_set(h, h_independent):
         raise ValueError("h_independent must be a maximal independent set of H")
+
+
+def _anchor(h_independent: VertexSubset, anchor: int | None) -> int:
+    """``anchor``, by default the smallest vertex of M_H = ``h_independent``,
+    once it is checked to belong to M_H."""
     anchor = h_independent.vertices()[0] if anchor is None else anchor
     if anchor not in h_independent:
         raise ValueError(
@@ -263,6 +269,18 @@ def _anchor(h: Graph, h_independent: VertexSubset, anchor: int | None) -> int:
             f"{sorted(h_independent.vertices())}"
         )
     return anchor
+
+
+@lru_cache(maxsize=256)
+def _independent_sets_of(h: Graph) -> tuple[VertexSubset, ...]:
+    """Each maximal independent set M_H of H, ascending: the part of thm35's
+    per-M_H work that reads H alone, so every first factor checked against H
+    shares it.  Each M_H is checked by ``is_maximal_independent_set`` once
+    per H."""
+    mis_h = tuple(enumerate_maximal_independent_sets(h))
+    for m_h in mis_h:
+        _require_independent(h, m_h)
+    return mis_h
 
 
 def construct_vstar_empty_second(
@@ -320,7 +338,8 @@ def construct_vstar_nonempty_second(
         raise ValueError("construction needs both a maximal forest and a maximal independent set of H")
     if not is_maximal_induced_forest(h, h_forest):
         raise ValueError("h_forest must be a maximal induced forest of H")
-    anchor = _anchor(h, h_independent, anchor)
+    _require_independent(h, h_independent)
+    anchor = _anchor(h_independent, anchor)
     p = forest_partition(g, forest, z_choice=z_choice)
     return _vstar(_product(g, h), h.order, p, h_forest.mask, h_independent.mask, anchor)
 
@@ -445,9 +464,9 @@ def check_thm35(
     _require("thm35", g, h)
     _anchor_in_range(anchor, h.order)
     _within_bound(g.order * h.order, max_order)
-    # each M_H and its anchor are checked once, before the product is built
-    mis_h = enumerate_maximal_independent_sets(h)
-    anchors = [_anchor(h, m_h, anchor) for m_h in mis_h]
+    # the anchor is checked against each M_H once, before the product is built
+    mis_h = _independent_sets_of(h)
+    anchors = [_anchor(m_h, anchor) for m_h in mis_h]
     product = _product(g, h)
     truth = _product_ground_truth(product, max_order)
     f_p = truth["f_product"]

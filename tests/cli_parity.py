@@ -12,12 +12,13 @@ the ``wfcover`` loggers sent to the command's stderr as ``main`` formats
 them.  A change that keeps the CLI's behaviour prints the same digest as
 its parent; pytest does not collect this file.
 
-    python tests/cli_parity.py [--src PATH]
+    python tests/cli_parity.py [--src PATH] [--expect SHA256]
 
 ``--src`` is the source directory holding the ``wfcover`` package
 (default: this checkout's ``src``).  It prints the command count, the
 histogram of exit codes and the SHA-256 of every (argv, exit code, stdout,
-stderr) in order.
+stderr) in order.  With ``--expect`` it exits 1, naming both digests, when
+the digest differs from the one given.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def commands() -> list[list[str]]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the wfcover package")
+    parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the digest is this one")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
     os.chdir(ROOT)
@@ -115,6 +117,9 @@ def main() -> int:
     print(f"{len(argvs)} commands in {time.perf_counter() - start:.1f} s")
     print("exit codes: " + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items())))
     print(f"sha256: {digest.hexdigest()}")
+    if args.expect is not None and digest.hexdigest() != args.expect:
+        print(f"digest mismatch: expected {args.expect}, got {digest.hexdigest()}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -225,6 +225,15 @@ class TestGenAndProduct:
         assert doc["order"] == 64
         assert doc["graph6"] is None
 
+    @pytest.mark.parametrize("g,h,warnings", [("cycle:8", "cycle:8", 1), ("cycle:8", "path:7", 0)])
+    def test_product_warns_once_when_graph6_cannot_hold_it(self, caplog, g, h, warnings):
+        with caplog.at_level(logging.WARNING, logger="wfcover"):
+            code, doc, err = invoke_json(["product", "--g", g, "--h", h])
+        assert code == 0 and (doc["graph6"] is None) == bool(warnings)
+        expected = [("wfcover.products", logging.WARNING, "product order 64 exceeds the graph6 export limit 62")]
+        assert caplog.record_tuples == expected * warnings
+        assert err.startswith(f"product: order {doc['order']}")
+
     def test_g_h_accept_graph6_and_prefixes(self, tmp_path):
         path = tmp_path / "h.g6"
         path.write_text("A?\n")

@@ -133,11 +133,11 @@ class TestEnumeration:
 
 def kernel_counters(g: Graph) -> tuple[tuple[int, int, int], int]:
     """Nodes, leaves and representatives of one forest catalogue build: calls
-    of the kernel's closure ``decide`` and of the maximality test
-    ``_is_maximal_forest_mask`` it runs on each leaf, counted by a profile
+    of the kernel's closure ``decide`` and of the maximality rule
+    ``_blocks_all`` it applies to each leaf, counted by a profile
     hook, and the number of orbit representatives returned; then the number
     of maximal forests they stand for."""
-    counts = {"decide": 0, "_is_maximal_forest_mask": 0}
+    counts = {"decide": 0, "_blocks_all": 0}
     kernel_file = forests._maximal_forest_masks.__code__.co_filename
 
     def hook(frame, event, arg):
@@ -152,7 +152,7 @@ def kernel_counters(g: Graph) -> tuple[tuple[int, int, int], int]:
     finally:
         sys.setprofile(previous)
     reps = sum(len(reps) for reps, _ in catalogue.components)
-    return (counts["decide"], counts["_is_maximal_forest_mask"], reps), sum(catalogue.aggregates.histogram().values())
+    return (counts["decide"], counts["_blocks_all"], reps), sum(catalogue.aggregates.histogram().values())
 
 
 class TestKernelCounters:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +124,15 @@ class TestGraphInvariants:
         a = fam("cycle:4")
         b = Graph(a.order, a.adj, name="other")
         assert a == b and hash(a) == hash(b)
+
+    def test_edge_count_is_counted_once_and_stays_out_of_identity(self):
+        g = fam("fig1")
+        assert vars(g)["edge_count"] == len(g.edges()) == 6  # a stored field, not a property
+        assert repr(g) == "Graph(order=5, adj=(26, 5, 10, 21, 9), name='fig1')"
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g) and copy.edge_count == 6
+        with pytest.raises(TypeError):
+            Graph(2, (2, 1), edge_count=1)
 
 
 class TestVertexSubset:

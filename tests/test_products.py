@@ -75,11 +75,12 @@ class TestAdjacencyRule:
         assert product.has_edge(index_map.encode(0, 1), index_map.encode(1, 0))
         assert not product.has_edge(index_map.encode(0, 0), index_map.encode(0, 1))
 
-    def test_size_warning_above_graph6_limit(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="wfcover.products"):
-            product, _ = lexicographic(fam("complete:8"), fam("complete:8"))
+    def test_no_warning_above_graph6_limit(self, caplog):
+        # only the product command writes graph6, so only it warns (test_cli)
+        with caplog.at_level(logging.DEBUG, logger="wfcover"):
+            product, _ = lexicographic(fam("cycle:8"), fam("cycle:8"))
         assert product.order == 64
-        assert any("graph6" in rec.message for rec in caplog.records)
+        assert caplog.records == []
 
 
 class TestIndexMap:

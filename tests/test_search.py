@@ -184,11 +184,32 @@ class TestScan:
             return real(g)
 
         monkeypatch.setattr(search, "to_graph6", counting)
+        clear_wfcover_caches()
         gs = [fam("path:4"), fam("cycle:4")]
         hs = [fam("path:2"), fam("path:3"), fam("cycle:3")]
         findings = list(scan([(g, h) for g in gs for h in hs], ScanConfig(theorem="thm35")))
         assert len(findings) == 6
         assert [encoded.count(g) for g in gs] == [1, 1]
+
+    def test_second_factor_is_encoded_once_per_process(self, monkeypatch):
+        # every H recurs once per G; its graph6 text is made at its first pair
+        encoded = []
+        real = search.to_graph6
+
+        def counting(g):
+            encoded.append(g)
+            return real(g)
+
+        monkeypatch.setattr(search, "to_graph6", counting)
+        clear_wfcover_caches()
+        gs = [fam("path:4"), fam("cycle:4"), fam("cycle:5")]
+        hs = [fam("path:2"), fam("path:3"), fam("cycle:3")]
+        findings = list(scan([(g, h) for g in gs for h in hs], ScanConfig(theorem="thm35")))
+        assert [(f.g_graph6, f.h_graph6) for f in findings] == [
+            (real(g).decode(), real(h).decode()) for g in gs for h in hs
+        ]
+        assert [encoded.count(h) for h in hs] == [1, 1, 1]
+        assert len(encoded) == len(gs) + len(hs)
 
     def test_factor_records_are_built_once_per_factor(self, monkeypatch):
         # P3 and K1,3 share a signature (an edge, a universal vertex, an MIS

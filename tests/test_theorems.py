@@ -463,6 +463,28 @@ class TestCheckPath:
         product_checks = count("is_maximal_induced_forest", lambda graph: graph.order == product_order)
         assert product_checks == len(report.witnesses) > 0
 
+    def test_second_check_with_the_same_h_makes_no_mis_check(self, monkeypatch):
+        # the M_H of C4 are checked with P4, the first G; C5 reuses them, and
+        # each check still tests its own anchor against every M_H
+        h = fam("cycle:4")
+        checked = []
+        real = theorems.is_maximal_independent_set
+
+        def counting(graph, s):
+            checked.append(graph)
+            return real(graph, s)
+
+        monkeypatch.setattr(theorems, "is_maximal_independent_set", counting)
+        clear_wfcover_caches()
+        check("thm35", fam("path:4"), h)
+        assert checked.count(h) == 2
+        checked.clear()
+        report = check("thm35", fam("cycle:5"), h)
+        assert all(w.verified for w in report.witnesses)
+        with pytest.raises(ValueError, match=r"^anchor 1 does not belong to the maximal independent set \[0, 2\]$"):
+            check("thm35", fam("cycle:5"), h, anchor=1)
+        assert checked.count(h) == 0
+
     @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
     def test_witnesses_match_the_public_constructors(self, atlas_le4, theorem):
         for g in atlas_le4:
