@@ -30,14 +30,18 @@ of G∘H is an induced forest of G with a role for each of its vertices.
 Which role patterns are admissible depends on H only through its
 signature (whether it has an edge, a universal vertex, a maximal
 independent set of two or more vertices), so a G-side table of them,
-``_role_patterns``, is walked once and cached per (G, signature).  What
-the profile reads of H, its signature and per role the fibre size
-histogram and extreme fibres, is one record, ``_fibres``, read from the
-catalogues of H once and cached per H.  Per pair only a fold remains: it
-sums the sizes of the patterns, and its witnesses are the patterns of
-extreme order with the least or the greatest fibres of H lifted onto them
-(``products.lift``).  The answers equal the catalogue's; a graph with the
-same adjacency but no factors still goes through the kernel, and so does
+``_role_patterns``, is walked once and cached per (G, signature).  That
+walk cuts an excluded vertex once it can no longer be dominated, and tests
+each forest it reaches on neighbourhood masks: a role choice is kept iff
+the outside vertices that nothing else dominates lie in the neighbourhood
+of its BIG vertices.  What the profile reads of H, its signature and per
+role the fibre size histogram and extreme fibres, is one record,
+``_fibres``, read from the catalogues of H once and cached per H.  Per
+pair only a fold remains: it sums the sizes of the patterns, and its
+witnesses are the patterns of extreme order with the least or the
+greatest fibres of H lifted onto them (``products.lift``).  The answers
+equal the catalogue's; a graph with the same adjacency but no factors
+still goes through the kernel, and so does
 ``enumerate_maximal_induced_forests``.
 """
 
@@ -490,40 +494,61 @@ def _role_patterns(
 
     The induced forests P are walked by include/exclude in descending-degree
     order, passing the components down as masks through ``_join`` as the
-    forest kernel does.
-    Only the exclude branch is cut: once an excluded vertex can no longer
-    be dominated, as it has no potential neighbour left or, when H has no
-    edge, only one, which itself has none left and so ends isolated.  The
-    role choices of a component of two or more vertices depend only on its
-    mask, so they are worked out once per mask and reused at every forest
-    of the walk that holds it.
+    forest kernel does.  Only the exclude branch is cut: once an excluded
+    vertex w can no longer be dominated.  It cannot once it has no
+    potential neighbour left (one still in P or undecided), and, when H has
+    no edge, once none of its potential neighbours has a potential
+    neighbour of its own: each of them can then only end isolated in G[P],
+    an isolated vertex dominates nothing when H has no edge, and two
+    isolated vertices lie in two components.  Excluding v takes a potential
+    neighbour away only from the neighbours of v, so the exclude step
+    re-tests v, its excluded neighbours and, when H has no edge, the
+    excluded neighbours of each neighbour of v that v leaves with no
+    potential neighbour.
+
+    The role choices of a component of two or more vertices depend only on
+    its mask, so they are worked out once per mask and reused at every
+    forest of the walk that holds it; each choice carries the neighbourhood
+    of its BIG vertices.  At a leaf, the outside vertices U that no
+    component blocks and, when H has an edge, no isolated vertex dominates
+    must each have a BIG neighbour: the leaf returns at once if U leaves
+    the neighbourhood of the leaves of the forest's components, and keeps
+    a choice iff U lies in the neighbourhood of its BIG vertices.
     """
     m, adj = g.order, g.adj
     full = (1 << m) - 1
     table: dict[tuple[int, int, int, int], list[tuple[int, int, int, int]]] = {}
-    # per component mask: (twice, internal, choices) as returned by component
-    facts: dict[int, tuple[int, int, list[tuple[int, int, int]]]] = {}
+    # per component mask: (twice, internal, reach, choices) as returned by component
+    facts: dict[int, tuple[int, int, int, list[tuple[int, int, int, int]]]] = {}
 
-    def component(c: int) -> tuple[int, int, list[tuple[int, int, int]]]:
+    def component(c: int) -> tuple[int, int, int, list[tuple[int, int, int, int]]]:
         """The vertices with two neighbours in the component ``c`` (the
         vertices it blocks, ``_blocked_by``, the bulk step of the maximality
-        rule), its vertices of degree >= 2 (none for a K2), and its role
-        choices as (BIG, ONE, UNIV) masks: per leaf a BIG or a UNIV fibre,
-        or for a K2 one end BIG and the other ONE, or both UNIV."""
+        rule), its vertices of degree >= 2 (none for a K2), the
+        neighbourhood of its leaves, and its role choices as (BIG, ONE,
+        UNIV, N(BIG)) masks: per leaf a BIG or a UNIV fibre, or for a K2 one
+        end BIG and the other ONE, or both UNIV."""
         twice = _blocked_by(adj, c)
         if c.bit_count() == 2:
             a = c & -c
-            return twice, 0, [(a, c ^ a, 0), (c ^ a, a, 0)] * has_big + [(0, 0, c)] * has_univ
-        choices = [(0, 0, 0)]
+            b = c ^ a
+            na, nb = adj[a.bit_length() - 1], adj[b.bit_length() - 1]
+            big = [(a, b, 0, na), (b, a, 0, nb)] * has_big
+            return twice, 0, na | nb, big + [(0, 0, c, 0)] * has_univ
+        reach = 0
+        choices = [(0, 0, 0, 0)]
         for v in iter_bits(c & ~twice):
-            unit = [(1 << v, 0, 0)] * has_big + [(0, 0, 1 << v)] * has_univ
-            choices = [(b | b2, o, u | u2) for b, o, u in choices for b2, _, u2 in unit]
-        return twice, c & twice, choices
+            reach |= adj[v]
+            unit = [(1 << v, 0, 0, adj[v])] * has_big + [(0, 0, 1 << v, 0)] * has_univ
+            choices = [
+                (b | b2, o, u | u2, n | n2) for b, o, u, n in choices for b2, _, u2, n2 in unit
+            ]
+        return twice, c & twice, reach, choices
 
     def patterns(pmask: int, comps: list[int]) -> None:
         """Add each admissible role choice on the induced forest ``pmask``
         of G, whose components are ``comps``, to the table."""
-        isolated = internal = dominated = 0
+        isolated = internal = dominated = reach = 0
         units = []  # per component of two or more vertices: its role choices
         for c in comps:
             if not c & (c - 1):
@@ -532,40 +557,30 @@ def _role_patterns(
             fact = facts.get(c)
             if fact is None:
                 fact = facts[c] = component(c)
-            twice, inner, choices = fact
+            twice, inner, leaf_reach, choices = fact
             dominated |= twice  # two neighbours in c
             internal |= inner
+            reach |= leaf_reach
             units.append(choices)
         if has_edge:
             for v in iter_bits(isolated):
                 dominated |= adj[v]
-        leaves = pmask & ~isolated & ~internal
-        needs = []  # per undominated outside vertex: the neighbours one of which must be BIG
-        for w in iter_bits(full & ~pmask & ~dominated):
-            need = adj[w] & leaves
-            if not need:
-                return
-            needs.append(need)
+        # the outside vertices that need a BIG neighbour
+        undominated = full & ~pmask & ~dominated
+        if undominated & ~reach:
+            return
         n_iso, n_int = isolated.bit_count(), internal.bit_count()
         for choice in product(*units):
-            big = one = univ = 0
-            for b, o, u in choice:
+            big = one = univ = covered = 0
+            for b, o, u, n in choice:
                 big |= b
                 one |= o
                 univ |= u
-            if not all(need & big for need in needs):
+                covered |= n
+            if undominated & ~covered:
                 continue
             counts = (n_iso, n_int + one.bit_count(), univ.bit_count(), big.bit_count())
             table.setdefault(counts, []).append((isolated, internal | one, univ, big))
-
-    def stranded(w: int, alive: int) -> bool:
-        """Whether the excluded vertex w can no longer be dominated: it has
-        no potential neighbour in ``alive``, or, when H has no edge, only
-        one, which has no potential neighbour itself and so ends isolated."""
-        near = adj[w] & alive
-        if near & (near - 1):
-            return False
-        return not near or not (has_edge or adj[near.bit_length() - 1] & alive)
 
     sequence = sorted(range(m), key=lambda v: (-adj[v].bit_count(), v))
 
@@ -580,17 +595,28 @@ def _role_patterns(
         joined = _join(comps, bit, nbrs)
         if joined is not None:
             walk(i + 1, pmask | bit, undecided, joined)
-        # exclude v, unless that strands v, an excluded neighbour of v, or
-        # one of a neighbour that v leaves with no potential neighbour
+        # exclude v, unless that strands v, an excluded neighbour of v, or,
+        # when H has no edge, one of a neighbour that v leaves with no
+        # potential neighbour
         potential = pmask | undecided
         check = nbrs & ~potential | bit
         if not has_edge:
-            for a in iter_bits(nbrs & potential):
-                if not adj[a] & potential:
-                    check |= adj[a] & ~potential
-        for w in iter_bits(check):
-            if stranded(w, potential):
+            rest = nbrs & potential
+            while rest:
+                around = adj[(rest & -rest).bit_length() - 1]
+                if not around & potential:
+                    check |= around & ~potential
+                rest &= rest - 1
+        while check:
+            near = adj[(check & -check).bit_length() - 1] & potential
+            if not has_edge:
+                # only a potential neighbour that can end in a component of
+                # two or more vertices can dominate
+                while near and not adj[(near & -near).bit_length() - 1] & potential:
+                    near &= near - 1
+            if not near:
                 return
+            check &= check - 1
         walk(i + 1, pmask, undecided, comps)
 
     walk(0, 0, full, [])
@@ -707,11 +733,12 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     witnesses = []
     n = h.order
     for t, extremes in ((min(total), fibres.lows), (max(total), fibres.highs)):
+        sizes = [f.bit_count() for f in extremes]
         witnesses.append(
             min(
                 lift(zip(masks, extremes), n)
                 for counts, pats in table
-                if sum(k * f.bit_count() for k, f in zip(counts, extremes)) == t
+                if sum(k * size for k, size in zip(counts, sizes)) == t
                 for masks in pats
             )
         )

@@ -142,8 +142,13 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
     pool: ProcessPoolExecutor | None = None
     if config.findings_path is not None:
         out_file = open(config.findings_path, "a", encoding="ascii")
-    # more processes than usable CPUs only add start-up cost and memory
-    workers = min(config.workers, len(os.sched_getaffinity(0)))
+    # more processes than usable CPUs only add start-up cost and memory;
+    # only some systems can tell which CPUs this process may use
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    workers = min(config.workers, usable)
     try:
         if workers == 1:
             runs: Iterable[list[Finding]] = map(_check_run, tasks)

@@ -9,7 +9,9 @@ send through the kernel.  Both must agree mask for mask.
 from __future__ import annotations
 
 import sys
+import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -24,7 +26,7 @@ from wfcover import (
     parse_family,
 )
 
-from conftest import clear_wfcover_caches, graphs, twin_rich_graphs
+from conftest import clear_wfcover_caches, graphs, nx_is_forest, to_nx, twin_rich_graphs
 
 
 def fam(text: str) -> Graph:
@@ -57,6 +59,68 @@ def test_every_atlas_pair_le5_by_le4(atlas_le5, atlas_le4):
             assert_parity(g, h)
     # each G's table serves every H of the same signature
     assert forests._role_patterns.cache_info().hits > 0
+
+
+# The signatures (has_edge, has_univ, has_big) of an H of two or more
+# vertices: edgeless, complete, and with an edge and an MIS of two or more
+# vertices, with or without a universal vertex.
+SIGNATURES = ((False, False, True), (True, True, False), (True, True, True), (True, False, True))
+
+
+def oracle_role_patterns(g: Graph, has_edge: bool, has_univ: bool, has_big: bool) -> dict:
+    """The admissible role patterns of G by brute force, as a set per count
+    key: every vertex subset P that induces a forest (by networkx), every
+    role choice the rules of ``product_profile`` allow on G[P], and a direct
+    test that each vertex outside P is dominated, with no cut."""
+    iso_, one_, univ_, big_ = range(4)
+    G = to_nx(g)
+    table: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for pmask in range(1 << g.order):
+        p = [v for v in range(g.order) if pmask >> v & 1]
+        if not nx_is_forest(G, p):
+            continue
+        sub = G.subgraph(p)
+        comps = [sorted(c) for c in nx.connected_components(sub)]
+        options = []  # per component: its role choices as {vertex: role}
+        for c in comps:
+            if len(c) == 1:
+                options.append([{c[0]: iso_}])
+            elif len(c) == 2:
+                a, b = c
+                options.append(
+                    [{a: big_, b: one_}, {a: one_, b: big_}] * has_big
+                    + [{a: univ_, b: univ_}] * has_univ
+                )
+            else:
+                leaf_roles = [big_] * has_big + [univ_] * has_univ
+                per_vertex = [[one_] if sub.degree(v) >= 2 else leaf_roles for v in c]
+                options.append([dict(zip(c, roles)) for roles in itertools.product(*per_vertex)])
+        for choice in itertools.product(*options):
+            role = {v: r for part in choice for v, r in part.items()}
+
+            def dominated(w: int) -> bool:
+                nbrs = set(G[w])
+                return (
+                    has_edge and any(role.get(u) == iso_ for u in nbrs)
+                    or any(len(nbrs & set(c)) >= 2 for c in comps)
+                    or any(role.get(u) == big_ for u in nbrs)
+                )
+
+            if not all(dominated(w) for w in G if w not in role):
+                continue
+            masks = tuple(sum(1 << v for v in role if role[v] == r) for r in range(4))
+            counts = tuple(m.bit_count() for m in masks)
+            table.setdefault(counts, set()).add(masks)
+    return table
+
+
+def test_role_table_matches_all_subsets_oracle(atlas_le5):
+    for g in atlas_le5:
+        for signature in SIGNATURES:
+            table = forests._role_patterns(g, *signature)
+            assert all(len(set(pats)) == len(pats) for _, pats in table), (g.edges(), signature)
+            got = {counts: set(pats) for counts, pats in table}
+            assert got == oracle_role_patterns(g, *signature), (g.edges(), signature)
 
 
 BENCH_PRODUCTS = (
@@ -142,15 +206,19 @@ def profile_counters(g: Graph, h: Graph) -> tuple[int, int]:
 class TestProfileCounters:
     """Exact work counts of the profile walk, free of timing noise: a
     change to its cuts shows up as a counter diff.  P12∘2K1 and C8∘P3 are
-    the largest walks of the bench products; in C5∘K3, H is complete, so
-    only the no-potential-neighbour cut applies."""
+    the largest walks of the bench products; in C5∘K3 and C8∘P3, H has an
+    edge, so only the no-potential-neighbour cut applies.  In P12∘2K1,
+    C8∘3K1 and P3∘2K1, H has no edge, so the walk also cuts an excluded
+    vertex whose potential neighbours have no potential neighbour."""
 
     @pytest.mark.parametrize(
         "g,h,expected",
         [
-            ("path:12", "empty:2", (1_311, 428)),
+            ("path:12", "empty:2", (1_023, 335)),
             ("cycle:8", "path:3", (306, 130)),
             ("cycle:5", "complete:3", (47, 20)),
+            ("cycle:8", "empty:3", (184, 64)),
+            ("path:3", "empty:2", (7, 3)),
         ],
     )
     def test_walk_nodes_and_leaves(self, g, h, expected):
@@ -159,7 +227,7 @@ class TestProfileCounters:
     def test_table_is_shared_by_second_factors_of_one_signature(self):
         # 2K1 and 3K1: no edge, no universal vertex, an MIS of two or more
         g = fam("path:12")
-        assert profile_counters(g, fam("empty:2")) == (1_311, 428)
+        assert profile_counters(g, fam("empty:2")) == (1_023, 335)
         assert walk_counters(g, fam("empty:3")) == (0, 0)
         # P3 and K1,3 have an edge and a universal vertex: another table
         assert walk_counters(g, fam("path:3"))[1] > 0

@@ -147,6 +147,31 @@ class TestScan:
         assert started == expected
         assert [f.verdict for f in findings] == ["non_sufficiency_witness"]
 
+    @pytest.mark.parametrize("cpus,workers,expected", [(3, 8, [3]), (4, 2, [2]), (None, 8, [])])
+    def test_pool_is_capped_at_cpu_count_without_affinity(
+        self, monkeypatch, cpus, workers, expected
+    ):
+        # macOS and Windows have no sched_getaffinity; os.cpu_count() may be None
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        pairs = [(fam("path:4"), fam("empty:2"))]
+        findings = list(scan(pairs, ScanConfig(theorem="thm32", workers=workers)))
+        assert started == expected
+        assert [f.verdict for f in findings] == ["non_sufficiency_witness"]
+
     def test_pool_gets_one_task_per_run_of_a_first_factor(self, monkeypatch):
         tasks = []
 
