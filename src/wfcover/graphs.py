@@ -309,11 +309,11 @@ def from_graph6(data: bytes | str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def components_within(adj: tuple[int, ...], mask: int) -> list[int]:
-    """Connected components of the subgraph induced by ``mask``, as masks
-    ordered by smallest member."""
+def component_masks(g: Graph) -> list[int]:
+    """Connected components as bitmasks, ordered by smallest member."""
+    adj = g.adj
     comps = []
-    rem = mask
+    rem = g.vertices_mask
     while rem:
         comp = 0
         frontier = rem & -rem
@@ -322,12 +322,7 @@ def components_within(adj: tuple[int, ...], mask: int) -> list[int]:
             step = 0
             for u in iter_bits(frontier):
                 step |= adj[u]
-            frontier = step & mask & ~comp
+            frontier = step & ~comp
         comps.append(comp)
         rem &= ~comp
     return comps
-
-
-def component_masks(g: Graph) -> list[int]:
-    """Connected components as bitmasks, ordered by smallest member."""
-    return components_within(g.adj, g.vertices_mask)

@@ -115,28 +115,27 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
     enumeration bound are skipped with a logged warning that names the
     pair by its input position, counted from 1, and its factor orders; they
     are never dropped silently.  The pool has at most as many workers as this process may
-    use CPUs.
+    use CPUs.  With one worker the pairs are read as the scan goes, one run
+    of a first factor at a time; a pool is handed every run up front.
     """
-    kept = []
-    for position, (g, h) in enumerate(pairs, start=1):
-        if not hypothesis_filter(config.theorem, g, h):
-            continue
-        if g.order * h.order > config.max_order:
-            # named by position and orders, as graph6 here encodes at most 62 vertices
-            logger.warning(
-                "skipping pair %d (G of order %d, H of order %d): product order %d exceeds bound %d",
-                position,
-                g.order,
-                h.order,
-                g.order * h.order,
-                config.max_order,
-            )
-            continue
-        kept.append((g, h))
-    tasks = [
+    def in_scope() -> Iterator[tuple[Graph, Graph]]:
+        for position, (g, h) in enumerate(pairs, start=1):
+            if not hypothesis_filter(config.theorem, g, h):
+                continue
+            if g.order * h.order > config.max_order:
+                # named by position and orders, as graph6 here encodes at most 62 vertices
+                logger.warning(
+                    "skipping pair %d (G of order %d, H of order %d): product order %d exceeds bound %d",
+                    position, g.order, h.order, g.order * h.order, config.max_order,
+                )
+                continue
+            yield g, h
+
+    # lazy, so one worker reads a run (and the first pair after it) per step
+    tasks = (
         (config.theorem, g, tuple(h for _, h in run), config.max_order)
-        for g, run in groupby(kept, key=itemgetter(0))
-    ]
+        for g, run in groupby(in_scope(), key=itemgetter(0))
+    )
 
     out_file: IO[str] | None = None
     pool: ProcessPoolExecutor | None = None

@@ -21,15 +21,17 @@ thm35  both factors have an edge: if G∘H is well-f-covered then
 The necessary conditions come with explicit witness forests inside the
 product: V_M = M × F_H, and V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪
 ((Y ∪ T) × {anchor}) from the partition of a maximal forest of G.  Each is a
-union of blocks gmask × hmask, lifted into the product by ``products.lift``;
-thm32's V* is thm35's with F_H = M_H = V(nK1).  Each constructed witness is
-re-verified by brute force and a failure is never silently ignored.  The
-public ``construct_*`` check their inputs on every call.  A check reads the
-maximal forests of G with their partitions from one record per
-(G, z_choice), ``_forest_partitions``, so each forest is partitioned and
-checked once for every second factor checked against G.  Likewise each M_H
-is checked once per H (``_independent_sets_of``), and each check tests only
-that its anchor lies in every M_H.
+union of blocks gmask × hmask, lifted into the product by ``products.lift``.
+One per-forest loop, ``_condition_4``, evaluates condition (4) and builds V*
+for both checks: thm32 reads it with F_H = M_H = V(nK1) and f(H) = |M_H| = n,
+as V(nK1) is nK1's only maximal forest and only maximal independent set.
+Each constructed witness is re-verified by brute force and a failure is
+never silently ignored.  The public ``construct_*`` check their inputs on
+every call.  A check reads the maximal forests of G with their partitions
+from one record per (G, z_choice), ``_forest_partitions``, so each forest
+is partitioned and checked once for every second factor checked against G.
+Likewise each M_H is checked once per H (``_independent_sets_of``), and
+each check tests only that its anchor lies in every M_H.
 
 Ground truth is exact.  The product's forest number, maximal forest orders
 and witness pair come from ``forests.product_profile``, which derives them
@@ -284,20 +286,23 @@ def _independent_sets_of(h: Graph) -> tuple[VertexSubset, ...]:
 
 
 def construct_vstar_empty_second(
-    g: Graph, forest: VertexSubset, n: int, *, z_choice: str = "min", anchor: int = 0
+    g: Graph, forest: VertexSubset, n: int, *, z_choice: str = "min", anchor: int | None = None
 ) -> VertexSubset:
     """Witness forest in G∘(n-vertex edgeless H) for a maximal forest of G.
 
-    V* = ((X ∪ Z) × V(H)) ∪ ((Y ∪ T) × {anchor}); its order is
-    n*(|X|+|Z|) + |Y| + |T|, i.e. the thm32 left-hand side.  The returned
-    set is brute-force verified to be a maximal induced forest.
+    V* = ((X ∪ Z) × V(H)) ∪ ((Y ∪ T) × {anchor}), by default anchor 0, the
+    smallest vertex of V(H); its order is n*(|X|+|Z|) + |Y| + |T|, i.e. the
+    thm32 left-hand side.  The returned set is brute-force verified to be a
+    maximal induced forest.
     """
     if n < 1:
         raise ValueError("second-factor order must be positive")
     _anchor_in_range(anchor, n)
     h = generate(FamilySpec("empty", n))
+    all_h = VertexSubset(n, h.vertices_mask)
+    anchor = _anchor(all_h, anchor)
     p = forest_partition(g, forest, z_choice=z_choice)
-    return _vstar(_product(g, h), n, p, h.vertices_mask, h.vertices_mask, anchor)
+    return _vstar(_product(g, h), n, p, all_h.mask, all_h.mask, anchor)
 
 
 def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> VertexSubset:
@@ -351,6 +356,34 @@ def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
     except WitnessVerificationError as exc:
         return WitnessRecord(kind, exc.subset, len(exc.subset), False, dict(detail, error=str(exc)))
     return WitnessRecord(kind, subset, len(subset), True, detail)
+
+
+def _condition_4(
+    product: Graph, h_order: int, forests_g, f_h: int, h_forest: int, entries, f_p: int,
+    kind: str, z_choice: str, *, named: bool,
+) -> tuple[list[ConditionRecord], list[WitnessRecord]]:
+    """Condition (4) and its V* witness for each maximal forest F of G, as
+    ``(forest, partition, stats)`` rows, and each ``(M_H, anchor)`` entry:
+    f(H)*I + |M_H|*(K2 + L) + K2 + L' against f(G∘H) = ``f_p``, and V* with
+    F_H = ``h_forest`` as a mask.  M_H is recorded in the condition and the
+    witness detail iff ``named``."""
+    records = []
+    witnesses = []
+    entry_vertices = [m_h.vertices() for m_h, _ in entries]
+    for forest, p, stats in forests_g:
+        forest_vertices = forest.vertices()
+        for (m_h, anchor), m_h_vertices in zip(entries, entry_vertices):
+            lhs = thm35_lhs(stats, f_h, len(m_h))
+            records.append(
+                ConditionRecord(forest, stats, lhs, f_p, lhs == f_p, m_h if named else None)
+            )
+            detail = {"forest": list(forest_vertices), "anchor": anchor, "z_choice": z_choice}
+            if named:
+                detail["m_h"] = list(m_h_vertices)
+            witnesses.append(
+                _record(kind, detail, _vstar, product, h_order, p, h_forest, m_h.mask, anchor)
+            )
+    return records, witnesses
 
 
 def _verdict(witnesses: list[WitnessRecord], conditions_hold: bool, wfc_product: bool) -> str:
@@ -417,30 +450,17 @@ def check_thm32(
     if n < 1:
         raise HypothesisError("thm32 requires a second factor with at least one vertex")
     _anchor_in_range(anchor, n)
-    anchor_val = 0 if anchor is None else anchor
     _within_bound(g.order * n, max_order)
     h = generate(FamilySpec("empty", n))
+    # V(nK1) is the only maximal forest and the only MIS of nK1: F_H = M_H
+    all_h = VertexSubset(n, h.vertices_mask)
+    anchor = _anchor(all_h, anchor)
     product = _product(g, h)
     truth = _product_ground_truth(product, max_order)
-    f_p = truth["f_product"]
-    records = []
-    witnesses = []
-    for forest, p, stats in _forest_partitions(g, z_choice):
-        lhs = thm32_lhs(stats, n)
-        records.append(
-            ConditionRecord(forest=forest, stats=stats, lhs=lhs, rhs=f_p, holds=lhs == f_p)
-        )
-        detail = {
-            "forest": list(forest.vertices()),
-            "anchor": anchor_val,
-            "z_choice": z_choice,
-        }
-        witnesses.append(
-            _record(
-                "vstar_empty_second", detail, _vstar, product, n, p,
-                h.vertices_mask, h.vertices_mask, anchor_val,
-            )
-        )
+    records, witnesses = _condition_4(
+        product, n, _forest_partitions(g, z_choice), n, all_h.mask, ((all_h, anchor),),
+        truth["f_product"], "vstar_empty_second", z_choice, named=False,
+    )
     all_hold = all(r.holds for r in records)
     return TheoremReport(
         theorem_id="thm32",
@@ -500,40 +520,21 @@ def check_thm35(
     cond2 = wfc_h and ((not premise2) or wc_h)
     cond3 = f_p == alpha_g * f_h
 
-    records = []
-    witnesses = []
-
     # canonical F_H: the smallest-mask maximal forest of maximum order, so that
     # each V* has condition (4)'s order; construct_vm checks it before any V*
     fh_canon = next(s for s in forests_h if len(s) == f_h)
+    witnesses = []
     for m in mis_g:
         detail = {"m": list(m.vertices()), "f_h": list(fh_canon.vertices())}
         if wfc_p:
             detail["quotient_holds"] = len(m) * len(fh_canon) == f_p
         witnesses.append(_record("vm", detail, construct_vm, g, m, h, fh_canon))
 
-    mis_h_vertices = [m_h.vertices() for m_h in mis_h]
-    for forest, p, stats in forests_g:
-        forest_vertices = forest.vertices()
-        for m_h, m_h_vertices, anchor_val in zip(mis_h, mis_h_vertices, anchors):
-            lhs = thm35_lhs(stats, f_h, len(m_h))
-            records.append(
-                ConditionRecord(
-                    forest=forest, stats=stats, lhs=lhs, rhs=f_p, holds=lhs == f_p, m_h=m_h
-                )
-            )
-            detail = {
-                "forest": list(forest_vertices),
-                "m_h": list(m_h_vertices),
-                "anchor": anchor_val,
-                "z_choice": z_choice,
-            }
-            witnesses.append(
-                _record(
-                    "vstar_nonempty_second", detail, _vstar, product, h.order, p,
-                    fh_canon.mask, m_h.mask, anchor_val,
-                )
-            )
+    records, vstars = _condition_4(
+        product, h.order, forests_g, f_h, fh_canon.mask, tuple(zip(mis_h, anchors)),
+        f_p, "vstar_nonempty_second", z_choice, named=True,
+    )
+    witnesses += vstars
 
     cond4 = all(r.holds for r in records)
     conditions = {

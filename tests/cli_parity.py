@@ -10,7 +10,8 @@ and commands that fail on an anchor out of range or an enumeration bound.
 Each runs in this process through ``wfcover.cli.run``, with the records of
 the ``wfcover`` loggers sent to the command's stderr as ``main`` formats
 them.  A change that keeps the CLI's behaviour prints the same digest as
-its parent; pytest does not collect this file.
+its parent.  ``tests/test_cli_parity.py`` pins the digest through
+``run_commands``; pytest does not collect this file itself.
 
     python tests/cli_parity.py [--src PATH] [--expect SHA256]
 
@@ -86,39 +87,53 @@ def commands() -> list[list[str]]:
     return out
 
 
+def run_commands(cli) -> tuple[int, dict[int, int], str]:
+    """Run every command through ``cli.run`` with ROOT as the working
+    directory: the command count, the histogram of exit codes and the
+    SHA-256 digest.  The working directory and the ``wfcover`` logger's
+    handlers and level are restored afterwards."""
+    stderr = io.StringIO()
+    handler = logging.StreamHandler(stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("wfcover")
+    cwd, level = os.getcwd(), logger.level
+    os.chdir(ROOT)
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    digest = hashlib.sha256()
+    codes: dict[int, int] = {}
+    try:
+        argvs = commands()
+        for argv in argvs:
+            stdout = io.StringIO()
+            stderr.seek(0)
+            stderr.truncate()
+            code = cli.run(argv, stdout=stdout, stderr=stderr)
+            codes[code] = codes.get(code, 0) + 1
+            digest.update(json.dumps([argv, code, stdout.getvalue(), stderr.getvalue()]).encode())
+            digest.update(b"\n")
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        os.chdir(cwd)
+    return len(argvs), codes, digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the wfcover package")
     parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the digest is this one")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
-    os.chdir(ROOT)
     from wfcover import cli
 
-    stderr = io.StringIO()
-    handler = logging.StreamHandler(stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    logger = logging.getLogger("wfcover")
-    logger.addHandler(handler)
-    logger.setLevel(logging.WARNING)
-
-    digest = hashlib.sha256()
-    codes: dict[int, int] = {}
     start = time.perf_counter()
-    argvs = commands()
-    for argv in argvs:
-        stdout = io.StringIO()
-        stderr.seek(0)
-        stderr.truncate()
-        code = cli.run(argv, stdout=stdout, stderr=stderr)
-        codes[code] = codes.get(code, 0) + 1
-        digest.update(json.dumps([argv, code, stdout.getvalue(), stderr.getvalue()]).encode())
-        digest.update(b"\n")
-    print(f"{len(argvs)} commands in {time.perf_counter() - start:.1f} s")
+    count, codes, sha = run_commands(cli)
+    print(f"{count} commands in {time.perf_counter() - start:.1f} s")
     print("exit codes: " + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items())))
-    print(f"sha256: {digest.hexdigest()}")
-    if args.expect is not None and digest.hexdigest() != args.expect:
-        print(f"digest mismatch: expected {args.expect}, got {digest.hexdigest()}", file=sys.stderr)
+    print(f"sha256: {sha}")
+    if args.expect is not None and sha != args.expect:
+        print(f"digest mismatch: expected {args.expect}, got {sha}", file=sys.stderr)
         return 1
     return 0
 

@@ -293,6 +293,24 @@ class TestScan:
         assert len(checked) == 1
         assert len(cancelled) == 3
 
+    def test_one_worker_reads_pairs_as_it_goes(self):
+        # the first finding needs the first run and the pair that ends it
+        gs = [fam(t) for t in ("path:2", "path:3", "path:4", "path:5", "cycle:3", "cycle:4",
+                               "cycle:5", "complete:4")]
+        hs = [fam(t) for t in ("path:2", "path:3", "path:4", "cycle:3", "cycle:4")]
+        pulled = []
+
+        def counting():
+            for pair in ((g, h) for g in gs for h in hs):
+                pulled.append(pair)
+                yield pair
+
+        findings = scan(counting(), ScanConfig(theorem="thm35", workers=1))
+        first = next(findings)
+        findings.close()
+        assert (first.g_graph6, first.h_graph6) == (to_graph6(gs[0]).decode(), to_graph6(hs[0]).decode())
+        assert len(pulled) == len(hs) + 1 < len(gs) * len(hs)
+
     def test_finding_roundtrips_through_json(self):
         config = ScanConfig(theorem="thm32")
         finding = next(iter(scan([(fam("path:4"), fam("empty:2"))], config)))

@@ -493,7 +493,7 @@ class TestCheckPath:
                     continue
                 mis_h = enumerate_maximal_independent_sets(h)
                 if theorem == "thm32":
-                    anchors = range(h.order)
+                    anchors = [None, *range(h.order)]
                 else:
                     f_h = forest_number(h)
                     fh = next(s for s in enumerate_maximal_induced_forests(h) if len(s) == f_h)
