@@ -1,9 +1,10 @@
 """Command-line surface: deterministic JSON reports over the pure library.
 
-Every subcommand prints one JSON document (sorted keys, ``schema: 1``) on
-stdout and a short human summary on stderr, so reports are byte-stable for
-golden-file comparison.  Documents are rendered by ``_dumps``, whose output
-is byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``.  Exit
+Every subcommand returns one JSON document (sorted keys, ``schema: 1``), a
+short human summary and its exit code; ``run`` writes the document on stdout
+and then the summary on stderr, so reports are byte-stable for golden-file
+comparison.  Documents are rendered by ``_dumps``, whose output is
+byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``.  Exit
 codes: 0 success/consistent, 1 findings or property failures, 2 usage or I/O
 errors.
 """
@@ -20,9 +21,7 @@ from typing import IO
 from .graphs import (
     FAMILY_KINDS,
     GRAPH6_MAX_ORDER,
-    FamilyError,
     Graph,
-    Graph6Error,
     from_graph6,
     generate,
     parse_family,
@@ -31,7 +30,6 @@ from .graphs import (
 from .products import lexicographic
 from .forests import (
     DEFAULT_MAX_ORDER,
-    EnumerationBoundError,
     Z_CHOICES,
     forest_number,
     is_well_f_covered,
@@ -42,7 +40,6 @@ from .theorems import (
     THEOREM_IDS,
     ClaimRecord,
     ConditionRecord,
-    HypothesisError,
     TheoremReport,
     WitnessRecord,
     check,
@@ -56,20 +53,18 @@ MAX_ORDER_ENV = "WFCOVER_MAX_ORDER"
 logger = logging.getLogger(__name__)
 
 
-def _default_max_order() -> int:
-    raw = os.environ.get(MAX_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
-    return value
-
-
-def _validate_max_order(value: int) -> None:
+def _max_order(value: int | None) -> int:
+    """The enumeration bound: ``value``, else ``WFCOVER_MAX_ORDER``, else
+    ``DEFAULT_MAX_ORDER``, which is also its cap."""
+    if value is None:
+        raw = os.environ.get(MAX_ORDER_ENV)
+        try:
+            value = DEFAULT_MAX_ORDER if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
     if not 1 <= value <= DEFAULT_MAX_ORDER:
         raise ValueError(f"enumeration bound must be between 1 and {DEFAULT_MAX_ORDER}, got {value}")
+    return value
 
 
 def _first_graph(path: str) -> Graph:
@@ -215,10 +210,6 @@ _encode_str = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
 
 
-def _emit(obj: dict, stdout: IO[str]) -> None:
-    stdout.write(_dumps(obj) + "\n")
-
-
 def _graph_summary(g: Graph) -> dict:
     return {
         "graph6": to_graph6(g).decode("ascii"),
@@ -228,7 +219,7 @@ def _graph_summary(g: Graph) -> dict:
     }
 
 
-def _cmd_gen(args, stdout, stderr) -> int:
+def _cmd_gen(args) -> tuple[dict, str, int]:
     g = generate(parse_family(args.family))
     doc = {
         "schema": SCHEMA_VERSION,
@@ -236,12 +227,10 @@ def _cmd_gen(args, stdout, stderr) -> int:
         "edge_list": [list(e) for e in g.edges()],
         **_graph_summary(g),
     }
-    _emit(doc, stdout)
-    print(f"gen {args.family}: order {g.order}, {g.edge_count} edges", file=stderr)
-    return 0
+    return doc, f"gen {args.family}: order {g.order}, {g.edge_count} edges", 0
 
 
-def _cmd_product(args, stdout, stderr) -> int:
+def _cmd_product(args) -> tuple[dict, str, int]:
     g = _graph_from_arg(args.g)
     h = _graph_from_arg(args.h)
     product, index_map = lexicographic(g, h)
@@ -267,16 +256,11 @@ def _cmd_product(args, stdout, stderr) -> int:
             "legend": [[v, list(index_map.decode(v))] for v in range(product.order)],
         },
     }
-    _emit(doc, stdout)
-    print(
-        f"product: order {product.order}, {product.edge_count} edges"
-        + ("" if product_g6 else " (too large for graph6)"),
-        file=stderr,
-    )
-    return 0
+    summary = f"product: order {product.order}, {product.edge_count} edges"
+    return doc, summary + ("" if product_g6 else " (too large for graph6)"), 0
 
 
-def _cmd_analyze(args, stdout, stderr) -> int:
+def _cmd_analyze(args) -> tuple[dict, str, int]:
     g = _graph_from_flags(args)
     bound = args.max_order
     wfc, wfc_witness = is_well_f_covered(g, bound)
@@ -297,38 +281,34 @@ def _cmd_analyze(args, stdout, stderr) -> int:
         "well_covered": wc,
         "maximal_forest_orders_histogram": {str(k): v for k, v in hist.items()},
     }
-    _emit(doc, stdout)
-    print(
+    summary = (
         f"analyze: order {g.order}, f={doc['forest_number']}, "
-        f"well-f-covered={wfc}, alpha={doc['independence_number']}, well-covered={wc}",
-        file=stderr,
+        f"well-f-covered={wfc}, alpha={doc['independence_number']}, well-covered={wc}"
     )
-    return 0
+    return doc, summary, 0
 
 
-def _cmd_check_theorem(args, stdout, stderr) -> int:
+def _cmd_check_theorem(args) -> tuple[dict, str, int]:
     g = _graph_from_arg(args.g)
     h = _graph_from_arg(args.h)
     report = check(
         args.theorem, g, h, max_order=args.max_order, z_choice=args.z_tiebreak, anchor=args.anchor
     )
-    _emit(report_to_dict(report), stdout)
-    print(f"check-theorem {args.theorem}: verdict {report.verdict}", file=stderr)
-    return 0 if report.verdict == "consistent" else 1
+    summary = f"check-theorem {args.theorem}: verdict {report.verdict}"
+    return report_to_dict(report), summary, 0 if report.verdict == "consistent" else 1
 
 
-def _cmd_verify_paper(args, stdout, stderr) -> int:
+def _cmd_verify_paper(args) -> tuple[dict, str, int]:
     report = verify_paper_examples(max_order=args.max_order)
-    _emit(report_to_dict(report), stdout)
     statuses = {}
     for claim in report.claims:
         statuses[claim.status] = statuses.get(claim.status, 0) + 1
     summary = ", ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
-    print(f"verify-paper: {summary}; verdict {report.verdict}", file=stderr)
-    return 0 if report.verdict == "consistent" else 1
+    code = 0 if report.verdict == "consistent" else 1
+    return report_to_dict(report), f"verify-paper: {summary}; verdict {report.verdict}", code
 
 
-def _cmd_search(args, stdout, stderr) -> int:
+def _cmd_search(args) -> tuple[dict, str, int]:
     strict = not args.skip_malformed
     g_graphs = list(read_graph6_stream(args.g_file, strict=strict))
     if args.h_file is None:
@@ -355,13 +335,9 @@ def _cmd_search(args, stdout, stderr) -> int:
         "verdicts": verdicts,
         "findings_file": args.out,
     }
-    _emit(doc, stdout)
     noteworthy = checked - verdicts.get("consistent", 0)
-    print(
-        f"search {args.theorem}: {checked} pairs checked, {noteworthy} findings",
-        file=stderr,
-    )
-    return 1 if noteworthy else 0
+    summary = f"search {args.theorem}: {checked} pairs checked, {noteworthy} findings"
+    return doc, summary, 1 if noteworthy else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,20 +418,14 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
         return int(exc.code or 0)
     try:
         if hasattr(args, "max_order"):
-            if args.max_order is None:
-                args.max_order = _default_max_order()
-            _validate_max_order(args.max_order)
-        return _COMMANDS[args.subcommand](args, stdout, stderr)
-    except (
-        FamilyError,
-        Graph6Error,
-        HypothesisError,
-        EnumerationBoundError,
-        ValueError,
-        OSError,
-    ) as exc:
+            args.max_order = _max_order(args.max_order)
+        doc, summary, code = _COMMANDS[args.subcommand](args)
+        stdout.write(_dumps(doc) + "\n")
+        print(summary, file=stderr)
+    except (ValueError, OSError) as exc:  # FamilyError, Graph6Error and the rest are ValueErrors
         print(f"error: {exc}", file=stderr)
         return 2
+    return code
 
 
 def main() -> None:

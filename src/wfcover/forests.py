@@ -34,14 +34,13 @@ independent set of two or more vertices), so a G-side table of them,
 walk cuts an excluded vertex once it can no longer be dominated, and tests
 each forest it reaches on neighbourhood masks: a role choice is kept iff
 the outside vertices that nothing else dominates lie in the neighbourhood
-of its BIG vertices.  What the profile reads of H, its signature and per
-role the fibre size histogram and extreme fibres, is one record,
-``_fibres``, read from the catalogues of H once and cached per H.  Per
-pair only a fold remains: it sums the sizes of the patterns, and its
-witnesses are the patterns of extreme order with the least or the
-greatest fibres of H lifted onto them (``products.lift``).  The answers
-equal the catalogue's; a graph with the same adjacency but no factors
-still goes through the kernel, and so does
+of its BIG vertices.  The profile reads H in the type it returns, one
+``Aggregates`` per role (``_fibres``, cached per H); the ISO record is the
+forest catalogue's own.  Per pair only a fold remains: it sums the sizes of
+the patterns, and its witnesses are the patterns of extreme order with the
+least or the greatest fibres of H lifted onto them (``products.lift``).
+The answers equal the catalogue's; a graph with the same adjacency but no
+factors still goes through the kernel, and so does
 ``enumerate_maximal_induced_forests``.
 """
 
@@ -172,6 +171,21 @@ class Aggregates(NamedTuple):
     counts: tuple[tuple[int, int], ...]
     lo: int
     hi: int
+
+    @classmethod
+    def of(cls, order: int, masks: Collection[int]) -> Aggregates:
+        """The record of the sets ``masks``, listed one by one; ``lo`` and
+        ``hi`` are 0 when there are none."""
+        hist: dict[int, int] = {}
+        for m in masks:
+            k = m.bit_count()
+            hist[k] = hist.get(k, 0) + 1
+        return cls(
+            order,
+            tuple(sorted(hist.items())),
+            min(masks, key=lambda m: (m.bit_count(), m), default=0),
+            min(masks, key=lambda m: (-m.bit_count(), m), default=0),
+        )
 
     def histogram(self) -> dict[int, int]:
         """Counts of maximal sets by size."""
@@ -623,44 +637,20 @@ def _role_patterns(
     return tuple((counts, tuple(pats)) for counts, pats in table.items())
 
 
-class Fibres(NamedTuple):
-    """What the profile of G∘H reads of H beyond G: its signature (whether
-    it has an edge, a universal vertex, a maximal independent set of two or
-    more vertices) and, per role (ISO, ONE, UNIV, BIG), the size histogram
-    of the fibres the role allows as (size, number) pairs, and its smallest
-    fibre of least and of greatest size (0 for a role H has no fibre for)."""
-
-    signature: tuple[bool, bool, bool]
-    hists: tuple[tuple[tuple[int, int], ...], ...]
-    lows: tuple[int, ...]
-    highs: tuple[int, ...]
-
-
 @lru_cache(maxsize=256)
-def _fibres(h: Graph) -> Fibres:
-    """The ``Fibres`` record of H, read from its catalogues once per H and
-    shared by every first factor."""
+def _fibres(h: Graph) -> tuple[Aggregates, Aggregates, Aggregates, Aggregates]:
+    """What the profile of G∘H reads of H: per role (ISO, ONE, UNIV, BIG)
+    the record of the fibres it allows, empty for a role H has none for.
+    ISO is H's forest catalogue record; read once per H for every G."""
     from .independence import _independent_catalogue  # independence imports this module
 
-    mis = _independent_catalogue(h).sets()
-    options = (
-        [s.mask for s in _forest_catalogue(h).sets()],
-        [1 << x for x in range(h.order)],
-        [s.mask for s in mis if len(s) == 1],
-        [s.mask for s in mis if len(s) > 1],
-    )
-    hists = []
-    for masks in options:
-        hist: dict[int, int] = {}
-        for mask in masks:
-            k = mask.bit_count()
-            hist[k] = hist.get(k, 0) + 1
-        hists.append(tuple(sorted(hist.items())))
-    return Fibres(
-        (h.edge_count > 0, bool(options[_UNIV]), bool(options[_BIG])),
-        tuple(hists),
-        tuple(min(masks, key=lambda f: (f.bit_count(), f), default=0) for masks in options),
-        tuple(min(masks, key=lambda f: (-f.bit_count(), f), default=0) for masks in options),
+    mis = [s.mask for s in _independent_catalogue(h).sets()]
+    n = h.order
+    return (
+        _forest_catalogue(h).aggregates,
+        Aggregates.of(n, [1 << x for x in range(n)]),
+        Aggregates.of(n, [m for m in mis if m.bit_count() == 1]),
+        Aggregates.of(n, [m for m in mis if m.bit_count() > 1]),
     )
 
 
@@ -699,11 +689,11 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     or more vertices.  So the walk over the induced forests of G that finds
     them is a table, ``_role_patterns``, cached per (G, signature) and
     shared by every H with that signature.  The rest of H that the profile
-    reads, the signature and each role's fibre size histogram and extreme
-    fibres, is one record, ``_fibres``, cached per H and shared by every G.
-    The fold here is the only work per pair: each pattern adds the
-    convolution of its vertices' fibre size histograms to the total, so
-    patterns with equal role counts are summed at once.
+    reads is one ``Aggregates`` per role, ``_fibres``, cached per H and
+    shared by every G; the signature is read off them.  The fold here is the
+    only work per pair: each pattern adds the convolution of its vertices'
+    fibre size histograms to the total, so patterns with equal role counts
+    are summed at once.
 
     A pattern's orders are the sums of one fibre size per vertex, so a
     pattern reaches the least (greatest) order of the product only if its
@@ -719,20 +709,21 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     """
     if h.order == 1:
         return _forest_catalogue(g).aggregates
-    fibres = _fibres(h)
-    table = _role_patterns(g, *fibres.signature)
+    roles = _fibres(h)
+    has_univ, has_big = bool(roles[_UNIV].counts), bool(roles[_BIG].counts)
+    table = _role_patterns(g, h.edge_count > 0, has_univ, has_big)
 
     total: dict[int, int] = {}
     for counts, pats in table:
         poly = {0: len(pats)}
         for r, k in enumerate(counts):
             for _ in range(k):
-                poly = _convolve(poly, fibres.hists[r])
+                poly = _convolve(poly, roles[r].counts)
         for k, c in poly.items():
             total[k] = total.get(k, 0) + c
     witnesses = []
     n = h.order
-    for t, extremes in ((min(total), fibres.lows), (max(total), fibres.highs)):
+    for t, extremes in ((min(total), [r.lo for r in roles]), (max(total), [r.hi for r in roles])):
         sizes = [f.bit_count() for f in extremes]
         witnesses.append(
             min(
@@ -785,9 +776,10 @@ def _partition(
 ) -> ForestPartition:
     """Sort the vertices of a forest mask of the graph (n, adj), whose
     components of two or more vertices are ``comps``, by their role in its
-    component: isolated vertices, leaves of components larger than an edge, vertices of degree
-    >= 2, and the endpoints of the single-edge components, the ``z_choice``
-    one of each in Z."""
+    component: isolated vertices, leaves of components larger than an edge,
+    vertices of degree >= 2 (those with two neighbours in their component,
+    ``_blocked_by``, as in ``_role_patterns``), and the endpoints of the
+    single-edge components, the ``z_choice`` one of each in Z."""
     isolated = forest
     leaves = internal = lo = hi = 0
     for comp in comps:
@@ -798,11 +790,9 @@ def _partition(
             lo |= low
             hi |= comp ^ low
         else:
-            for v in iter_bits(comp):
-                if (adj[v] & forest).bit_count() == 1:
-                    leaves |= 1 << v
-                else:
-                    internal |= 1 << v
+            inner = comp & _blocked_by(adj, comp)
+            internal |= inner
+            leaves |= comp ^ inner
     z, t = (lo, hi) if z_choice == "min" else (hi, lo)
     return ForestPartition(*(VertexSubset(n, mask) for mask in (isolated, leaves, internal, z, t)))
 

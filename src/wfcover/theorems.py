@@ -58,6 +58,7 @@ from .products import lexicographic, lift
 from .forests import (
     ForestPartition,
     ForestStats,
+    _forest_catalogue,
     _within_bound,
     enumerate_maximal_induced_forests,
     forest_number,
@@ -494,7 +495,6 @@ def check_thm35(
 
     forests_g = _forest_partitions(g, z_choice)
     mis_g = enumerate_maximal_independent_sets(g)
-    forests_h = enumerate_maximal_induced_forests(h)
     alpha_g = independence_number(g)
     f_g = forest_number(g)
     f_h = forest_number(h)
@@ -520,9 +520,10 @@ def check_thm35(
     cond2 = wfc_h and ((not premise2) or wc_h)
     cond3 = f_p == alpha_g * f_h
 
-    # canonical F_H: the smallest-mask maximal forest of maximum order, so that
-    # each V* has condition (4)'s order; construct_vm checks it before any V*
-    fh_canon = next(s for s in forests_h if len(s) == f_h)
+    # canonical F_H: the smallest-mask maximal forest of maximum order, the
+    # ``hi`` of H's forest catalogue record, so that each V* has condition
+    # (4)'s order; construct_vm checks it before any V*
+    fh_canon = VertexSubset(h.order, _forest_catalogue(h).aggregates.hi)
     witnesses = []
     for m in mis_g:
         detail = {"m": list(m.vertices()), "f_h": list(fh_canon.vertices())}

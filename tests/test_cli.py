@@ -442,6 +442,15 @@ class TestUsageAndBounds:
         assert (code, out, err) == (2, "", "")
         assert "unrecognized arguments: --max-order 99" in capsys.readouterr().err
 
+    def test_broken_pipe_on_stdout_exit_two(self):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        code = run(["gen", "--family", "path:3"], stdout=ClosedPipe(), stderr=err)
+        assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")
+
     def test_verify_paper_exit_zero(self):
         code, doc, _ = invoke_json(["verify-paper"])
         assert code == 0

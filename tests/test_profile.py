@@ -26,7 +26,14 @@ from wfcover import (
     parse_family,
 )
 
-from conftest import clear_wfcover_caches, graphs, nx_is_forest, to_nx, twin_rich_graphs
+from conftest import (
+    clear_wfcover_caches,
+    graphs,
+    naive_maximal_forests,
+    nx_is_forest,
+    to_nx,
+    twin_rich_graphs,
+)
 
 
 def fam(text: str) -> Graph:
@@ -121,6 +128,49 @@ def test_role_table_matches_all_subsets_oracle(atlas_le5):
             assert all(len(set(pats)) == len(pats) for _, pats in table), (g.edges(), signature)
             got = {counts: set(pats) for counts, pats in table}
             assert got == oracle_role_patterns(g, *signature), (g.edges(), signature)
+
+
+def oracle_record(sets) -> tuple:
+    """(counts, lo, hi) of a family of vertex sets, counted one by one: the
+    number of sets per size, and the smallest mask of least and of greatest
+    size, 0 when there is no set."""
+    masks = [sum(1 << v for v in s) for s in sets]
+    if not masks:
+        return (), 0, 0
+    sizes = sorted({m.bit_count() for m in masks})
+    counts = tuple((k, sum(m.bit_count() == k for m in masks)) for k in sizes)
+    return (
+        counts,
+        min(m for m in masks if m.bit_count() == sizes[0]),
+        min(m for m in masks if m.bit_count() == sizes[-1]),
+    )
+
+
+def test_role_records_match_oracles(atlas_le5):
+    # per role (ISO, ONE, UNIV, BIG) the fibres H allows: its maximal forests,
+    # its vertices, its universal vertices, and its maximal independent sets
+    # of two or more vertices, the maximal cliques of its complement
+    clear_wfcover_caches()  # so that _fibres and the catalogue start cold together
+    empty_roles = set()
+    for h in atlas_le5:
+        if h.order < 2:
+            continue
+        H = to_nx(h)
+        expected = (
+            naive_maximal_forests(h),
+            [{v} for v in H],
+            [{v} for v in H if H.degree(v) == h.order - 1],
+            [c for c in nx.find_cliques(nx.complement(H)) if len(c) >= 2],
+        )
+        roles = forests._fibres(h)
+        assert roles[0] is forests._forest_catalogue(h).aggregates
+        for r, (record, sets) in enumerate(zip(roles, expected)):
+            assert record.order == h.order
+            assert (record.counts, record.lo, record.hi) == oracle_record(sets), (h.edges(), r)
+            if not sets:
+                empty_roles.add(r)
+    # complete graphs have no BIG fibre, P4 no UNIV fibre
+    assert empty_roles == {2, 3}
 
 
 BENCH_PRODUCTS = (

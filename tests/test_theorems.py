@@ -443,7 +443,9 @@ class TestCheckPath:
     ):
         g, h = fam(g), fam(h)
         calls = []
-        for name in ("forest_partition", "is_maximal_induced_forest", "is_maximal_independent_set"):
+        names = ("forest_partition", "is_maximal_induced_forest", "is_maximal_independent_set",
+                 "enumerate_maximal_induced_forests")
+        for name in names:
 
             def counting(graph, *args, _name=name, _real=getattr(theorems, name), **kwargs):
                 calls.append((_name, graph))
@@ -459,6 +461,8 @@ class TestCheckPath:
         assert count("forest_partition", lambda graph: graph == g) == partitions
         assert count("is_maximal_induced_forest", lambda graph: graph == h) == h_forest_checks
         assert count("is_maximal_independent_set", lambda graph: graph == h) == h_independent_checks
+        # F_H is read off H's catalogue record: H's maximal forests are never listed
+        assert count("enumerate_maximal_induced_forests", lambda graph: graph == h) == 0
         product_order = g.order * h.order
         product_checks = count("is_maximal_induced_forest", lambda graph: graph.order == product_order)
         assert product_checks == len(report.witnesses) > 0
