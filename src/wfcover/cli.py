@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -340,12 +341,22 @@ def _cmd_search(args) -> tuple[dict, str, int]:
     return doc, summary, 1 if noteworthy else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``wfcover``.  Given ``argv``, only the first token that
+    names a subcommand gets that subcommand's arguments and ``-h``: the
+    top-level parser has no option that takes a value, so no later token can
+    be the subcommand.  Every subcommand keeps its help line, so top-level
+    usage, help and errors are those of the full parser, ``build_parser()``."""
+    running = None if argv is None else next((arg for arg in argv if arg in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="wfcover",
         description="Exact well-f-coveredness analysis of graphs and lexicographic products.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add_command(name: str, help: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help, add_help=argv is None or name == running)
+        return p if p.add_help else None
 
     def add_bound(p: argparse.ArgumentParser) -> None:
         """The enumeration bound, for the commands that enumerate."""
@@ -356,43 +367,43 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"enumeration bound (default {MAX_ORDER_ENV} or {DEFAULT_MAX_ORDER}, cap {DEFAULT_MAX_ORDER})",
         )
 
-    p_gen = sub.add_parser("gen", help="generate a family graph and print it")
-    p_gen.add_argument("--family", required=True, help="path:4, cycle:5, empty:3, complete:4, fig1")
+    if p := add_command("gen", "generate a family graph and print it"):
+        p.add_argument("--family", required=True, help="path:4, cycle:5, empty:3, complete:4, fig1")
 
-    p_product = sub.add_parser("product", help="build a lexicographic product")
-    p_product.add_argument("--g", required=True, help="first factor (family, g6:..., file:..., or graph6)")
-    p_product.add_argument("--h", required=True, help="second factor")
+    if p := add_command("product", "build a lexicographic product"):
+        p.add_argument("--g", required=True, help="first factor (family, g6:..., file:..., or graph6)")
+        p.add_argument("--h", required=True, help="second factor")
 
-    p_analyze = sub.add_parser("analyze", help="forest/independence analysis of one graph")
-    group = p_analyze.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help="family syntax, e.g. cycle:4")
-    group.add_argument("--graph6", help="a graph6 record")
-    group.add_argument("--file", help="file with graph6 records (first is analyzed)")
-    add_bound(p_analyze)
+    if p := add_command("analyze", "forest/independence analysis of one graph"):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--family", help="family syntax, e.g. cycle:4")
+        group.add_argument("--graph6", help="a graph6 record")
+        group.add_argument("--file", help="file with graph6 records (first is analyzed)")
+        add_bound(p)
 
-    p_check = sub.add_parser("check-theorem", help="evaluate one condition set on a pair")
-    p_check.add_argument("theorem", choices=list(THEOREM_IDS))
-    p_check.add_argument("--g", required=True, help="first factor")
-    p_check.add_argument("--h", required=True, help="second factor")
-    p_check.add_argument("--z-tiebreak", choices=list(Z_CHOICES), default=None)
-    p_check.add_argument("--anchor", type=int, default=None, help="second-factor anchor vertex override")
-    add_bound(p_check)
+    if p := add_command("check-theorem", "evaluate one condition set on a pair"):
+        p.add_argument("theorem", choices=list(THEOREM_IDS))
+        p.add_argument("--g", required=True, help="first factor")
+        p.add_argument("--h", required=True, help="second factor")
+        p.add_argument("--z-tiebreak", choices=list(Z_CHOICES), default=None)
+        p.add_argument("--anchor", type=int, default=None, help="second-factor anchor vertex override")
+        add_bound(p)
 
-    p_verify = sub.add_parser("verify-paper", help="re-check the bundled case studies")
-    add_bound(p_verify)
+    if p := add_command("verify-paper", "re-check the bundled case studies"):
+        add_bound(p)
 
-    p_search = sub.add_parser("search", help="scan graph6 files for non-sufficiency witnesses")
-    p_search.add_argument("--g-file", required=True, help="graph6 file for first factors")
-    p_search.add_argument("--h-file", default=None, help="graph6 file for second factors (default: --g-file)")
-    p_search.add_argument("--theorem", required=True, choices=list(THEOREM_IDS))
-    p_search.add_argument("--out", default=None, help="JSON Lines file for non-consistent findings")
-    p_search.add_argument("--workers", type=int, default=1)
-    p_search.add_argument(
-        "--skip-malformed",
-        action="store_true",
-        help="skip malformed graph6 lines instead of aborting",
-    )
-    add_bound(p_search)
+    if p := add_command("search", "scan graph6 files for non-sufficiency witnesses"):
+        p.add_argument("--g-file", required=True, help="graph6 file for first factors")
+        p.add_argument("--h-file", default=None, help="graph6 file for second factors (default: --g-file)")
+        p.add_argument("--theorem", required=True, choices=list(THEOREM_IDS))
+        p.add_argument("--out", default=None, help="JSON Lines file for non-consistent findings")
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--skip-malformed",
+            action="store_true",
+            help="skip malformed graph6 lines instead of aborting",
+        )
+        add_bound(p)
 
     return parser
 
@@ -408,12 +419,14 @@ _COMMANDS = {
 
 
 def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
-    """Parse arguments and run one subcommand; returns the exit code."""
+    """Parse arguments and run one subcommand; returns the exit code.  Usage,
+    help and argument errors go to ``stdout`` and ``stderr`` too."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

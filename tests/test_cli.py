@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import logging
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from wfcover.cli import _dumps, run
+from wfcover import cli
+from wfcover.cli import _dumps, build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -439,8 +441,10 @@ class TestUsageAndBounds:
     )
     def test_commands_that_do_not_enumerate_take_no_bound(self, argv, capsys):
         code, out, err = invoke(argv + ["--max-order", "99"])
-        assert (code, out, err) == (2, "", "")
-        assert "unrecognized arguments: --max-order 99" in capsys.readouterr().err
+        # the top-level parser reports what the subcommand's parser left over
+        usage = build_parser().format_usage()
+        assert (code, out, err) == (2, "", usage + "wfcover: error: unrecognized arguments: --max-order 99\n")
+        assert capsys.readouterr() == ("", "")
 
     def test_broken_pipe_on_stdout_exit_two(self):
         class ClosedPipe(io.StringIO):
@@ -455,3 +459,114 @@ class TestUsageAndBounds:
         code, doc, _ = invoke_json(["verify-paper"])
         assert code == 0
         assert doc["verdict"] == "consistent"
+
+
+_COMMAND_NAMES = list(cli._COMMANDS)
+# command names, option strings and good and bad values, for drawn argv
+_ARGV_TOKENS = _COMMAND_NAMES + [
+    "--family", "--g", "--h", "--graph6", "--file", "--max-order", "--z-tiebreak", "--anchor",
+    "--g-file", "--h-file", "--theorem", "--out", "--workers", "--skip-malformed",
+    "--", "-h", "--help", "--frob",
+    "thm31", "thm32", "thm35", "thm9", "path:3", "cycle:4", "empty:2", "complete:2", "cycle:2",
+    "Bw", "!!", "min", "max", "mid", "0", "1", "-1", "99", "x", "missing.g6",
+]
+
+
+class TestParserSurface:
+    """``run`` gives the full argument set only to the command argv runs.  The
+    whole parser, ``build_parser()``, is the reference: every argv gives the
+    same exit code, stdout and stderr through both, whether argparse writes to
+    the streams given to ``run`` or to the process's own."""
+
+    ARGV = [
+        [], ["-h"], ["--help"], ["--he"], ["-h", "gen"], ["--help", "check-theorem"],
+        *([name, "-h"] for name in _COMMAND_NAMES),
+        *([name] for name in _COMMAND_NAMES),
+        ["frobnicate"], ["frobnicate", "gen"], ["check"], ["Gen"], ["--frob"],
+        ["--frob", "gen", "--family", "path:3"],
+        ["gen", "--frob"],
+        ["gen", "--family", "path:3"],
+        ["gen", "--fam", "path:3"],
+        ["gen", "--family", "check-theorem"],
+        ["gen", "--family", "path:3", "verify-paper"],
+        ["gen", "--family", "path:3", "--max-order", "99"],
+        ["--", "gen", "--family", "path:3"],
+        ["gen", "--", "--family", "path:3"],
+        ["--", "-h"],
+        ["product", "--g", "gen", "--h", "verify-paper"],
+        ["product", "--g", "path:2", "--h", "path:2"],
+        ["analyze", "--family", "cycle:4"],
+        ["analyze", "--family", "path:3", "--graph6", "Bw"],
+        ["analyze", "--family", "path:3", "--max-order", "ten"],
+        ["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"],
+        ["check-theorem", "thm35", "--g", "path:3", "--h", "path:2", "--z", "max"],
+        ["check-theorem", "thm35", "--g", "path:3", "--h", "path:2", "--frob"],
+        ["check-theorem", "thm99", "--g", "path:3", "--h", "path:2"],
+        ["check-theorem", "thm35", "--g", "path:3", "--h", "path:2", "--z-tiebreak", "mid"],
+        ["check-theorem", "thm35", "--g", "path:3", "--h", "path:2", "--anchor", "x"],
+        ["check-theorem", "--g", "path:3", "--h", "path:2", "thm35", "-h"],
+        ["verify-paper", "gen"],
+        ["verify-paper", "--max-order", "x"],
+        ["search", "--g-file", "missing.g6", "--theorem", "thm4"],
+        ["search", "--g-file", "missing.g6", "--theorem", "thm35", "--workers", "two"],
+    ]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, stdout=out, stderr=err)
+        leaked = capsys.readouterr()
+        return code, out.getvalue(), err.getvalue(), leaked.out, leaked.err
+
+    def assert_same_as_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        shipped = self.outcome(argv, capsys)
+        full = cli.build_parser
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda *_: full())
+            assert self.outcome(argv, capsys) == shipped
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_listed_argv(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        self.assert_same_as_full_parser(argv, capsys, monkeypatch)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
+    def test_drawn_argv(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        self.assert_same_as_full_parser(argv, capsys, monkeypatch)
+
+
+class TestParserCounters:
+    """Exact parser work, as ``TestKernelCounters`` pins kernel work: the
+    ``ArgumentParser`` objects built and the ``add_argument`` calls made (the
+    automatic ``-h`` among them) by one ``run``, and by the full parser."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (None, (7, 28)),
+            (["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"], (7, 8)),
+            (["gen", "--family", "path:3"], (7, 3)),
+            (["verify-paper"], (7, 3)),
+        ],
+    )
+    def test_parsers_and_arguments(self, argv, expected, monkeypatch):
+        counts = [0, 0]
+
+        def counted(method, slot):
+            def wrapper(*args, **kwargs):
+                counts[slot] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted(argparse.ArgumentParser.__init__, 0))
+        # parsers and argument groups share this one add_argument
+        container = argparse._ActionsContainer
+        monkeypatch.setattr(container, "add_argument", counted(container.add_argument, 1))
+        if argv is None:
+            build_parser()
+        else:
+            assert invoke(argv)[0] in (0, 1)
+        assert tuple(counts) == expected
