@@ -343,20 +343,26 @@ def _cmd_search(args) -> tuple[dict, str, int]:
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser of ``wfcover``.  Given ``argv``, only the first token that
-    names a subcommand gets that subcommand's arguments and ``-h``: the
-    top-level parser has no option that takes a value, so no later token can
-    be the subcommand.  Every subcommand keeps its help line, so top-level
-    usage, help and errors are those of the full parser, ``build_parser()``."""
+    names a subcommand gets a parser object: the top-level parser has no
+    option that takes a value, so no later token can be the subcommand, and
+    argparse parses only with the parser of the name it selects.  The others
+    have no parser object, only a name and help line, which is all argparse's
+    choices, usage, help and "invalid choice" error read of them, so those are
+    the full parser's, ``build_parser()``'s."""
     running = None if argv is None else next((arg for arg in argv if arg in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="wfcover",
         description="Exact well-f-coveredness analysis of graphs and lexicographic products.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def parser_class(build: bool, **kwargs) -> argparse.ArgumentParser | None:
+        # add_parser forwards its unknown keywords, ``build`` among them
+        return argparse.ArgumentParser(**kwargs) if build else None
+
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=parser_class)
 
     def add_command(name: str, help: str) -> argparse.ArgumentParser | None:
-        p = sub.add_parser(name, help=help, add_help=argv is None or name == running)
-        return p if p.add_help else None
+        return sub.add_parser(name, help=help, build=argv is None or name == running)
 
     def add_bound(p: argparse.ArgumentParser) -> None:
         """The enumeration bound, for the commands that enumerate."""

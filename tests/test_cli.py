@@ -6,6 +6,9 @@ import argparse
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -473,10 +476,11 @@ _ARGV_TOKENS = _COMMAND_NAMES + [
 
 
 class TestParserSurface:
-    """``run`` gives the full argument set only to the command argv runs.  The
+    """``run`` builds a parser object only for the command argv runs.  The
     whole parser, ``build_parser()``, is the reference: every argv gives the
-    same exit code, stdout and stderr through both, whether argparse writes to
-    the streams given to ``run`` or to the process's own."""
+    same exit code, stdout and stderr through both, at each terminal width,
+    whether argparse writes to the streams given to ``run`` or to the
+    process's own."""
 
     ARGV = [
         [], ["-h"], ["--help"], ["--he"], ["-h", "gen"], ["--help", "check-theorem"],
@@ -518,18 +522,27 @@ class TestParserSurface:
         leaked = capsys.readouterr()
         return code, out.getvalue(), err.getvalue(), leaked.out, leaked.err
 
-    def assert_same_as_full_parser(self, argv, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
+    def assert_same_as_full_parser(self, argv, capsys, monkeypatch, columns="80"):
+        # usage and help wrap at the terminal width
+        monkeypatch.setenv("COLUMNS", columns)
         shipped = self.outcome(argv, capsys)
         full = cli.build_parser
         with monkeypatch.context() as patch:
             patch.setattr(cli, "build_parser", lambda *_: full())
             assert self.outcome(argv, capsys) == shipped
 
-    @pytest.mark.parametrize("argv", ARGV)
-    def test_listed_argv(self, argv, capsys, monkeypatch, tmp_path):
+    # 80 columns is the default case, named by its argv alone
+    @pytest.mark.parametrize(
+        "argv,columns",
+        [
+            pytest.param(argv, columns, id=f"argv{i}" if columns == "80" else f"argv{i}-{columns}")
+            for i, argv in enumerate(ARGV)
+            for columns in ("80", "40", "200")
+        ],
+    )
+    def test_listed_argv(self, argv, columns, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
-        self.assert_same_as_full_parser(argv, capsys, monkeypatch)
+        self.assert_same_as_full_parser(argv, capsys, monkeypatch, columns)
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
@@ -547,9 +560,10 @@ class TestParserCounters:
         "argv,expected",
         [
             (None, (7, 28)),
-            (["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"], (7, 8)),
-            (["gen", "--family", "path:3"], (7, 3)),
-            (["verify-paper"], (7, 3)),
+            (["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"], (2, 8)),
+            (["gen", "--family", "path:3"], (2, 3)),
+            (["verify-paper"], (2, 3)),
+            (["--help"], (1, 1)),
         ],
     )
     def test_parsers_and_arguments(self, argv, expected, monkeypatch):
@@ -570,3 +584,27 @@ class TestParserCounters:
         else:
             assert invoke(argv)[0] in (0, 1)
         assert tuple(counts) == expected
+
+
+class TestEntryPoint:
+    """``python -m wfcover`` as a process gives what ``run`` gives in-process."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["check-theorem", "-h"],
+            ["frobnicate"],
+            ["gen", "--family", "path:3"],
+            ["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"],
+        ],
+    )
+    def test_process_matches_run(self, argv, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "wfcover", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == invoke(argv)
