@@ -5,8 +5,8 @@ short human summary and its exit code; ``run`` writes the document on stdout
 and then the summary on stderr, so reports are byte-stable for golden-file
 comparison.  Documents are rendered by ``_dumps``, whose output is
 byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``.  Exit
-codes: 0 success/consistent, 1 findings or property failures, 2 usage or I/O
-errors.
+codes: 0 success/consistent, 1 findings or property failures, 2 usage, I/O
+or worker-pool errors.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from typing import IO
 
 from .graphs import (
@@ -441,7 +442,9 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
         doc, summary, code = _COMMANDS[args.subcommand](args)
         stdout.write(_dumps(doc) + "\n")
         print(summary, file=stderr)
-    except (ValueError, OSError) as exc:  # FamilyError, Graph6Error and the rest are ValueErrors
+    # FamilyError, Graph6Error and the rest are ValueErrors; a search pool whose
+    # worker died raises BrokenExecutor, which is no finding either
+    except (ValueError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
     return code

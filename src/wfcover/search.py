@@ -5,6 +5,12 @@ by a process pool, one task per run of consecutive pairs that share their
 first factor), and reported as Findings in input order.  Findings with
 a non-consistent verdict are also appended to a JSON Lines file so long
 scans can stream their results.
+
+The process-pool machinery (``concurrent.futures.process`` and
+``multiprocessing``) is imported only when a scan starts a pool, so a
+command that does not fork never loads it.  A pool whose worker dies
+raises ``concurrent.futures.BrokenExecutor`` from the scan, which the CLI
+reports as an error (exit 2).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, groupby
@@ -138,7 +144,7 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
     )
 
     out_file: IO[str] | None = None
-    pool: ProcessPoolExecutor | None = None
+    pool: Executor | None = None
     if config.findings_path is not None:
         out_file = open(config.findings_path, "a", encoding="ascii")
     # more processes than usable CPUs only add start-up cost and memory;
@@ -152,6 +158,9 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
         if workers == 1:
             runs: Iterable[list[Finding]] = map(_check_run, tasks)
         else:
+            # imported here, so a scan that does not fork never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=workers)
             runs = pool.map(_check_run, tasks)
         for finding in chain.from_iterable(runs):
@@ -168,13 +177,20 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
 
 
 def read_findings(path: str | Path) -> list[Finding]:
-    """Load a JSON Lines findings file."""
+    """Load a JSON Lines findings file.  A line that is not JSON, or a
+    record that lacks a field, raises ValueError naming its line number."""
     out = []
     with open(path, encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(Finding.from_dict(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from exc
+            except KeyError as exc:
+                raise ValueError(f"line {lineno}: finding has no field {exc.args[0]!r}") from exc
     return out
 
 

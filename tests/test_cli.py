@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import io
 import json
 import logging
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -357,6 +359,27 @@ class TestSearchCommand:
         assert code == 0
         assert doc["verdicts"] == {"consistent": 1}
 
+    def test_broken_pool_exit_two(self, tmp_path, monkeypatch):
+        class BrokenPool:
+            """Its results raise as a pool's do once a worker has died."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, items, chunksize=1):
+                raise BrokenProcessPool("a worker died")
+                yield
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        g_file = tmp_path / "g.g6"
+        g_file.write_text("Ch\nA_\n")
+        code, out, err = invoke(["search", "--g-file", str(g_file), "--theorem", "thm35", "--workers", "2"])
+        assert (code, out, err) == (2, "", "error: a worker died\n")
+
     def test_missing_file_exit_two(self, tmp_path):
         code, _, err = invoke(
             ["search", "--g-file", str(tmp_path / "missing.g6"), "--theorem", "thm35"]
@@ -608,3 +631,31 @@ class TestEntryPoint:
             [sys.executable, "-m", "wfcover", *argv], capture_output=True, text=True, env=env, check=False
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == invoke(argv)
+
+
+class TestImportFootprint:
+    def test_commands_that_do_not_fork_load_no_process_pool(self):
+        # a fresh interpreter: the process-pool modules load only when a scan forks
+        atlas = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas_le4.g6"
+        script = f"""
+import io, json, sys
+before = set(sys.modules)
+from wfcover.cli import run
+out = io.StringIO()
+codes = [
+    run(["check-theorem", "thm35", "--g", "cycle:5", "--h", "cycle:4"], out, out),
+    run(["search", "--g-file", {str(atlas)!r}, "--theorem", "thm35", "--workers", "1"], out, out),
+]
+print(json.dumps({{"codes": codes, "added": sorted(set(sys.modules) - before)}}))
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [1, 1]
+        assert "wfcover.search" in result["added"]
+        pool = [
+            name for name in result["added"]
+            if name.split(".")[0] in ("multiprocessing", "_multiprocessing") or name == "concurrent.futures.process"
+        ]
+        assert pool == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import json
 import logging
@@ -140,7 +141,7 @@ class TestScan:
             def shutdown(self, wait=True, *, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         pairs = [(fam("path:4"), fam("empty:2"))]
         findings = list(scan(pairs, ScanConfig(theorem="thm32", workers=workers)))
@@ -164,7 +165,7 @@ class TestScan:
             def shutdown(self, wait=True, *, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         pairs = [(fam("path:4"), fam("empty:2"))]
@@ -187,7 +188,7 @@ class TestScan:
             def shutdown(self, wait=True, *, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1})
         gs = [fam("path:3"), fam("cycle:4")]
         hs = [fam("path:2"), fam("path:3"), fam("cycle:3")]
@@ -284,7 +285,7 @@ class TestScan:
                     checked.append(item)
                     fn(item)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", QueueingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", QueueingPool)
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1})
         pairs = [(fam(g), fam("empty:2")) for g in ("path:4", "path:3", "cycle:4", "complete:3")]
         findings = scan(pairs, ScanConfig(theorem="thm32", workers=2))
@@ -328,6 +329,23 @@ class TestScan:
         data = json.loads(out.read_text())
         data["unknown"] = 1
         assert Finding.from_dict(data).witness_orders == (5, 6)
+
+    def test_truncated_findings_line_names_its_line(self, tmp_path):
+        out = tmp_path / "findings.jsonl"
+        list(scan([(fam("path:4"), fam("empty:2"))], ScanConfig(theorem="thm32", findings_path=out)))
+        line = out.read_text()
+        out.write_text(line + line[:20] + "\n")
+        with pytest.raises(ValueError, match=r"^line 2: .* \(column 21\)$"):
+            read_findings(out)
+
+    def test_findings_record_without_a_field_names_it(self, tmp_path):
+        out = tmp_path / "findings.jsonl"
+        list(scan([(fam("path:4"), fam("empty:2"))], ScanConfig(theorem="thm32", findings_path=out)))
+        data = json.loads(out.read_text())
+        del data["g_graph6"]
+        out.write_text("\n" + json.dumps(data) + "\n")
+        with pytest.raises(ValueError, match=r"^line 2: finding has no field 'g_graph6'$"):
+            read_findings(out)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
