@@ -40,7 +40,6 @@ from .forests import (
 from .independence import independence_number, is_well_covered
 from .theorems import (
     THEOREM_IDS,
-    ClaimRecord,
     ConditionRecord,
     TheoremReport,
     WitnessRecord,
@@ -104,19 +103,10 @@ def _subset_json(subset) -> list[int]:
     return list(subset.vertices())
 
 
-def _stats_json(stats) -> dict:
-    return {
-        "isolated": stats.isolated,
-        "k2_components": stats.k2_components,
-        "outer_leaves": stats.outer_leaves,
-        "internal": stats.internal,
-    }
-
-
 def _condition_json(rec: ConditionRecord) -> dict:
     out = {
         "forest": _subset_json(rec.forest),
-        "stats": _stats_json(rec.stats),
+        "stats": vars(rec.stats).copy(),
         "lhs": rec.lhs,
         "rhs": rec.rhs,
         "holds": rec.holds,
@@ -136,17 +126,6 @@ def _witness_json(rec: WitnessRecord) -> dict:
     }
 
 
-def _claim_json(rec: ClaimRecord) -> dict:
-    return {
-        "example": rec.example,
-        "claim": rec.claim,
-        "text": rec.text,
-        "status": rec.status,
-        "expected": rec.expected,
-        "facts": rec.facts,
-    }
-
-
 def report_to_dict(report: TheoremReport) -> dict:
     out = {
         "schema": SCHEMA_VERSION,
@@ -159,7 +138,7 @@ def report_to_dict(report: TheoremReport) -> dict:
         "verdict": report.verdict,
     }
     if report.claims:
-        out["claims"] = [_claim_json(c) for c in report.claims]
+        out["claims"] = [vars(c).copy() for c in report.claims]
     return out
 
 

@@ -2,8 +2,8 @@
 
 Each case study is a list of checkable sentences about a specific product
 (P4 with two edgeless copies, the fig1 graph with C4, and C5 with C4).
-The audit recomputes every sentence by exhaustive enumeration and
-classifies it by one rule, ``_claim``:
+Facts about a checked pair come from its check report, printed sets are
+tested directly, and each sentence is classified by one rule, ``_claim``:
 
 confirmed   the sentence holds as printed
 corrected   the sentence is false as printed, but a minimal repair of the
@@ -19,14 +19,7 @@ from __future__ import annotations
 
 from .graphs import FamilySpec, Graph, VertexSubset, generate
 from .products import ProductIndexMap
-from .forests import (
-    ForestStats,
-    enumerate_maximal_induced_forests,
-    forest_stats,
-    is_induced_forest,
-    is_maximal_induced_forest,
-)
-from .independence import enumerate_maximal_independent_sets
+from .forests import ForestStats, is_induced_forest, is_maximal_induced_forest
 from .theorems import (
     ClaimRecord,
     TheoremReport,
@@ -37,7 +30,6 @@ from .theorems import (
     check_thm32,
     check_thm35,
     thm32_lhs,
-    thm35_lhs,
 )
 
 # fig1 vertex dictionary: a=0, b=1, c=2, d=3, e=4
@@ -50,6 +42,10 @@ _FIG1_EABC = (0, 1, 2, 4)    # genuinely maximal, condition-(4) value 6
 _C5C4_FIRST = ((0, 0), (0, 2), (1, 0), (2, 0), (3, 0), (3, 2))
 _C5C4_SECOND_PRINTED = ((0, 0), (0, 2), (1, 0), (2, 0), (2, 1))
 _C5C4_SECOND_FIXED = ((0, 0), (0, 2), (1, 0), (2, 0), (2, 2))
+
+# the stats of an induced P3 and P4: two leaves and one or two inner vertices
+_P3_STATS = ForestStats(0, 0, 2, 1)
+_P4_STATS = ForestStats(0, 0, 2, 2)
 
 
 def _subset(g: Graph, vertices) -> VertexSubset:
@@ -77,16 +73,6 @@ def _find_triangle(g: Graph, vertices: tuple[int, ...]) -> list[int] | None:
                 if c > b and g.has_edge(a, c) and g.has_edge(b, c):
                     return [a, b, c]
     return None
-
-
-def _is_induced_path(g: Graph, s: VertexSubset) -> bool:
-    stats = forest_stats(g, s)
-    return (
-        stats.isolated == 0
-        and stats.k2_components == 0
-        and stats.outer_leaves == 2
-        and stats.total == len(s)
-    )
 
 
 def _claim(
@@ -152,10 +138,9 @@ def _audit_p4_with_two_copies(max_order: int | None) -> tuple[list[ClaimRecord],
     g = generate(FamilySpec("path", 4))
     report = check_thm32(g, 2, max_order=max_order)
     truth = report.ground_truth
-    forests = enumerate_maximal_induced_forests(g)
-    forests_json = [list(f.vertices()) for f in forests]
-    all_are_p3 = all(len(f) == 3 and _is_induced_path(g, f) for f in forests)
-    p3_value = thm32_lhs(ForestStats(0, 0, 2, 1), 2)
+    forests_json = [list(r.forest.vertices()) for r in report.condition_values]
+    all_are_p3 = all(r.stats == _P3_STATS for r in report.condition_values)
+    p3_value = thm32_lhs(_P3_STATS, 2)
     actual_values = [r.lhs for r in report.condition_values]
     claims = [
         _claim(
@@ -204,17 +189,19 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
     h = generate(FamilySpec("cycle", 4))
     report = check_thm35(g, h, max_order=max_order)
     truth = report.ground_truth
-    mis_h = enumerate_maximal_independent_sets(h)
+    # one record per (maximal forest of G, M_H), so every M_H appears
+    mis_h_sizes = sorted({len(r.m_h) for r in report.condition_values})
 
     abc = _subset(g, _FIG1_ABC)
     abc_maximal = is_maximal_induced_forest(g, abc)
     ebcd = _subset(g, _FIG1_EBCD)
     abd = _subset(g, _FIG1_ABD)
     eabc = _subset(g, _FIG1_EABC)
-    f_h = truth["f_h"]
-    m_h_size = len(mis_h[0])
-    value_abd = thm35_lhs(forest_stats(g, abd), f_h, m_h_size)
-    value_eabc = thm35_lhs(forest_stats(g, eabc), f_h, m_h_size)
+    # the value at the first M_H; None for a printed set that is not maximal
+    value_abd, value_eabc = (
+        next((r.lhs for r in report.condition_values if r.forest == s), None)
+        for s in (abd, eabc)
+    )
 
     claims = [
         _claim(
@@ -244,13 +231,13 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
             holds=(
                 truth["well_f_covered_h"]
                 and truth["well_covered_h"]
-                and all(len(m) > 1 for m in mis_h)
+                and mis_h_sizes[0] > 1
             ),
             expected="confirmed",
             facts={
                 "well_f_covered_h": truth["well_f_covered_h"],
                 "well_covered_h": truth["well_covered_h"],
-                "maximal_independent_sizes": sorted({len(m) for m in mis_h}),
+                "maximal_independent_sizes": mis_h_sizes,
             },
         ),
         _product_forest_number("fig1_c4", "G", "C4", truth),
@@ -286,8 +273,8 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
     product = _product(g, h)
     index_map = ProductIndexMap(g.order, h.order)
 
-    forests_g = enumerate_maximal_induced_forests(g)
-    all_p4 = all(len(f) == 4 and _is_induced_path(g, f) for f in forests_g)
+    all_p4 = all(r.stats == _P4_STATS for r in report.condition_values)
+    orders = sorted({len(r.forest) for r in report.condition_values})
     values = sorted({r.lhs for r in report.condition_values})
 
     first = index_map.subset_from_pairs(_C5C4_FIRST)
@@ -316,7 +303,7 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
             text="every maximal forest of C5 is an induced P4 with condition-(4) value 6",
             holds=all_p4 and values == [6],
             expected="confirmed",
-            facts={"forest_orders": sorted({len(f) for f in forests_g}), "values": values},
+            facts={"forest_orders": orders, "values": values},
         ),
         _claim(
             example="c5_c4",

@@ -177,8 +177,8 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
 
 
 def read_findings(path: str | Path) -> list[Finding]:
-    """Load a JSON Lines findings file.  A line that is not JSON, or a
-    record that lacks a field, raises ValueError naming its line number."""
+    """Load a JSON Lines findings file.  A line that is not a JSON object, or
+    a record that lacks a field, raises ValueError naming its line number."""
     out = []
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -186,7 +186,10 @@ def read_findings(path: str | Path) -> list[Finding]:
             if not line:
                 continue
             try:
-                out.append(Finding.from_dict(json.loads(line)))
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"line {lineno}: finding is not a JSON object")
+                out.append(Finding.from_dict(record))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from exc
             except KeyError as exc:

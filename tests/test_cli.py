@@ -126,6 +126,28 @@ _VALUES = st.recursive(
 )
 
 
+class TestReportToDict:
+    def test_rendered_records_are_copies(self):
+        from dataclasses import astuple
+
+        from wfcover import check_thm35, generate, parse_family, verify_paper_examples
+        from wfcover.cli import report_to_dict
+
+        checked = check_thm35(generate(parse_family("cycle:5")), generate(parse_family("cycle:4")))
+        stats = checked.condition_values[0].stats
+        before = astuple(stats)
+        report_to_dict(checked)["condition_values"][0]["stats"].clear()
+        assert astuple(stats) == before
+
+        audited = verify_paper_examples()
+        record = audited.claims[0]
+        before = astuple(record)
+        doc = report_to_dict(audited)
+        doc["claims"][0]["status"] = "mutated"
+        doc["claims"][0].pop("text")
+        assert astuple(record) == before
+
+
 class TestWriter:
     """``_dumps`` against its oracle, ``json.dumps(sort_keys=True, indent=2)``."""
 

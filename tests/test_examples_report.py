@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from wfcover import verify_paper_examples
+from wfcover import examples, verify_paper_examples
 from wfcover.examples import _claim
 
 
@@ -95,6 +95,15 @@ class TestFig1Audit:
     def test_product_not_wfc(self, report):
         c = claim(report, "fig1_c4", "not_well_f_covered")
         assert c.status == "confirmed"
+
+    def test_non_maximal_printed_set_gives_a_claim(self, monkeypatch):
+        # {a, b} is a forest of fig1 but not a maximal one, so no check record has it
+        monkeypatch.setattr(examples, "_FIG1_ABD", (0, 1))
+        patched = verify_paper_examples()
+        c = claim(patched, "fig1_c4", "condition4_values")
+        assert c.status == "refuted"
+        assert c.facts["values"] == [None, 6]
+        assert patched.verdict == "theorem_violation"
 
 
 class TestC5Audit:

@@ -347,6 +347,13 @@ class TestScan:
         with pytest.raises(ValueError, match=r"^line 2: finding has no field 'g_graph6'$"):
             read_findings(out)
 
+    def test_findings_record_that_is_not_an_object_names_its_line(self, tmp_path):
+        out = tmp_path / "findings.jsonl"
+        list(scan([(fam("path:4"), fam("empty:2"))], ScanConfig(theorem="thm32", findings_path=out)))
+        out.write_text(out.read_text() + "[1, 2]\n")
+        with pytest.raises(ValueError, match=r"^line 2: finding is not a JSON object$"):
+            read_findings(out)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScanConfig(theorem="thm99")
