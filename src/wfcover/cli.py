@@ -6,19 +6,22 @@ and then the summary on stderr, so reports are byte-stable for golden-file
 comparison.  Documents are rendered by ``_dumps``, whose output is
 byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``.  Exit
 codes: 0 success/consistent, 1 findings or property failures, 2 usage, I/O
-or worker-pool errors.
+or worker-pool errors.  Each command's arguments are declared once, in
+``_COMMANDS``: a plain command line is read from that table directly, and
+any other by the argparse parser built from it, which alone writes usage,
+help and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import logging
 import os
 import sys
 from concurrent.futures import BrokenExecutor
-from typing import IO
+from types import SimpleNamespace
+from typing import IO, TYPE_CHECKING, Callable
 
 from .graphs import (
     FAMILY_KINDS,
@@ -47,6 +50,9 @@ from .theorems import (
 )
 from .examples import verify_paper_examples
 from .search import ScanConfig, read_graph6_stream, scan
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 MAX_ORDER_ENV = "WFCOVER_MAX_ORDER"
@@ -91,7 +97,7 @@ def _graph_from_arg(text: str) -> Graph:
     return from_graph6(text)
 
 
-def _graph_from_flags(args: argparse.Namespace) -> Graph:
+def _graph_from_flags(args) -> Graph:
     if args.family is not None:
         return generate(parse_family(args.family))
     if args.graph6 is not None:
@@ -321,6 +327,62 @@ def _cmd_search(args) -> tuple[dict, str, int]:
     return doc, summary, 1 if noteworthy else 0
 
 
+def _arg(flag: str, **spec) -> tuple[str, dict]:
+    """One declared argument: its option string or positional name, and the
+    keywords of its ``add_argument`` call."""
+    return flag, spec
+
+
+_BOUND = _arg(
+    "--max-order",
+    type=int,
+    default=None,
+    help=f"enumeration bound (default {MAX_ORDER_ENV} or {DEFAULT_MAX_ORDER}, cap {DEFAULT_MAX_ORDER})",
+)
+
+# Each command's handler, help line, required mutually exclusive group and
+# other arguments, in declaration order (the group is declared first).
+# ``build_parser`` makes its argparse calls from this table and
+# ``_read_plain`` reads plain command lines from it.
+_COMMANDS: dict[str, tuple[Callable, str, tuple, tuple]] = {
+    "gen": (_cmd_gen, "generate a family graph and print it", (), (
+        _arg("--family", required=True, help="path:4, cycle:5, empty:3, complete:4, fig1"),
+    )),
+    "product": (_cmd_product, "build a lexicographic product", (), (
+        _arg("--g", required=True, help="first factor (family, g6:..., file:..., or graph6)"),
+        _arg("--h", required=True, help="second factor"),
+    )),
+    "analyze": (_cmd_analyze, "forest/independence analysis of one graph", (
+        _arg("--family", help="family syntax, e.g. cycle:4"),
+        _arg("--graph6", help="a graph6 record"),
+        _arg("--file", help="file with graph6 records (first is analyzed)"),
+    ), (_BOUND,)),
+    "check-theorem": (_cmd_check_theorem, "evaluate one condition set on a pair", (), (
+        _arg("theorem", choices=list(THEOREM_IDS)),
+        _arg("--g", required=True, help="first factor"),
+        _arg("--h", required=True, help="second factor"),
+        _arg("--z-tiebreak", choices=list(Z_CHOICES), default=None),
+        _arg("--anchor", type=int, default=None, help="second-factor anchor vertex override"),
+        _BOUND,
+    )),
+    "verify-paper": (_cmd_verify_paper, "re-check the bundled case studies", (), (_BOUND,)),
+    "search": (_cmd_search, "scan graph6 files for non-sufficiency witnesses", (), (
+        _arg("--g-file", required=True, help="graph6 file for first factors"),
+        _arg("--h-file", default=None, help="graph6 file for second factors (default: --g-file)"),
+        _arg("--theorem", required=True, choices=list(THEOREM_IDS)),
+        _arg("--out", default=None, help="JSON Lines file for non-consistent findings"),
+        _arg("--workers", type=int, default=1),
+        _arg(
+            "--skip-malformed",
+            action="store_true",
+            default=False,
+            help="skip malformed graph6 lines instead of aborting",
+        ),
+        _BOUND,
+    )),
+}
+
+
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser of ``wfcover``.  Given ``argv``, only the first token that
     names a subcommand gets a parser object: the top-level parser has no
@@ -329,6 +391,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     have no parser object, only a name and help line, which is all argparse's
     choices, usage, help and "invalid choice" error read of them, so those are
     the full parser's, ``build_parser()``'s."""
+    import argparse
+
     running = None if argv is None else next((arg for arg in argv if arg in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="wfcover",
@@ -340,85 +404,96 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         return argparse.ArgumentParser(**kwargs) if build else None
 
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=parser_class)
-
-    def add_command(name: str, help: str) -> argparse.ArgumentParser | None:
-        return sub.add_parser(name, help=help, build=argv is None or name == running)
-
-    def add_bound(p: argparse.ArgumentParser) -> None:
-        """The enumeration bound, for the commands that enumerate."""
-        p.add_argument(
-            "--max-order",
-            type=int,
-            default=None,
-            help=f"enumeration bound (default {MAX_ORDER_ENV} or {DEFAULT_MAX_ORDER}, cap {DEFAULT_MAX_ORDER})",
-        )
-
-    if p := add_command("gen", "generate a family graph and print it"):
-        p.add_argument("--family", required=True, help="path:4, cycle:5, empty:3, complete:4, fig1")
-
-    if p := add_command("product", "build a lexicographic product"):
-        p.add_argument("--g", required=True, help="first factor (family, g6:..., file:..., or graph6)")
-        p.add_argument("--h", required=True, help="second factor")
-
-    if p := add_command("analyze", "forest/independence analysis of one graph"):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--family", help="family syntax, e.g. cycle:4")
-        group.add_argument("--graph6", help="a graph6 record")
-        group.add_argument("--file", help="file with graph6 records (first is analyzed)")
-        add_bound(p)
-
-    if p := add_command("check-theorem", "evaluate one condition set on a pair"):
-        p.add_argument("theorem", choices=list(THEOREM_IDS))
-        p.add_argument("--g", required=True, help="first factor")
-        p.add_argument("--h", required=True, help="second factor")
-        p.add_argument("--z-tiebreak", choices=list(Z_CHOICES), default=None)
-        p.add_argument("--anchor", type=int, default=None, help="second-factor anchor vertex override")
-        add_bound(p)
-
-    if p := add_command("verify-paper", "re-check the bundled case studies"):
-        add_bound(p)
-
-    if p := add_command("search", "scan graph6 files for non-sufficiency witnesses"):
-        p.add_argument("--g-file", required=True, help="graph6 file for first factors")
-        p.add_argument("--h-file", default=None, help="graph6 file for second factors (default: --g-file)")
-        p.add_argument("--theorem", required=True, choices=list(THEOREM_IDS))
-        p.add_argument("--out", default=None, help="JSON Lines file for non-consistent findings")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument(
-            "--skip-malformed",
-            action="store_true",
-            help="skip malformed graph6 lines instead of aborting",
-        )
-        add_bound(p)
-
+    for name, (_, help, exclusive, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help, build=argv is None or name == running)
+        if p is None:
+            continue
+        if exclusive:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, spec in exclusive:
+                group.add_argument(flag, **spec)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
     return parser
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "product": _cmd_product,
-    "analyze": _cmd_analyze,
-    "check-theorem": _cmd_check_theorem,
-    "verify-paper": _cmd_verify_paper,
-    "search": _cmd_search,
-}
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read off ``_COMMANDS``
+    without argparse, when ``argv`` is a plain command line; else None.
+
+    Plain means: a command name, then in any order exactly its positionals,
+    each one of its choices, and options given once each by their full name,
+    each followed by one value that does not start with ``-`` (a flag takes
+    none); every required argument present, exactly one argument of a
+    required group, and every ``int`` value converting with ``int()``.
+    Every other line (help, errors, abbreviations, ``--opt=value``, ``--``,
+    repeated options, values that start with ``-``) is argparse's, so what
+    a line prints does not depend on which of the two read it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, _, exclusive, arguments = _COMMANDS[argv[0]]
+    declared = exclusive + arguments
+    options = {flag: spec for flag, spec in declared if flag.startswith("-")}
+    given: dict[str, str | bool] = {}
+    positional_values = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positional_values.append(token)
+            continue
+        spec = options.get(token)
+        if spec is None or token in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[token] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        given[token] = value
+    positionals = [flag for flag, _ in declared if flag not in options]
+    if len(positional_values) != len(positionals):
+        return None
+    given.update(zip(positionals, positional_values))
+    if exclusive and sum(flag in given for flag, _ in exclusive) != 1:
+        return None
+    args = {"subcommand": argv[0]}
+    for flag, spec in declared:
+        if flag in given:
+            value = given[flag]
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default")
+        args[flag.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**args)
 
 
 def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
-    """Parse arguments and run one subcommand; returns the exit code.  Usage,
+    """Parse arguments and run one subcommand; returns the exit code.  A plain
+    command line is read by ``_read_plain``, any other by argparse; usage,
     help and argument errors go to ``stdout`` and ``stderr`` too."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser(argv)
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_plain(argv)
+    if args is None:
+        parser = build_parser(argv)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         if hasattr(args, "max_order"):
             args.max_order = _max_order(args.max_order)
-        doc, summary, code = _COMMANDS[args.subcommand](args)
+        doc, summary, code = _COMMANDS[args.subcommand][0](args)
         stdout.write(_dumps(doc) + "\n")
         print(summary, file=stderr)
     # FamilyError, Graph6Error and the rest are ValueErrors; a search pool whose

@@ -55,10 +55,28 @@ class Finding:
 
     @classmethod
     def from_dict(cls, data: dict) -> Finding:
-        """The record of a JSON object; keys that name no field are ignored."""
+        """The record of a JSON object; keys that name no field are ignored.
+        A missing field raises KeyError, a value of the wrong JSON type
+        ValueError naming the field."""
         values = {f.name: data[f.name] for f in fields(cls)}
+        for f in fields(cls):
+            valid, kind = _JSON_TYPES[f.type]
+            if not valid(values[f.name]):
+                raise ValueError(f"finding field {f.name!r} is not {kind}")
         values["witness_orders"] = tuple(values["witness_orders"])
         return cls(**values)
+
+
+# the JSON value of each field annotation of Finding, and its name in errors;
+# a bool, though an int in Python, is no count
+_JSON_TYPES = {
+    "str": (lambda value: type(value) is str, "a string"),
+    "int": (lambda value: type(value) is int, "an integer"),
+    "tuple[int, ...]": (
+        lambda value: type(value) is list and all(type(item) is int for item in value),
+        "a list of integers",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -177,23 +195,31 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
 
 
 def read_findings(path: str | Path) -> list[Finding]:
-    """Load a JSON Lines findings file.  A line that is not a JSON object, or
-    a record that lacks a field, raises ValueError naming its line number."""
+    """Load a JSON Lines findings file.  A line with a non-ASCII byte, a line
+    that is not a JSON object, and a record that lacks a field or holds a
+    value of the wrong type raise ValueError naming their line number."""
     out = []
-    with open(path, encoding="ascii") as fh:
+    # Non-ASCII bytes decode to lone surrogates, so they are found on their
+    # own line and not at an offset into the file.
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                column, char = next((i, c) for i, c in enumerate(line, start=1) if not c.isascii())
+                raise ValueError(f"line {lineno}: non-ASCII byte {ord(char) - 0xDC00:#04x} (column {column})")
             try:
                 record = json.loads(line)
                 if not isinstance(record, dict):
-                    raise ValueError(f"line {lineno}: finding is not a JSON object")
+                    raise ValueError("finding is not a JSON object")
                 out.append(Finding.from_dict(record))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from exc
             except KeyError as exc:
                 raise ValueError(f"line {lineno}: finding has no field {exc.args[0]!r}") from exc
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
     return out
 
 

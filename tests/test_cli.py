@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from wfcover import cli
 from wfcover.cli import _dumps, build_parser, run
 
+import cli_parity
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -521,11 +523,12 @@ _ARGV_TOKENS = _COMMAND_NAMES + [
 
 
 class TestParserSurface:
-    """``run`` builds a parser object only for the command argv runs.  The
-    whole parser, ``build_parser()``, is the reference: every argv gives the
-    same exit code, stdout and stderr through both, at each terminal width,
-    whether argparse writes to the streams given to ``run`` or to the
-    process's own."""
+    """``run`` reads a plain command line without argparse and builds a
+    parser object only for the command any other argv runs.  The whole
+    parser, ``build_parser()``, reading every argv, is the reference: every
+    argv gives the same exit code, stdout and stderr through both, at each
+    terminal width, whether argparse writes to the streams given to ``run``
+    or to the process's own."""
 
     ARGV = [
         [], ["-h"], ["--help"], ["--he"], ["-h", "gen"], ["--help", "check-theorem"],
@@ -574,6 +577,7 @@ class TestParserSurface:
         full = cli.build_parser
         with monkeypatch.context() as patch:
             patch.setattr(cli, "build_parser", lambda *_: full())
+            patch.setattr(cli, "_read_plain", lambda argv: None)
             assert self.outcome(argv, capsys) == shipped
 
     # 80 columns is the default case, named by its argv alone
@@ -596,19 +600,76 @@ class TestParserSurface:
         self.assert_same_as_full_parser(argv, capsys, monkeypatch)
 
 
+class TestPlainReader:
+    """``_read_plain`` declines an argv, or returns exactly the attributes the
+    full parser returns for it."""
+
+    @staticmethod
+    def assert_reads_as_full_parser(argv, parser):
+        plain = cli._read_plain(argv)
+        if plain is None:
+            return False
+        try:
+            expected = vars(parser.parse_args(argv))
+        except SystemExit:
+            expected = "rejected by argparse"
+        assert vars(plain) == expected
+        return True
+
+    def test_parity_commands(self, monkeypatch):
+        monkeypatch.chdir(cli_parity.ROOT)
+        parser = build_parser()
+        argvs = cli_parity.commands()
+        declined = [argv for argv in argvs if not self.assert_reads_as_full_parser(argv, parser)]
+        # a value that starts with "-" is argparse's to read
+        assert declined == [["check-theorem", "thm32", "--g", "path:3", "--h", "empty:2", "--anchor", "-1"]]
+
+    @pytest.mark.parametrize(
+        "argv", [pytest.param(argv, id=f"argv{i}") for i, argv in enumerate(TestParserSurface.ARGV)]
+    )
+    def test_listed_argv(self, argv):
+        self.assert_reads_as_full_parser(argv, build_parser())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-theorem", "--anchor", "1", "--g", "path:3", "--z-tiebreak", "max", "--h", "cycle:4", "thm35"],
+            ["check-theorem", "thm32", "--g", "path:3", "--h", "empty:2", "--max-order", "12"],
+            ["analyze", "--max-order", "9", "--file", "missing.g6"],
+            ["product", "--h", "", "--g", "path:2"],
+            ["search", "--skip-malformed", "--g-file", "a.g6", "--workers", "+2", "--theorem", "thm31", "--out", "f"],
+        ],
+    )
+    def test_reads_plain_lines(self, argv):
+        assert self.assert_reads_as_full_parser(argv, build_parser())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(_COMMAND_NAMES),
+        tokens=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8),
+    )
+    @example(name="check-theorem", tokens=["--g", "path:3", "--h", "cycle:4"])
+    @example(name="search", tokens=["--g-file", "x", "--theorem", "thm35", "--skip-malformed", "x"])
+    def test_drawn_argv(self, name, tokens):
+        self.assert_reads_as_full_parser([name, *tokens], build_parser())
+
+
 class TestParserCounters:
     """Exact parser work, as ``TestKernelCounters`` pins kernel work: the
     ``ArgumentParser`` objects built and the ``add_argument`` calls made (the
-    automatic ``-h`` among them) by one ``run``, and by the full parser."""
+    automatic ``-h`` among them) by one ``run``, and by the full parser.  A
+    plain command line builds none."""
 
     @pytest.mark.parametrize(
         "argv,expected",
         [
             (None, (7, 28)),
-            (["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"], (2, 8)),
-            (["gen", "--family", "path:3"], (2, 3)),
-            (["verify-paper"], (2, 3)),
+            (["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"], (0, 0)),
+            (["gen", "--family", "path:3"], (0, 0)),
+            (["verify-paper"], (0, 0)),
             (["--help"], (1, 1)),
+            # an abbreviation: argparse reads it, with the parser of gen alone
+            (["gen", "--fam", "path:3"], (2, 3)),
         ],
     )
     def test_parsers_and_arguments(self, argv, expected, monkeypatch):
@@ -657,7 +718,8 @@ class TestEntryPoint:
 
 class TestImportFootprint:
     def test_commands_that_do_not_fork_load_no_process_pool(self):
-        # a fresh interpreter: the process-pool modules load only when a scan forks
+        # a fresh interpreter: the process-pool modules load only when a scan
+        # forks, and argparse only when a command line is not plain
         atlas = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas_le4.g6"
         script = f"""
 import io, json, sys
@@ -681,3 +743,4 @@ print(json.dumps({{"codes": codes, "added": sorted(set(sys.modules) - before)}})
             if name.split(".")[0] in ("multiprocessing", "_multiprocessing") or name == "concurrent.futures.process"
         ]
         assert pool == []
+        assert {"argparse", "gettext"}.isdisjoint(result["added"])

@@ -354,6 +354,40 @@ class TestScan:
         with pytest.raises(ValueError, match=r"^line 2: finding is not a JSON object$"):
             read_findings(out)
 
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [
+            ("witness_orders", 5, "a list of integers"),
+            ("witness_orders", [5, "6"], "a list of integers"),
+            ("f_product", True, "an integer"),
+            ("alpha_g", "2", "an integer"),
+            ("g_graph6", 3, "a string"),
+            ("verdict", None, "a string"),
+        ],
+    )
+    def test_findings_field_of_the_wrong_type_names_it(self, tmp_path, field, value, kind):
+        out = tmp_path / "findings.jsonl"
+        list(scan([(fam("path:4"), fam("empty:2"))], ScanConfig(theorem="thm32", findings_path=out)))
+        data = json.loads(out.read_text())
+        data[field] = value
+        out.write_text(json.dumps(data) + "\n")
+        with pytest.raises(ValueError, match=rf"^line 1: finding field '{field}' is not {kind}$"):
+            read_findings(out)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            (b"\xff", r"non-ASCII byte 0xff \(column 1\)"),
+            (b'{"g_graph6": "C\xe9"}', r"non-ASCII byte 0xe9 \(column 16\)"),
+        ],
+    )
+    def test_findings_line_with_a_non_ascii_byte_names_its_line(self, tmp_path, line, message):
+        out = tmp_path / "findings.jsonl"
+        list(scan([(fam("path:4"), fam("empty:2"))], ScanConfig(theorem="thm32", findings_path=out)))
+        out.write_bytes(out.read_bytes() + line + b"\n")
+        with pytest.raises(ValueError, match=rf"^line 2: {message}$"):
+            read_findings(out)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScanConfig(theorem="thm99")
