@@ -1,15 +1,16 @@
 """Command-line surface: deterministic JSON reports over the pure library.
 
-Every subcommand returns one JSON document (sorted keys, ``schema: 1``), a
-short human summary and its exit code; ``run`` writes the document on stdout
-and then the summary on stderr, so reports are byte-stable for golden-file
-comparison.  Documents are rendered by ``_dumps``, whose output is
-byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``.  Exit
-codes: 0 success/consistent, 1 findings or property failures, 2 usage, I/O
-or worker-pool errors.  Each command's arguments are declared once, in
-``_COMMANDS``: a plain command line is read from that table directly, and
-any other by the argparse parser built from it, which alone writes usage,
-help and error text.
+Every subcommand returns the text of one JSON document (sorted keys,
+``schema: 1``), a short human summary and its exit code; ``run`` writes the
+document on stdout and then the summary on stderr, so reports are byte-stable
+for golden-file comparison.  Every document is byte-identical to
+``json.dumps(doc, sort_keys=True, indent=2)``: a check report is written
+straight from its records by ``_report_text``, any other document by
+``_dumps``.  Exit codes: 0 success/consistent, 1 findings or property
+failures, 2 usage, I/O or worker-pool errors.  Each command's arguments are
+declared once, in ``_COMMANDS``: a plain command line is read from that
+table directly, and any other by the argparse parser built from it, which
+alone writes usage, help and error text.
 """
 
 from __future__ import annotations
@@ -23,31 +24,12 @@ from concurrent.futures import BrokenExecutor
 from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Callable
 
-from .graphs import (
-    FAMILY_KINDS,
-    GRAPH6_MAX_ORDER,
-    Graph,
-    from_graph6,
-    generate,
-    parse_family,
-    to_graph6,
-)
+from .graphs import FAMILY_KINDS, GRAPH6_MAX_ORDER, Graph, from_graph6, generate, parse_family, to_graph6
 from .products import lexicographic
-from .forests import (
-    DEFAULT_MAX_ORDER,
-    Z_CHOICES,
-    forest_number,
-    is_well_f_covered,
-    maximal_forest_order_histogram,
-)
+from .forests import DEFAULT_MAX_ORDER, Z_CHOICES, forest_number, is_well_f_covered
+from .forests import maximal_forest_order_histogram
 from .independence import independence_number, is_well_covered
-from .theorems import (
-    THEOREM_IDS,
-    ConditionRecord,
-    TheoremReport,
-    WitnessRecord,
-    check,
-)
+from .theorems import THEOREM_IDS, ConditionRecord, TheoremReport, WitnessRecord, check
 from .examples import verify_paper_examples
 from .search import ScanConfig, read_graph6_stream, scan
 
@@ -105,60 +87,75 @@ def _graph_from_flags(args) -> Graph:
     return _first_graph(args.file)
 
 
-def _subset_json(subset) -> list[int]:
-    return list(subset.vertices())
+def _vertices_text(subset) -> str:
+    """A record row's vertex list, or null for no subset, as ``_dumps`` writes it."""
+    if subset is None or not subset.mask:
+        return "null" if subset is None else "[]"
+    # bin(mask)[:1:-1] reads the bits from vertex 0 up, without the "0b"
+    vertices = [str(v) for v, bit in enumerate(bin(subset.mask)[:1:-1]) if bit == "1"]
+    return "[\n        " + ",\n        ".join(vertices) + "\n      ]"
 
 
-def _condition_json(rec: ConditionRecord) -> dict:
-    out = {
-        "forest": _subset_json(rec.forest),
-        "stats": vars(rec.stats).copy(),
-        "lhs": rec.lhs,
-        "rhs": rec.rhs,
-        "holds": rec.holds,
-    }
-    if rec.m_h is not None:
-        out["m_h"] = _subset_json(rec.m_h)
-    return out
+def _condition_text(rec: ConditionRecord) -> str:
+    s = rec.stats
+    m_h = "" if rec.m_h is None else f'\n      "m_h": {_vertices_text(rec.m_h)},'
+    return f"""{{
+      "forest": {_vertices_text(rec.forest)},
+      "holds": {"true" if rec.holds else "false"},
+      "lhs": {rec.lhs},{m_h}
+      "rhs": {rec.rhs},
+      "stats": {{
+        "internal": {s.internal},
+        "isolated": {s.isolated},
+        "k2_components": {s.k2_components},
+        "outer_leaves": {s.outer_leaves}
+      }}
+    }}"""
 
 
-def _witness_json(rec: WitnessRecord) -> dict:
-    return {
-        "kind": rec.kind,
-        "subset": None if rec.subset is None else _subset_json(rec.subset),
-        "size": rec.size,
-        "verified": rec.verified,
-        "detail": rec.detail,
-    }
+def _witness_text(rec: WitnessRecord) -> str:
+    return f"""{{
+      "detail": {_dumps(rec.detail, "      ")},
+      "kind": {_encode_str(rec.kind)},
+      "size": {"null" if rec.size is None else rec.size},
+      "subset": {_vertices_text(rec.subset)},
+      "verified": {"true" if rec.verified else "false"}
+    }}"""
+
+
+def _rows_text(render: Callable, records: tuple) -> str:
+    return "[\n    " + ",\n    ".join(map(render, records)) + "\n  ]" if records else "[]"
+
+
+def _report_text(report: TheoremReport) -> str:
+    """The report document, as ``json.dumps(doc, sort_keys=True, indent=2)``
+    writes it, from the records.  Its members, sorted, are claims,
+    condition_values, conditions through verdict, and witnesses; the
+    ``json.dumps`` text of the run from conditions to verdict, less its
+    braces, is their lines at the document's indent."""
+    claims = f'  "claims": {_dumps([vars(c) for c in report.claims], "  ")},\n' if report.claims else ""
+    middle = {"conditions": report.conditions, "ground_truth": report.ground_truth,
+              "hypotheses": report.hypotheses, "schema": SCHEMA_VERSION,
+              "theorem": report.theorem_id, "verdict": report.verdict}
+    return (
+        f'{{\n{claims}  "condition_values": {_rows_text(_condition_text, report.condition_values)},\n'
+        + json.dumps(middle, sort_keys=True, indent=2)[2:-2]
+        + f',\n  "witnesses": {_rows_text(_witness_text, report.witnesses)}\n}}'
+    )
 
 
 def report_to_dict(report: TheoremReport) -> dict:
-    out = {
-        "schema": SCHEMA_VERSION,
-        "theorem": report.theorem_id,
-        "hypotheses": report.hypotheses,
-        "conditions": report.conditions,
-        "condition_values": [_condition_json(r) for r in report.condition_values],
-        "ground_truth": report.ground_truth,
-        "witnesses": [_witness_json(w) for w in report.witnesses],
-        "verdict": report.verdict,
-    }
-    if report.claims:
-        out["claims"] = [vars(c).copy() for c in report.claims]
-    return out
+    """The report document as a fresh dict: the parse of ``_report_text``."""
+    return json.loads(_report_text(report))
 
 
 def _dumps(obj, indent: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, nested at
-    ``indent``.
-
-    With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python
-    encoder.  This writer dispatches on exact type instead and joins each
-    all-int list (the vertex lists of a report) in one call.  Anything else
-    (floats, dicts with a key that is not a str, subclasses, unknown types)
-    goes to ``json.dumps`` itself, so it renders, or raises, exactly as
-    there.
-    """
+    ``indent``.  With ``indent`` set, ``json.dumps`` runs the stdlib's
+    pure-Python encoder; this writer dispatches on exact type instead and
+    joins each all-int list in one call.  Anything else (floats, dicts with a
+    key that is not a str, subclasses, unknown types) goes to ``json.dumps``
+    itself, so it renders, or raises, exactly as there."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -206,7 +203,7 @@ def _graph_summary(g: Graph) -> dict:
     }
 
 
-def _cmd_gen(args) -> tuple[dict, str, int]:
+def _cmd_gen(args) -> tuple[str, str, int]:
     g = generate(parse_family(args.family))
     doc = {
         "schema": SCHEMA_VERSION,
@@ -214,10 +211,10 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
         "edge_list": [list(e) for e in g.edges()],
         **_graph_summary(g),
     }
-    return doc, f"gen {args.family}: order {g.order}, {g.edge_count} edges", 0
+    return _dumps(doc), f"gen {args.family}: order {g.order}, {g.edge_count} edges", 0
 
 
-def _cmd_product(args) -> tuple[dict, str, int]:
+def _cmd_product(args) -> tuple[str, str, int]:
     g = _graph_from_arg(args.g)
     h = _graph_from_arg(args.h)
     product, index_map = lexicographic(g, h)
@@ -244,10 +241,10 @@ def _cmd_product(args) -> tuple[dict, str, int]:
         },
     }
     summary = f"product: order {product.order}, {product.edge_count} edges"
-    return doc, summary + ("" if product_g6 else " (too large for graph6)"), 0
+    return _dumps(doc), summary + ("" if product_g6 else " (too large for graph6)"), 0
 
 
-def _cmd_analyze(args) -> tuple[dict, str, int]:
+def _cmd_analyze(args) -> tuple[str, str, int]:
     g = _graph_from_flags(args)
     bound = args.max_order
     wfc, wfc_witness = is_well_f_covered(g, bound)
@@ -262,7 +259,7 @@ def _cmd_analyze(args) -> tuple[dict, str, int]:
         if wfc_witness is None
         else {
             "orders": [len(wfc_witness[0]), len(wfc_witness[1])],
-            "forests": [_subset_json(wfc_witness[0]), _subset_json(wfc_witness[1])],
+            "forests": [list(wfc_witness[0]), list(wfc_witness[1])],
         },
         "independence_number": independence_number(g, bound),
         "well_covered": wc,
@@ -272,30 +269,30 @@ def _cmd_analyze(args) -> tuple[dict, str, int]:
         f"analyze: order {g.order}, f={doc['forest_number']}, "
         f"well-f-covered={wfc}, alpha={doc['independence_number']}, well-covered={wc}"
     )
-    return doc, summary, 0
+    return _dumps(doc), summary, 0
 
 
-def _cmd_check_theorem(args) -> tuple[dict, str, int]:
+def _cmd_check_theorem(args) -> tuple[str, str, int]:
     g = _graph_from_arg(args.g)
     h = _graph_from_arg(args.h)
     report = check(
         args.theorem, g, h, max_order=args.max_order, z_choice=args.z_tiebreak, anchor=args.anchor
     )
     summary = f"check-theorem {args.theorem}: verdict {report.verdict}"
-    return report_to_dict(report), summary, 0 if report.verdict == "consistent" else 1
+    return _report_text(report), summary, 0 if report.verdict == "consistent" else 1
 
 
-def _cmd_verify_paper(args) -> tuple[dict, str, int]:
+def _cmd_verify_paper(args) -> tuple[str, str, int]:
     report = verify_paper_examples(max_order=args.max_order)
     statuses = {}
     for claim in report.claims:
         statuses[claim.status] = statuses.get(claim.status, 0) + 1
     summary = ", ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
     code = 0 if report.verdict == "consistent" else 1
-    return report_to_dict(report), f"verify-paper: {summary}; verdict {report.verdict}", code
+    return _report_text(report), f"verify-paper: {summary}; verdict {report.verdict}", code
 
 
-def _cmd_search(args) -> tuple[dict, str, int]:
+def _cmd_search(args) -> tuple[str, str, int]:
     strict = not args.skip_malformed
     g_graphs = list(read_graph6_stream(args.g_file, strict=strict))
     if args.h_file is None:
@@ -324,7 +321,7 @@ def _cmd_search(args) -> tuple[dict, str, int]:
     }
     noteworthy = checked - verdicts.get("consistent", 0)
     summary = f"search {args.theorem}: {checked} pairs checked, {noteworthy} findings"
-    return doc, summary, 1 if noteworthy else 0
+    return _dumps(doc), summary, 1 if noteworthy else 0
 
 
 def _arg(flag: str, **spec) -> tuple[str, dict]:
@@ -493,8 +490,8 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     try:
         if hasattr(args, "max_order"):
             args.max_order = _max_order(args.max_order)
-        doc, summary, code = _COMMANDS[args.subcommand][0](args)
-        stdout.write(_dumps(doc) + "\n")
+        text, summary, code = _COMMANDS[args.subcommand][0](args)
+        stdout.write(text + "\n")
         print(summary, file=stderr)
     # FamilyError, Graph6Error and the rest are ValueErrors; a search pool whose
     # worker died raises BrokenExecutor, which is no finding either

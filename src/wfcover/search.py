@@ -30,6 +30,7 @@ from .graphs import Graph, Graph6Error, from_graph6, to_graph6
 from .forests import DEFAULT_MAX_ORDER, forest_number
 from .independence import independence_number
 from .theorems import THEOREM_IDS, check, hypothesis_filter
+from .theorems import VERDICT_CONSISTENT, VERDICT_NON_SUFFICIENCY, VERDICT_VIOLATION
 
 logger = logging.getLogger(__name__)
 
@@ -56,16 +57,22 @@ class Finding:
     @classmethod
     def from_dict(cls, data: dict) -> Finding:
         """The record of a JSON object; keys that name no field are ignored.
-        A missing field raises KeyError, a value of the wrong JSON type
-        ValueError naming the field."""
+        A missing field raises KeyError; a value of the wrong JSON type, or a
+        theorem id or verdict that no check gives, ValueError naming the field."""
         values = {f.name: data[f.name] for f in fields(cls)}
         for f in fields(cls):
             valid, kind = _JSON_TYPES[f.type]
             if not valid(values[f.name]):
                 raise ValueError(f"finding field {f.name!r} is not {kind}")
+        for name, known in (("theorem_id", THEOREM_IDS), ("verdict", _VERDICTS)):
+            if values[name] not in known:
+                raise ValueError(f"finding field {name!r} is not one of {known}")
         values["witness_orders"] = tuple(values["witness_orders"])
         return cls(**values)
 
+
+# the verdicts a check gives
+_VERDICTS = (VERDICT_CONSISTENT, VERDICT_NON_SUFFICIENCY, VERDICT_VIOLATION)
 
 # the JSON value of each field annotation of Finding, and its name in errors;
 # a bool, though an int in Python, is no count
@@ -196,8 +203,9 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
 
 def read_findings(path: str | Path) -> list[Finding]:
     """Load a JSON Lines findings file.  A line with a non-ASCII byte, a line
-    that is not a JSON object, and a record that lacks a field or holds a
-    value of the wrong type raise ValueError naming their line number."""
+    that is not a JSON object, and a record that lacks a field, holds a value
+    of the wrong type, or names a theorem or verdict that no scan writes raise
+    ValueError naming their line number."""
     out = []
     # Non-ASCII bytes decode to lone surrogates, so they are found on their
     # own line and not at an offset into the file.

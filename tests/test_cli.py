@@ -176,6 +176,154 @@ class TestWriter:
         assert str(got.value) == str(expected.value)
 
 
+def reference_report_dict(report):
+    """The report document, built field by field as a dict: the oracle of
+    ``cli._report_text`` and ``cli.report_to_dict``."""
+
+    def subset_json(subset):
+        return list(subset.vertices())
+
+    def condition_json(rec):
+        out = {
+            "forest": subset_json(rec.forest),
+            "stats": vars(rec.stats).copy(),
+            "lhs": rec.lhs,
+            "rhs": rec.rhs,
+            "holds": rec.holds,
+        }
+        if rec.m_h is not None:
+            out["m_h"] = subset_json(rec.m_h)
+        return out
+
+    def witness_json(rec):
+        return {
+            "kind": rec.kind,
+            "subset": None if rec.subset is None else subset_json(rec.subset),
+            "size": rec.size,
+            "verified": rec.verified,
+            "detail": rec.detail,
+        }
+
+    out = {
+        "schema": cli.SCHEMA_VERSION,
+        "theorem": report.theorem_id,
+        "hypotheses": report.hypotheses,
+        "conditions": report.conditions,
+        "condition_values": [condition_json(r) for r in report.condition_values],
+        "ground_truth": report.ground_truth,
+        "witnesses": [witness_json(w) for w in report.witnesses],
+        "verdict": report.verdict,
+    }
+    if report.claims:
+        out["claims"] = [vars(c).copy() for c in report.claims]
+    return out
+
+
+_MASKS = st.integers(0, 2**24 - 1)
+_RECORD_DICTS = st.dictionaries(_TEXT, _VALUES, max_size=3)
+
+
+@st.composite
+def _reports(draw):
+    from wfcover.forests import ForestStats
+    from wfcover.graphs import VertexSubset
+    from wfcover.theorems import ClaimRecord, ConditionRecord, TheoremReport, WitnessRecord
+
+    subsets = _MASKS.map(lambda mask: VertexSubset(24, mask))
+    ints = st.integers(-(2**70), 2**70)
+    conditions = st.builds(
+        ConditionRecord, subsets, st.builds(ForestStats, ints, ints, ints, ints), ints, ints,
+        st.booleans(), st.none() | subsets,
+    )
+    witnesses = st.builds(
+        WitnessRecord, _TEXT, st.none() | subsets, st.none() | ints, st.booleans(), _RECORD_DICTS
+    )
+    claims = st.builds(ClaimRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT, _RECORD_DICTS)
+    return TheoremReport(
+        draw(_TEXT), draw(_RECORD_DICTS), draw(_RECORD_DICTS),
+        tuple(draw(st.lists(conditions, max_size=3))), draw(_RECORD_DICTS),
+        tuple(draw(st.lists(witnesses, max_size=3))), draw(_TEXT),
+        tuple(draw(st.lists(claims, max_size=2))),
+    )
+
+
+class TestReportText:
+    """``_report_text`` and ``report_to_dict`` against ``reference_report_dict``
+    and ``json.dumps(sort_keys=True, indent=2)`` of it."""
+
+    @staticmethod
+    def assert_matches_reference(report):
+        expected = reference_report_dict(report)
+        assert cli._report_text(report) == json.dumps(expected, sort_keys=True, indent=2)
+        assert cli.report_to_dict(report) == expected
+
+    @pytest.mark.parametrize("theorem", ["thm31", "thm32", "thm35"])
+    def test_atlas_sample(self, theorem, atlas_le4):
+        import random
+
+        from wfcover.theorems import check, hypothesis_filter
+
+        pairs = [(g, h) for g in atlas_le4 for h in atlas_le4 if hypothesis_filter(theorem, g, h)]
+        options = [{}] if theorem == "thm31" else [{}, {"z_choice": "max"}, {"anchor": 1}]
+        checked = 0
+        for g, h in random.Random(2501).sample(pairs, min(len(pairs), 40)):
+            for kwargs in options:
+                try:
+                    report = check(theorem, g, h, **kwargs)
+                except ValueError as exc:
+                    # vertex 1 of H is not in every M_H
+                    assert "anchor" in kwargs, exc
+                    continue
+                self.assert_matches_reference(report)
+                checked += 1
+        assert checked >= 40
+
+    def test_verify_paper(self):
+        from wfcover import verify_paper_examples
+
+        report = verify_paper_examples()
+        assert report.claims
+        self.assert_matches_reference(report)
+
+    def test_thm31_rows_are_empty(self):
+        from wfcover import check_thm31, generate, parse_family
+
+        report = check_thm31(generate(parse_family("empty:3")), generate(parse_family("cycle:4")))
+        assert report.condition_values == () and report.witnesses == ()
+        self.assert_matches_reference(report)
+
+    def test_failed_witness_and_missing_subset(self):
+        from dataclasses import replace
+
+        from wfcover import check_thm35, generate, parse_family
+        from wfcover.graphs import VertexSubset
+        from wfcover.theorems import WitnessRecord
+
+        report = check_thm35(generate(parse_family("cycle:5")), generate(parse_family("cycle:4")))
+        failed = WitnessRecord(
+            "vstar", VertexSubset(20, 0b1011), 3, False, {"forest": [0, 1], "error": "not maximal: é\n"}
+        )
+        missing = WitnessRecord("vm", None, None, False, {"error": "no subset"})
+        empty = replace(report.condition_values[0], forest=VertexSubset(20, 0), m_h=None)
+        for witnesses in ((failed,), (missing,), (failed, missing, *report.witnesses)):
+            self.assert_matches_reference(replace(report, witnesses=witnesses))
+        self.assert_matches_reference(replace(report, condition_values=(empty,)))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_reports())
+    def test_drawn_reports(self, report):
+        # json.dumps of the reference raises where a dict mixes key types,
+        # and _report_text must raise the same TypeError
+        try:
+            expected = json.dumps(reference_report_dict(report), sort_keys=True, indent=2)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as got:
+                cli._report_text(report)
+            assert str(got.value) == str(exc)
+        else:
+            assert cli._report_text(report) == expected
+
+
 class TestAnalyze:
     def test_cycle4_fields(self):
         code, doc, err = invoke_json(["analyze", "--family", "cycle:4"])
@@ -690,6 +838,33 @@ class TestParserCounters:
         else:
             assert invoke(argv)[0] in (0, 1)
         assert tuple(counts) == expected
+
+
+class TestRenderCounters:
+    """Exact rendering work, as ``TestParserCounters`` pins parser work: the
+    ``_dumps`` calls, recursive ones included, made while writing the thm35
+    K8∘P3 document (56 condition rows, 64 witnesses).  Only the witness
+    details go through ``_dumps``; the condition rows make no call."""
+
+    def test_dumps_calls(self, monkeypatch):
+        from dataclasses import replace
+
+        from wfcover import check_thm35, generate, parse_family
+
+        report = check_thm35(generate(parse_family("complete:8")), generate(parse_family("path:3")))
+        assert (len(report.condition_values), len(report.witnesses)) == (56, 64)
+        calls = []
+        dumps = cli._dumps
+        monkeypatch.setattr(cli, "_dumps", lambda obj, indent="": calls.append(obj) or dumps(obj, indent))
+
+        def counted(rendered):
+            calls.clear()
+            cli._report_text(rendered)
+            return len(calls)
+
+        assert counted(report) == 304
+        assert counted(replace(report, condition_values=())) == 304
+        assert counted(replace(report, witnesses=())) == 0
 
 
 class TestEntryPoint:

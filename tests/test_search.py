@@ -375,6 +375,24 @@ class TestScan:
             read_findings(out)
 
     @pytest.mark.parametrize(
+        "field,value,known",
+        [
+            ("theorem_id", "thm99", "('thm31', 'thm32', 'thm35')"),
+            ("verdict", "bogus", "('consistent', 'non_sufficiency_witness', 'theorem_violation')"),
+        ],
+        ids=["theorem_id", "verdict"],
+    )
+    def test_findings_field_that_no_scan_writes_names_it(self, tmp_path, field, value, known):
+        out = tmp_path / "findings.jsonl"
+        list(scan([(fam("path:4"), fam("empty:2"))], ScanConfig(theorem="thm32", findings_path=out)))
+        data = json.loads(out.read_text())
+        data[field] = value
+        out.write_text(out.read_text() + json.dumps(data) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_findings(out)
+        assert str(exc.value) == f"line 2: finding field '{field}' is not one of {known}"
+
+    @pytest.mark.parametrize(
         "line,message",
         [
             (b"\xff", r"non-ASCII byte 0xff \(column 1\)"),
