@@ -5,8 +5,9 @@ Every subcommand returns the text of one JSON document (sorted keys,
 document on stdout and then the summary on stderr, so reports are byte-stable
 for golden-file comparison.  Every document is byte-identical to
 ``json.dumps(doc, sort_keys=True, indent=2)``: a check report is written
-straight from its records by ``_report_text``, any other document by
-``_dumps``.  Exit codes: 0 success/consistent, 1 findings or property
+straight from its records by ``_report_text``, its flat witness details by
+``_detail_text`` and each distinct vertex or detail list once, any other
+document by ``_dumps``.  Exit codes: 0 success/consistent, 1 findings or property
 failures, 2 usage, I/O or worker-pool errors.  Each command's arguments are
 declared once, in ``_COMMANDS``: a plain command line is read from that
 table directly, and any other by the argparse parser built from it, which
@@ -21,6 +22,7 @@ import logging
 import os
 import sys
 from concurrent.futures import BrokenExecutor
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Callable
 
@@ -89,18 +91,58 @@ def _graph_from_flags(args) -> Graph:
 
 def _vertices_text(subset) -> str:
     """A record row's vertex list, or null for no subset, as ``_dumps`` writes it."""
-    if subset is None or not subset.mask:
-        return "null" if subset is None else "[]"
+    return "null" if subset is None else _mask_text(subset.mask)
+
+
+@lru_cache(maxsize=1024)
+def _mask_text(mask: int) -> str:
+    """The vertex list of ``mask`` in a record row: a pure function of the
+    mask, so a report writes each distinct list once."""
+    if not mask:
+        return "[]"
     # bin(mask)[:1:-1] reads the bits from vertex 0 up, without the "0b"
-    vertices = [str(v) for v, bit in enumerate(bin(subset.mask)[:1:-1]) if bit == "1"]
+    vertices = [str(v) for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
     return "[\n        " + ",\n        ".join(vertices) + "\n      ]"
+
+
+def _detail_text(detail: dict) -> str:
+    """A witness's ``detail`` at its row's indent, as ``_dumps`` writes it.
+    A detail whose keys are all str and whose values are each an int, bool,
+    str or non-empty list of ints, as every check's are, is written here,
+    each distinct int list once by ``_ints_text``; any other by ``_dumps``."""
+    items = []
+    try:
+        for key in sorted(detail):
+            value = detail[key]
+            kind = type(value)
+            if kind is int:
+                text = _int_repr(value)
+            elif kind is str:
+                text = _encode_str(value)
+            elif kind is bool:
+                text = "true" if value else "false"
+            elif kind is list and set(map(type, value)) == {int}:
+                text = _ints_text(tuple(value))
+            else:
+                return _dumps(detail, "      ")
+            # _encode_str raises TypeError on a key that is not a str
+            items.append(f"{_encode_str(key)}: {text}")
+    except TypeError:
+        return _dumps(detail, "      ")
+    return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
+
+
+@lru_cache(maxsize=1024)
+def _ints_text(values: tuple[int, ...]) -> str:
+    """A list of ints in a witness's detail, as ``_dumps`` writes it."""
+    return "[\n          " + ",\n          ".join(map(_int_repr, values)) + "\n        ]"
 
 
 def _condition_text(rec: ConditionRecord) -> str:
     s = rec.stats
     m_h = "" if rec.m_h is None else f'\n      "m_h": {_vertices_text(rec.m_h)},'
     return f"""{{
-      "forest": {_vertices_text(rec.forest)},
+      "forest": {_mask_text(rec.forest.mask)},
       "holds": {"true" if rec.holds else "false"},
       "lhs": {rec.lhs},{m_h}
       "rhs": {rec.rhs},
@@ -115,7 +157,7 @@ def _condition_text(rec: ConditionRecord) -> str:
 
 def _witness_text(rec: WitnessRecord) -> str:
     return f"""{{
-      "detail": {_dumps(rec.detail, "      ")},
+      "detail": {_detail_text(rec.detail)},
       "kind": {_encode_str(rec.kind)},
       "size": {"null" if rec.size is None else rec.size},
       "subset": {_vertices_text(rec.subset)},
@@ -380,31 +422,19 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple, tuple]] = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of ``wfcover``.  Given ``argv``, only the first token that
-    names a subcommand gets a parser object: the top-level parser has no
-    option that takes a value, so no later token can be the subcommand, and
-    argparse parses only with the parser of the name it selects.  The others
-    have no parser object, only a name and help line, which is all argparse's
-    choices, usage, help and "invalid choice" error read of them, so those are
-    the full parser's, ``build_parser()``'s."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``wfcover``, made from ``_COMMANDS``: it reads every
+    command line that is not plain, and alone writes usage, help and error
+    text."""
     import argparse
 
-    running = None if argv is None else next((arg for arg in argv if arg in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="wfcover",
         description="Exact well-f-coveredness analysis of graphs and lexicographic products.",
     )
-
-    def parser_class(build: bool, **kwargs) -> argparse.ArgumentParser | None:
-        # add_parser forwards its unknown keywords, ``build`` among them
-        return argparse.ArgumentParser(**kwargs) if build else None
-
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=parser_class)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help, exclusive, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help, build=argv is None or name == running)
-        if p is None:
-            continue
+        p = sub.add_parser(name, help=help)
         if exclusive:
             group = p.add_mutually_exclusive_group(required=True)
             for flag, spec in exclusive:
@@ -481,7 +511,7 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     stderr = stderr if stderr is not None else sys.stderr
     args = _read_plain(argv)
     if args is None:
-        parser = build_parser(argv)
+        parser = build_parser()
         try:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 args = parser.parse_args(argv)

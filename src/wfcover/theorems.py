@@ -25,8 +25,10 @@ union of blocks gmask × hmask, lifted into the product by ``products.lift``.
 One per-forest loop, ``_condition_4``, evaluates condition (4) and builds V*
 for both checks: thm32 reads it with F_H = M_H = V(nK1) and f(H) = |M_H| = n,
 as V(nK1) is nK1's only maximal forest and only maximal independent set.
-Each constructed witness is re-verified by brute force and a failure is
-never silently ignored.  The public ``construct_*`` check their inputs on
+It lifts each forest's blocks once and makes each V* from them with one
+multiply, shift and or per M_H.  Every witness, however built, is
+size-checked and re-verified by brute force in one helper, ``_verified``,
+and a failure is never silently ignored.  The public ``construct_*`` check their inputs on
 every call.  A check reads the maximal forests of G with their partitions
 from one record per (G, z_choice), ``_forest_partitions``, so each forest
 is partitioned and checked once for every second factor checked against G.
@@ -215,11 +217,11 @@ def _product(g: Graph, h: Graph) -> Graph:
     return lexicographic(g, h)[0]
 
 
-def _witness(product: Graph, h_order: int, blocks, what: str) -> VertexSubset:
-    """Lift ``blocks`` into ``product``, check the size formula sum
-    |gmask|*|hmask|, and brute-force verify that it is a maximal forest."""
-    subset = VertexSubset(product.order, lift(blocks, h_order))
-    expected = sum(gmask.bit_count() * hmask.bit_count() for gmask, hmask in blocks)
+def _verified(product: Graph, mask: int, expected: int, what: str) -> VertexSubset:
+    """The subset ``mask`` of ``product``, once its size is checked against
+    the formula value ``expected`` and it is brute-force verified to be a
+    maximal induced forest: the one verification path of every witness."""
+    subset = VertexSubset(product.order, mask)
     if len(subset) != expected:
         raise WitnessVerificationError(
             f"witness size {len(subset)} differs from formula value {expected}", subset=subset
@@ -230,6 +232,13 @@ def _witness(product: Graph, h_order: int, blocks, what: str) -> VertexSubset:
             subset=subset,
         )
     return subset
+
+
+def _witness(product: Graph, h_order: int, blocks, what: str) -> VertexSubset:
+    """Lift ``blocks`` into ``product`` and verify the union, whose size
+    formula is sum |gmask|*|hmask|."""
+    expected = sum(gmask.bit_count() * hmask.bit_count() for gmask, hmask in blocks)
+    return _verified(product, lift(blocks, h_order), expected, what)
 
 
 def _vstar(
@@ -367,22 +376,36 @@ def _condition_4(
     ``(forest, partition, stats)`` rows, and each ``(M_H, anchor)`` entry:
     f(H)*I + |M_H|*(K2 + L) + K2 + L' against f(G∘H) = ``f_p``, and V* with
     F_H = ``h_forest`` as a mask.  M_H is recorded in the condition and the
-    witness detail iff ``named``."""
+    witness detail iff ``named``.
+
+    V* is lifted per forest, not per block: X1 × F_H once, and the fibre
+    spreads of X2 ∪ Z and Y ∪ T, each ``lift`` of (part, {0}), once.  As
+    M_H < 2**h_order, (X2 ∪ Z) × M_H is the spread times M_H, and
+    (Y ∪ T) × {anchor} the spread shifted by the anchor.  Its size formula
+    |F_H|*|X1| + |M_H|*(|X2| + |Z|) + |Y| + |T| reads the partition's
+    counts, I = |X1|, L = |X2|, K2 = |Z| = |T| and L' = |Y|."""
     records = []
     witnesses = []
-    entry_vertices = [m_h.vertices() for m_h, _ in entries]
+    fh_size = h_forest.bit_count()
+    per_m_h = [(m_h, anchor, len(m_h), m_h.vertices()) for m_h, anchor in entries]
     for forest, p, stats in forests_g:
         forest_vertices = forest.vertices()
-        for (m_h, anchor), m_h_vertices in zip(entries, entry_vertices):
-            lhs = thm35_lhs(stats, f_h, len(m_h))
+        by_m_h = stats.k2_components + stats.outer_leaves
+        fixed_size = fh_size * stats.isolated + stats.k2_components + stats.internal
+        fixed = lift(((p.x1.mask, h_forest),), h_order)
+        spread_m_h = lift(((p.x2.mask | p.z.mask, 1),), h_order)
+        spread_anchor = lift(((p.y.mask | p.t.mask, 1),), h_order)
+        for m_h, anchor, m_h_size, m_h_vertices in per_m_h:
+            lhs = thm35_lhs(stats, f_h, m_h_size)
             records.append(
                 ConditionRecord(forest, stats, lhs, f_p, lhs == f_p, m_h if named else None)
             )
             detail = {"forest": list(forest_vertices), "anchor": anchor, "z_choice": z_choice}
             if named:
                 detail["m_h"] = list(m_h_vertices)
+            mask = fixed | spread_m_h * m_h.mask | spread_anchor << anchor
             witnesses.append(
-                _record(kind, detail, _vstar, product, h_order, p, h_forest, m_h.mask, anchor)
+                _record(kind, detail, _verified, product, mask, fixed_size + m_h_size * by_m_h, "V*")
             )
     return records, witnesses
 

@@ -671,12 +671,11 @@ _ARGV_TOKENS = _COMMAND_NAMES + [
 
 
 class TestParserSurface:
-    """``run`` reads a plain command line without argparse and builds a
-    parser object only for the command any other argv runs.  The whole
-    parser, ``build_parser()``, reading every argv, is the reference: every
-    argv gives the same exit code, stdout and stderr through both, at each
-    terminal width, whether argparse writes to the streams given to ``run``
-    or to the process's own."""
+    """``run`` reads a plain command line without argparse, and any other
+    with the parser.  The parser reading every argv, ``_read_plain`` declining
+    each, is the reference: every argv gives the same exit code, stdout and
+    stderr through both, at each terminal width, whether argparse writes to
+    the streams given to ``run`` or to the process's own."""
 
     ARGV = [
         [], ["-h"], ["--help"], ["--he"], ["-h", "gen"], ["--help", "check-theorem"],
@@ -722,9 +721,7 @@ class TestParserSurface:
         # usage and help wrap at the terminal width
         monkeypatch.setenv("COLUMNS", columns)
         shipped = self.outcome(argv, capsys)
-        full = cli.build_parser
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "build_parser", lambda *_: full())
             patch.setattr(cli, "_read_plain", lambda argv: None)
             assert self.outcome(argv, capsys) == shipped
 
@@ -805,8 +802,8 @@ class TestPlainReader:
 class TestParserCounters:
     """Exact parser work, as ``TestKernelCounters`` pins kernel work: the
     ``ArgumentParser`` objects built and the ``add_argument`` calls made (the
-    automatic ``-h`` among them) by one ``run``, and by the full parser.  A
-    plain command line builds none."""
+    automatic ``-h`` among them) by one ``run``, and by ``build_parser``.  A
+    plain command line builds none; any other builds the whole parser."""
 
     @pytest.mark.parametrize(
         "argv,expected",
@@ -815,9 +812,9 @@ class TestParserCounters:
             (["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"], (0, 0)),
             (["gen", "--family", "path:3"], (0, 0)),
             (["verify-paper"], (0, 0)),
-            (["--help"], (1, 1)),
-            # an abbreviation: argparse reads it, with the parser of gen alone
-            (["gen", "--fam", "path:3"], (2, 3)),
+            (["--help"], (7, 28)),
+            # an abbreviation is not plain: argparse reads it
+            (["gen", "--fam", "path:3"], (7, 28)),
         ],
     )
     def test_parsers_and_arguments(self, argv, expected, monkeypatch):
@@ -841,18 +838,27 @@ class TestParserCounters:
 
 
 class TestRenderCounters:
-    """Exact rendering work, as ``TestParserCounters`` pins parser work: the
-    ``_dumps`` calls, recursive ones included, made while writing the thm35
-    K8∘P3 document (56 condition rows, 64 witnesses).  Only the witness
-    details go through ``_dumps``; the condition rows make no call."""
+    """Exact rendering work, as ``TestParserCounters`` pins parser work, on
+    the thm35 K8∘P3 document (56 condition rows, 64 witnesses): the
+    ``_dumps`` calls, recursive ones included, and the vertex and detail
+    lists written and reused by the memos ``_mask_text`` and ``_ints_text``.
+    A check's witness details are flat, so only a detail that is not goes
+    through ``_dumps``."""
 
-    def test_dumps_calls(self, monkeypatch):
-        from dataclasses import replace
-
+    @staticmethod
+    def k8_p3():
         from wfcover import check_thm35, generate, parse_family
 
         report = check_thm35(generate(parse_family("complete:8")), generate(parse_family("path:3")))
         assert (len(report.condition_values), len(report.witnesses)) == (56, 64)
+        return report
+
+    def test_dumps_calls(self, monkeypatch):
+        from dataclasses import replace
+
+        from wfcover.theorems import WitnessRecord
+
+        report = self.k8_p3()
         calls = []
         dumps = cli._dumps
         monkeypatch.setattr(cli, "_dumps", lambda obj, indent="": calls.append(obj) or dumps(obj, indent))
@@ -862,9 +868,28 @@ class TestRenderCounters:
             cli._report_text(rendered)
             return len(calls)
 
-        assert counted(report) == 304
-        assert counted(replace(report, condition_values=())) == 304
+        assert counted(report) == 0
+        # _dumps writes the whole detail: one call for it and one for each
+        # value under it that is not an item of a list of ints
+        nested = WitnessRecord("vm", None, None, False, {"a": {"b": 1}, "error": "x"})
+        floating = WitnessRecord("vm", None, None, False, {"a": 1.5, "m": [0]})
+        assert counted(replace(report, witnesses=(nested,))) == 4
+        assert counted(replace(report, witnesses=(floating, *report.witnesses))) == 3
         assert counted(replace(report, witnesses=())) == 0
+
+    def test_lists_written_once(self):
+        report = self.k8_p3()
+        for memo in (cli._mask_text, cli._ints_text):
+            memo.cache_clear()
+        text = cli._report_text(report)
+        # 176 vertex lists: a forest and an M_H per condition row, a subset
+        # per witness; 128 detail lists: forest and m_h of each V*, m and f_h
+        # of each V_M
+        assert cli._mask_text.cache_info()[:2] == (86, 90)
+        assert cli._ints_text.cache_info()[:2] == (91, 37)
+        assert cli._report_text(report) == text
+        assert cli._mask_text.cache_info()[:2] == (86 + 176, 90)
+        assert cli._ints_text.cache_info()[:2] == (91 + 128, 37)
 
 
 class TestEntryPoint:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 import wfcover.examples as examples
@@ -25,6 +28,7 @@ from wfcover import (
     enumerate_maximal_independent_sets,
     forest_number,
     forest_stats,
+    from_graph6,
     generate,
     hypothesis_filter,
     is_induced_forest,
@@ -35,6 +39,7 @@ from wfcover import (
     thm32_lhs,
     thm35_lhs,
 )
+from wfcover.cli import run
 
 
 def fam(text: str) -> Graph:
@@ -185,6 +190,31 @@ class TestCheckThm35:
         assert report.ground_truth["f_h"] == 3
         assert {rec.lhs for rec in report.condition_values} == {6}
         assert all(w.verified for w in report.witnesses)
+
+    # the smallest G, all of order 8, whose G∘K_m is not well-f-covered
+    # while thm35's four conditions hold: none of order 7 or less does so
+    # for K2 or K3
+    COMPLETE_H_WITNESSES = ["GhoGL_", "Ggogdg", "GIc`MG", "GhNGCc", "GxU?Kw"]
+
+    @pytest.mark.parametrize("g6", COMPLETE_H_WITNESSES)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_complete_h_non_sufficiency(self, g6, m):
+        g, h = from_graph6(g6), fam(f"complete:{m}")
+        report = check_thm35(g, h)
+        assert report.verdict == "non_sufficiency_witness"
+        assert all(report.conditions.values())
+        assert report.ground_truth["maximal_forest_orders"] == [5, 6]
+        assert all(w.verified for w in report.witnesses)
+        fh = next(s for s in enumerate_maximal_induced_forests(h) if len(s) == 2)
+        vstar = [w for w in report.witnesses if w.kind == "vstar_nonempty_second"]
+        assert len(vstar) == len(report.condition_values) > 0
+        for rec, w in zip(report.condition_values, vstar):
+            assert w.subset == construct_vstar_nonempty_second(g, rec.forest, h, fh, rec.m_h)
+
+    def test_complete_h_non_sufficiency_exits_1(self):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["check-theorem", "thm35", "--g", "g6:GhoGL_", "--h", "complete:2"], out, err) == 1
+        assert json.loads(out.getvalue())["verdict"] == "non_sufficiency_witness"
 
     def test_fig1_c4_condition4_fails(self):
         report = check_thm35(fam("fig1"), fam("cycle:4"))
