@@ -41,8 +41,6 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 MAX_ORDER_ENV = "WFCOVER_MAX_ORDER"
 
-logger = logging.getLogger(__name__)
-
 
 def _max_order(value: int | None) -> int:
     """The enumeration bound: ``value``, else ``WFCOVER_MAX_ORDER``, else

@@ -22,18 +22,20 @@ The necessary conditions come with explicit witness forests inside the
 product: V_M = M × F_H, and V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪
 ((Y ∪ T) × {anchor}) from the partition of a maximal forest of G.  Each is a
 union of blocks gmask × hmask, lifted into the product by ``products.lift``.
-One per-forest loop, ``_condition_4``, evaluates condition (4) and builds V*
-for both checks: thm32 reads it with F_H = M_H = V(nK1) and f(H) = |M_H| = n,
+thm32 and thm35 share one pair path, ``_condition_4``: it reads H's summary,
+checks the anchor against every M_H before the product is built, builds the
+product and its ground truth, reads G's forest partitions, and evaluates
+condition (4) with its V* for each maximal forest of G and each M_H.  thm32
+runs it on nK1, whose summary gives F_H = M_H = V(nK1) and f(H) = |M_H| = n,
 as V(nK1) is nK1's only maximal forest and only maximal independent set.
 It lifts each forest's blocks once and makes each V* from them with one
 multiply, shift and or per M_H.  Every witness, however built, is
 size-checked and re-verified by brute force in one helper, ``_verified``,
 and a failure is never silently ignored.  The public ``construct_*`` check their inputs on
-every call.  A check reads the maximal forests of G with their partitions
-from one record per (G, z_choice), ``_forest_partitions``, so each forest
-is partitioned and checked once for every second factor checked against G.
-Likewise each M_H is checked once per H (``_independent_sets_of``), and
-each check tests only that its anchor lies in every M_H.
+every call.  H enters a check through one record per H, ``_h_summary``,
+and G's maximal forests with their partitions through one per
+(G, z_choice), ``_forest_partitions``: each M_H and each forest of G is
+checked once, however many pairs share its factor.
 
 Ground truth is exact.  The product's forest number, maximal forest orders
 and witness pair come from ``forests.product_profile``, which derives them
@@ -47,7 +49,9 @@ product is not well-f-covered, and ``consistent`` otherwise.
 The enumeration bound is checked on |G|·|H|, the order of the product,
 which no factor outgrows, right after the range checks of a check's
 arguments: an oversized pair is rejected before either factor is enumerated
-or the product built.
+or the product built.  The factor queries of a check then use the
+caller's bound, and the two per-factor records none, as the pair's order
+bounds each factor.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .forests import (
     maximal_forest_order_histogram,
 )
 from .independence import (
+    _independent_catalogue,
     enumerate_maximal_independent_sets,
     independence_number,
     is_maximal_independent_set,
@@ -202,9 +207,10 @@ def _forest_partitions(
     """Each maximal forest of G, ascending, with its partition and counters:
     the part of thm32's and thm35's per-forest work that reads G alone, so
     every second factor checked against G shares it.  ``forest_partition``
-    checks each forest's maximality once per (G, ``z_choice``)."""
+    checks each forest's maximality once per (G, ``z_choice``).  Like
+    ``_h_summary`` it applies no bound: the check has bounded the pair."""
     out = []
-    for forest in enumerate_maximal_induced_forests(g):
+    for forest in enumerate_maximal_induced_forests(g, g.order):
         p = forest_partition(g, forest, z_choice=z_choice)
         out.append((forest, p, p.stats))
     return tuple(out)
@@ -284,15 +290,18 @@ def _anchor(h_independent: VertexSubset, anchor: int | None) -> int:
 
 
 @lru_cache(maxsize=256)
-def _independent_sets_of(h: Graph) -> tuple[VertexSubset, ...]:
-    """Each maximal independent set M_H of H, ascending: the part of thm35's
-    per-M_H work that reads H alone, so every first factor checked against H
-    shares it.  Each M_H is checked by ``is_maximal_independent_set`` once
-    per H."""
-    mis_h = tuple(enumerate_maximal_independent_sets(h))
+def _h_summary(h: Graph) -> tuple[int, bool, bool, VertexSubset, tuple[VertexSubset, ...]]:
+    """H as a check reads it: f(H), wc(H), wfc(H), the canonical F_H (the
+    ``hi`` of H's forest catalogue record, so each V* has condition (4)'s
+    order) and each M_H, ascending, checked once per H.  It applies no
+    bound: the check has bounded the pair."""
+    forests = _forest_catalogue(h).aggregates
+    independent = _independent_catalogue(h)
+    mis_h = tuple(independent.sets())
     for m_h in mis_h:
         _require_independent(h, m_h)
-    return mis_h
+    f_h = VertexSubset(h.order, forests.hi)
+    return forests.number(), independent.aggregates.uniform()[0], forests.uniform()[0], f_h, mis_h
 
 
 def construct_vstar_empty_second(
@@ -369,32 +378,39 @@ def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
 
 
 def _condition_4(
-    product: Graph, h_order: int, forests_g, f_h: int, h_forest: int, entries, f_p: int,
-    kind: str, z_choice: str, *, named: bool,
-) -> tuple[list[ConditionRecord], list[WitnessRecord]]:
-    """Condition (4) and its V* witness for each maximal forest F of G, as
-    ``(forest, partition, stats)`` rows, and each ``(M_H, anchor)`` entry:
-    f(H)*I + |M_H|*(K2 + L) + K2 + L' against f(G∘H) = ``f_p``, and V* with
-    F_H = ``h_forest`` as a mask.  M_H is recorded in the condition and the
-    witness detail iff ``named``.
+    g: Graph, h: Graph, max_order: int | None, z_choice: str, anchor: int | None,
+    kind: str, *, named: bool,
+) -> tuple[dict, tuple, list[ConditionRecord], list[WitnessRecord]]:
+    """The pair path of thm32 and thm35: the product's ground truth, G's
+    ``(forest, partition, stats)`` rows, and condition (4) with its V*
+    witness for each maximal forest F of G and each M_H of H's summary:
+    f(H)*I + |M_H|*(K2 + L) + K2 + L' against f(G∘H), and V* with the
+    summary's F_H.  The anchor is checked against every M_H before the
+    product is built.  M_H is recorded in the condition and the witness
+    detail iff ``named``.
 
     V* is lifted per forest, not per block: X1 × F_H once, and the fibre
     spreads of X2 ∪ Z and Y ∪ T, each ``lift`` of (part, {0}), once.  As
-    M_H < 2**h_order, (X2 ∪ Z) × M_H is the spread times M_H, and
+    M_H < 2**|V(H)|, (X2 ∪ Z) × M_H is the spread times M_H, and
     (Y ∪ T) × {anchor} the spread shifted by the anchor.  Its size formula
     |F_H|*|X1| + |M_H|*(|X2| + |Z|) + |Y| + |T| reads the partition's
     counts, I = |X1|, L = |X2|, K2 = |Z| = |T| and L' = |Y|."""
+    f_h, _, _, h_forest, mis_h = _h_summary(h)
+    per_m_h = [(m_h, _anchor(m_h, anchor), len(m_h), m_h.vertices()) for m_h in mis_h]
+    product = _product(g, h)
+    truth = _product_ground_truth(product, max_order)
+    f_p = truth["f_product"]
+    forests_g = _forest_partitions(g, z_choice)
     records = []
     witnesses = []
-    fh_size = h_forest.bit_count()
-    per_m_h = [(m_h, anchor, len(m_h), m_h.vertices()) for m_h, anchor in entries]
+    fh_size = len(h_forest)
     for forest, p, stats in forests_g:
         forest_vertices = forest.vertices()
         by_m_h = stats.k2_components + stats.outer_leaves
         fixed_size = fh_size * stats.isolated + stats.k2_components + stats.internal
-        fixed = lift(((p.x1.mask, h_forest),), h_order)
-        spread_m_h = lift(((p.x2.mask | p.z.mask, 1),), h_order)
-        spread_anchor = lift(((p.y.mask | p.t.mask, 1),), h_order)
+        fixed = lift(((p.x1.mask, h_forest.mask),), h.order)
+        spread_m_h = lift(((p.x2.mask | p.z.mask, 1),), h.order)
+        spread_anchor = lift(((p.y.mask | p.t.mask, 1),), h.order)
         for m_h, anchor, m_h_size, m_h_vertices in per_m_h:
             lhs = thm35_lhs(stats, f_h, m_h_size)
             records.append(
@@ -407,7 +423,7 @@ def _condition_4(
             witnesses.append(
                 _record(kind, detail, _verified, product, mask, fixed_size + m_h_size * by_m_h, "V*")
             )
-    return records, witnesses
+    return truth, forests_g, records, witnesses
 
 
 def _verdict(witnesses: list[WitnessRecord], conditions_hold: bool, wfc_product: bool) -> str:
@@ -442,8 +458,8 @@ def check_thm31(g: Graph, h: Graph, max_order: int | None = None) -> TheoremRepo
     _within_bound(g.order * h.order, max_order)
     m = g.order
     truth = _product_ground_truth(_product(g, h), max_order)
-    wfc_h, _ = is_well_f_covered(h)
-    f_h = forest_number(h)
+    wfc_h, _ = is_well_f_covered(h, max_order)
+    f_h = forest_number(h, max_order)
     truth.update({"f_h": f_h, "well_f_covered_h": wfc_h})
     biconditional = truth["well_f_covered_product"] == wfc_h
     formula = truth["f_product"] == m * f_h
@@ -475,15 +491,9 @@ def check_thm32(
         raise HypothesisError("thm32 requires a second factor with at least one vertex")
     _anchor_in_range(anchor, n)
     _within_bound(g.order * n, max_order)
-    h = generate(FamilySpec("empty", n))
-    # V(nK1) is the only maximal forest and the only MIS of nK1: F_H = M_H
-    all_h = VertexSubset(n, h.vertices_mask)
-    anchor = _anchor(all_h, anchor)
-    product = _product(g, h)
-    truth = _product_ground_truth(product, max_order)
-    records, witnesses = _condition_4(
-        product, n, _forest_partitions(g, z_choice), n, all_h.mask, ((all_h, anchor),),
-        truth["f_product"], "vstar_empty_second", z_choice, named=False,
+    truth, _, records, witnesses = _condition_4(
+        g, generate(FamilySpec("empty", n)), max_order, z_choice, anchor,
+        "vstar_empty_second", named=False,
     )
     all_hold = all(r.holds for r in records)
     return TheoremReport(
@@ -508,23 +518,17 @@ def check_thm35(
     _require("thm35", g, h)
     _anchor_in_range(anchor, h.order)
     _within_bound(g.order * h.order, max_order)
-    # the anchor is checked against each M_H once, before the product is built
-    mis_h = _independent_sets_of(h)
-    anchors = [_anchor(m_h, anchor) for m_h in mis_h]
-    product = _product(g, h)
-    truth = _product_ground_truth(product, max_order)
+    truth, forests_g, records, vstars = _condition_4(
+        g, h, max_order, z_choice, anchor, "vstar_nonempty_second", named=True
+    )
+    f_h, wc_h, wfc_h, fh_canon, mis_h = _h_summary(h)
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]
 
-    forests_g = _forest_partitions(g, z_choice)
-    mis_g = enumerate_maximal_independent_sets(g)
-    alpha_g = independence_number(g)
-    f_g = forest_number(g)
-    f_h = forest_number(h)
-    wc_g, _ = is_well_covered(g)
-    wc_h, _ = is_well_covered(h)
-    wfc_g, _ = is_well_f_covered(g)
-    wfc_h, _ = is_well_f_covered(h)
+    alpha_g = independence_number(g, max_order)
+    f_g = forest_number(g, max_order)
+    wc_g, _ = is_well_covered(g, max_order)
+    wfc_g, _ = is_well_f_covered(g, max_order)
     truth.update(
         {
             "alpha_g": alpha_g,
@@ -543,21 +547,13 @@ def check_thm35(
     cond2 = wfc_h and ((not premise2) or wc_h)
     cond3 = f_p == alpha_g * f_h
 
-    # canonical F_H: the smallest-mask maximal forest of maximum order, the
-    # ``hi`` of H's forest catalogue record, so that each V* has condition
-    # (4)'s order; construct_vm checks it before any V*
-    fh_canon = VertexSubset(h.order, _forest_catalogue(h).aggregates.hi)
+    # V_M first, then V*; construct_vm checks the canonical F_H each time
     witnesses = []
-    for m in mis_g:
+    for m in enumerate_maximal_independent_sets(g, max_order):
         detail = {"m": list(m.vertices()), "f_h": list(fh_canon.vertices())}
         if wfc_p:
             detail["quotient_holds"] = len(m) * len(fh_canon) == f_p
         witnesses.append(_record("vm", detail, construct_vm, g, m, h, fh_canon))
-
-    records, vstars = _condition_4(
-        product, h.order, forests_g, f_h, fh_canon.mask, tuple(zip(mis_h, anchors)),
-        f_p, "vstar_nonempty_second", z_choice, named=True,
-    )
     witnesses += vstars
 
     cond4 = all(r.holds for r in records)

@@ -101,6 +101,12 @@ class TestScan:
         assert len(findings) == 1
         assert any("exceeds bound" in rec.message for rec in caplog.records)
 
+    def test_factor_past_the_default_bound_is_checked_under_the_configured_one(self):
+        # P25 exceeds the default bound of 24; K2∘P25 is within the bound of 50
+        config = ScanConfig(theorem="thm35", max_order=50)
+        findings = list(scan([(fam("complete:2"), fam("path:25"))], config))
+        assert [(f.verdict, f.f_product) for f in findings] == [("consistent", 25)]
+
     @pytest.mark.parametrize("big_first", [True, False])
     def test_pair_beyond_graph6_skipped_with_warning(self, caplog, big_first):
         big, _ = lexicographic(fam("cycle:8"), fam("cycle:8"))

@@ -441,6 +441,23 @@ class TestCheckPath:
         assert (info.value.order, info.value.bound) == (g.order * h.order, bound)
         assert str(info.value) == f"graph order {g.order * h.order} exceeds the enumeration bound {bound}"
 
+    @pytest.mark.parametrize(
+        "run,f_product",
+        [
+            (lambda: check_thm35(fam("complete:2"), fam("path:25"), max_order=50), 25),
+            (lambda: check_thm31(fam("empty:1"), fam("cycle:25"), max_order=25), 24),
+            # H's summary applies no bound of its own, here to 30K1
+            (lambda: check_thm32(fam("complete:1"), 30, max_order=30), 30),
+        ],
+        ids=["thm35-K2-P25", "thm31-K1-C25", "thm32-K1-30K1"],
+    )
+    def test_factor_queries_use_the_callers_bound(self, run, f_product):
+        # each pair has a factor past the default bound of 24 and a product
+        # within the caller's bound
+        report = run()
+        assert report.verdict == "consistent"
+        assert report.ground_truth["f_product"] == f_product
+
     @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
     def test_failed_witness_verification_is_recorded(self, monkeypatch, theorem):
         expected = self.CHECKS[theorem]()
@@ -464,8 +481,9 @@ class TestCheckPath:
         [
             # construct_vm checks F_H once per maximal independent set of G (5 for C5)
             ("thm35", "cycle:5", "cycle:4", 5, 5, 2),
-            # P4 is its own and only maximal forest; thm32 builds nK1 itself
-            ("thm32", "path:4", "empty:2", 1, 0, 0),
+            # P4 is its own and only maximal forest; nK1's one M_H, V(nK1), is
+            # checked once per H like every H's
+            ("thm32", "path:4", "empty:2", 1, 0, 1),
         ],
     )
     def test_factor_inputs_are_checked_once_per_check(
