@@ -917,10 +917,13 @@ class TestEntryPoint:
 
 
 class TestImportFootprint:
-    def test_commands_that_do_not_fork_load_no_process_pool(self):
+    def test_commands_that_do_not_fork_load_no_process_pool(self, tmp_path):
         # a fresh interpreter: the process-pool modules load only when a scan
-        # forks, and argparse only when a command line is not plain
+        # forks, and argparse only when a command line is not plain; one
+        # first factor is one run, which two workers would not share
         atlas = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas_le4.g6"
+        c5 = tmp_path / "c5.g6"
+        c5.write_text("Dhc\n")
         script = f"""
 import io, json, sys
 before = set(sys.modules)
@@ -929,6 +932,8 @@ out = io.StringIO()
 codes = [
     run(["check-theorem", "thm35", "--g", "cycle:5", "--h", "cycle:4"], out, out),
     run(["search", "--g-file", {str(atlas)!r}, "--theorem", "thm35", "--workers", "1"], out, out),
+    run(["search", "--g-file", {str(c5)!r}, "--h-file", {str(atlas)!r}, "--theorem", "thm35",
+         "--workers", "2"], out, out),
 ]
 print(json.dumps({{"codes": codes, "added": sorted(set(sys.modules) - before)}}))
 """
@@ -936,7 +941,7 @@ print(json.dumps({{"codes": codes, "added": sorted(set(sys.modules) - before)}})
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         result = json.loads(proc.stdout)
-        assert result["codes"] == [1, 1]
+        assert result["codes"] == [1, 1, 1]
         assert "wfcover.search" in result["added"]
         pool = [
             name for name in result["added"]

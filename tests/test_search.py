@@ -6,6 +6,9 @@ import concurrent.futures
 import io
 import json
 import logging
+import math
+from itertools import groupby
+from pathlib import Path
 
 import pytest
 
@@ -33,8 +36,28 @@ from wfcover.search import read_findings
 from conftest import clear_wfcover_caches
 
 
+DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
 def fam(text: str) -> Graph:
     return generate(parse_family(text))
+
+
+def recording_pool(started: list) -> type:
+    """A stand-in for ProcessPoolExecutor that appends each pool's worker
+    count to ``started`` and maps in this process."""
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    return RecordingPool
 
 
 class TestHypothesisFilter:
@@ -101,11 +124,25 @@ class TestScan:
         assert len(findings) == 1
         assert any("exceeds bound" in rec.message for rec in caplog.records)
 
-    def test_factor_past_the_default_bound_is_checked_under_the_configured_one(self):
-        # P25 exceeds the default bound of 24; K2∘P25 is within the bound of 50
-        config = ScanConfig(theorem="thm35", max_order=50)
-        findings = list(scan([(fam("complete:2"), fam("path:25"))], config))
-        assert [(f.verdict, f.f_product) for f in findings] == [("consistent", 25)]
+    @pytest.mark.parametrize(
+        "theorem,g,h,scalars",
+        [
+            pytest.param("thm35", "complete:2", "path:25", (25, 1, 25), id="thm35"),
+            # alpha(G) and f(H) are filled in by the scan, under its bound too
+            pytest.param("thm32", "complete:25", "empty:2", (3, 1, 2), id="thm32"),
+            pytest.param("thm31", "empty:25", "path:2", (50, 25, 2), id="thm31"),
+        ],
+    )
+    def test_factor_past_the_default_bound_is_checked_under_the_configured_one(
+        self, theorem, g, h, scalars
+    ):
+        # a factor of order 25 exceeds the default bound of 24; the product
+        # is within the bound of 50
+        config = ScanConfig(theorem=theorem, max_order=50)
+        findings = list(scan([(fam(g), fam(h))], config))
+        assert [(f.verdict, (f.f_product, f.alpha_g, f.f_h)) for f in findings] == [
+            ("consistent", scalars)
+        ]
 
     @pytest.mark.parametrize("big_first", [True, False])
     def test_pair_beyond_graph6_skipped_with_warning(self, caplog, big_first):
@@ -121,38 +158,43 @@ class TestScan:
             "product order 128 exceeds bound 24"
         ]
 
-    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "theorem,written", [("thm31", 0), ("thm32", 52), ("thm35", 20)], ids=["thm31", "thm32", "thm35"]
+    )
+    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch, theorem, written):
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1})
-        graphs = [fam("path:2"), fam("path:3"), fam("cycle:3"), fam("cycle:4"), fam("path:4")]
-        pairs = [(g, h) for g in graphs for h in graphs]
+        # the order-5 atlas and edgeless graphs of order 6-24 give every
+        # theorem more runs than two workers take batches, so batches hold
+        # several runs; the edgeless ones past order 12 pair only with K1
+        gs = list(read_graph6_stream(DATA / "atlas_le5.g6"))
+        gs += [fam(f"empty:{n}") for n in range(6, 25)]
+        hs = list(read_graph6_stream(DATA / "atlas_le4.g6"))
+        pairs = [(g, h) for g in gs for h in hs]
         runs = []
         for workers in (1, 2):
             out = tmp_path / f"findings{workers}.jsonl"
-            config = ScanConfig(theorem="thm35", workers=workers, findings_path=out)
+            config = ScanConfig(theorem=theorem, workers=workers, findings_path=out)
             runs.append((list(scan(pairs, config)), out.read_bytes()))
         assert runs[0] == runs[1]
-        assert runs[0][1]  # some finding was written
+        assert runs[0][1].count(b"\n") == written
+        first_factors = [g for g, _ in groupby(f.g_graph6 for f in runs[0][0])]
+        assert len(first_factors) > 2 * search.BATCHES_PER_WORKER
+
+    # four runs, so the CPU cap binds before the run count
+    CAPPED_PAIRS = [("path:4", "empty:2"), ("path:3", "empty:2"), ("cycle:4", "empty:2"),
+                    ("complete:3", "empty:2")]
+    CAPPED_VERDICTS = ["non_sufficiency_witness", "non_sufficiency_witness", "consistent",
+                       "consistent"]
 
     @pytest.mark.parametrize("cpus,workers,expected", [(2, 64, [2]), (3, 2, [2]), (1, 8, [])])
     def test_pool_is_capped_at_usable_cpus(self, monkeypatch, cpus, workers, expected):
         started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        pairs = [(fam("path:4"), fam("empty:2"))]
+        pairs = [(fam(g), fam(h)) for g, h in self.CAPPED_PAIRS]
         findings = list(scan(pairs, ScanConfig(theorem="thm32", workers=workers)))
         assert started == expected
-        assert [f.verdict for f in findings] == ["non_sufficiency_witness"]
+        assert [f.verdict for f in findings] == self.CAPPED_VERDICTS
 
     @pytest.mark.parametrize("cpus,workers,expected", [(3, 8, [3]), (4, 2, [2]), (None, 8, [])])
     def test_pool_is_capped_at_cpu_count_without_affinity(
@@ -160,27 +202,30 @@ class TestScan:
     ):
         # macOS and Windows have no sched_getaffinity; os.cpu_count() may be None
         started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
         monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-        pairs = [(fam("path:4"), fam("empty:2"))]
+        pairs = [(fam(g), fam(h)) for g, h in self.CAPPED_PAIRS]
         findings = list(scan(pairs, ScanConfig(theorem="thm32", workers=workers)))
         assert started == expected
-        assert [f.verdict for f in findings] == ["non_sufficiency_witness"]
+        assert [f.verdict for f in findings] == self.CAPPED_VERDICTS
 
-    def test_pool_gets_one_task_per_run_of_a_first_factor(self, monkeypatch):
-        tasks = []
+    @pytest.mark.parametrize("gs,expected", [([], []), (["path:4"], []), (["path:4", "path:3"], [2])])
+    def test_pool_is_capped_at_the_number_of_runs(self, monkeypatch, gs, expected):
+        # one G against many H is one run: a pool would leave every worker but one idle
+        started = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        hs = [fam(t) for t in ("empty:1", "empty:2", "empty:3")]
+        pairs = [(fam(g), h) for g in gs for h in hs]
+        findings = list(scan(pairs, ScanConfig(theorem="thm32", workers=3)))
+        assert started == expected
+        assert findings == list(scan(pairs, ScanConfig(theorem="thm32", workers=1)))
+        assert len(findings) == len(pairs)
+
+    @pytest.mark.parametrize("atlas", [False, True], ids=["two-runs", "atlas-runs"])
+    def test_pool_gets_one_task_per_run_of_a_first_factor(self, monkeypatch, atlas):
+        tasks, chunksizes = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -189,6 +234,7 @@ class TestScan:
             def map(self, fn, items, chunksize=1):
                 items = list(items)
                 tasks.extend(items)
+                chunksizes.append(chunksize)
                 return map(fn, items)
 
             def shutdown(self, wait=True, *, cancel_futures=False):
@@ -196,15 +242,19 @@ class TestScan:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1})
-        gs = [fam("path:3"), fam("cycle:4")]
+        # the order-5 atlas has 47 graphs with an edge: batches of 3 runs
+        gs = list(read_graph6_stream(DATA / "atlas_le5.g6")) if atlas else [fam("path:3"), fam("cycle:4")]
         hs = [fam("path:2"), fam("path:3"), fam("cycle:3")]
         pairs = [(g, h) for g in gs for h in hs]
         findings = list(scan(pairs, ScanConfig(theorem="thm35", workers=2)))
-        assert len(tasks) == 2
+        runs = [g for g in gs if g.edge_count]
+        assert [task[1] for task in tasks] == runs
+        assert chunksizes == [math.ceil(len(runs) / (2 * search.BATCHES_PER_WORKER))]
+        assert chunksizes == [3 if atlas else 1]
         sequential = list(scan(pairs, ScanConfig(theorem="thm35", workers=1)))
         assert findings == sequential
         assert [(f.g_graph6, f.h_graph6) for f in findings] == [
-            (to_graph6(g).decode(), to_graph6(h).decode()) for g, h in pairs
+            (to_graph6(g).decode(), to_graph6(h).decode()) for g, h in pairs if g.edge_count
         ]
 
     def test_first_factor_is_encoded_once_per_run(self, monkeypatch):
