@@ -4,14 +4,14 @@ Every subcommand returns the text of one JSON document (sorted keys,
 ``schema: 1``), a short human summary and its exit code; ``run`` writes the
 document on stdout and then the summary on stderr, so reports are byte-stable
 for golden-file comparison.  Every document is byte-identical to
-``json.dumps(doc, sort_keys=True, indent=2)``: a check report is written
-straight from its records by ``_report_text``, its flat witness details by
-``_detail_text`` and each distinct vertex or detail list once, any other
-document by ``_dumps``.  Exit codes: 0 success/consistent, 1 findings or property
-failures, 2 usage, I/O or worker-pool errors.  Each command's arguments are
-declared once, in ``_COMMANDS``: a plain command line is read from that
-table directly, and any other by the argparse parser built from it, which
-alone writes usage, help and error text.
+``json.dumps(doc, sort_keys=True, indent=2)``: ``_report_text`` writes a
+check report's record rows, each distinct vertex or detail list once,
+``_detail_text`` its flat witness details, and ``json.dumps(sort_keys=True,
+indent=2)`` everything else.  Exit codes: 0 success/consistent, 1 findings
+or property failures, 2 usage, I/O or worker-pool errors.  Each command's
+arguments are declared once, in ``_COMMANDS``: a plain command line is read
+from that table directly, and any other by the argparse parser built from
+it, which alone writes usage, help and error text.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _graph_from_flags(args) -> Graph:
 
 
 def _vertices_text(subset) -> str:
-    """A record row's vertex list, or null for no subset, as ``_dumps`` writes it."""
+    """A record row's vertex list, or null for no subset, as ``json.dumps`` writes it."""
     return "null" if subset is None else _mask_text(subset.mask)
 
 
@@ -104,10 +104,10 @@ def _mask_text(mask: int) -> str:
 
 
 def _detail_text(detail: dict) -> str:
-    """A witness's ``detail`` at its row's indent, as ``_dumps`` writes it.
+    """A witness's ``detail`` at its row's indent, as ``json.dumps`` writes it.
     A detail whose keys are all str and whose values are each an int, bool,
     str or non-empty list of ints, as every check's are, is written here,
-    each distinct int list once by ``_ints_text``; any other by ``_dumps``."""
+    each distinct int list once by ``_ints_text``; any other by ``json.dumps``."""
     items = []
     try:
         for key in sorted(detail):
@@ -132,7 +132,7 @@ def _detail_text(detail: dict) -> str:
 
 @lru_cache(maxsize=1024)
 def _ints_text(values: tuple[int, ...]) -> str:
-    """A list of ints in a witness's detail, as ``_dumps`` writes it."""
+    """A list of ints in a witness's detail, as ``json.dumps`` writes it."""
     return "[\n          " + ",\n          ".join(map(_int_repr, values)) + "\n        ]"
 
 
@@ -190,43 +190,7 @@ def report_to_dict(report: TheoremReport) -> dict:
 
 
 def _dumps(obj, indent: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, nested at
-    ``indent``.  With ``indent`` set, ``json.dumps`` runs the stdlib's
-    pure-Python encoder; this writer dispatches on exact type instead and
-    joins each all-int list in one call.  Anything else (floats, dicts with a
-    key that is not a str, subclasses, unknown types) goes to ``json.dumps``
-    itself, so it renders, or raises, exactly as there."""
-    kind = type(obj)
-    if kind is str:
-        return _encode_str(obj)
-    if kind is int:
-        return _int_repr(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    inner = indent + "  "
-    if kind is dict:
-        if not obj:
-            return "{}"
-        try:
-            # _encode_str raises TypeError on a key that is not a str
-            items = [f"{_encode_str(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj)]
-        except TypeError:
-            return _json_dumps(obj, indent)
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        if all(type(item) is int for item in obj):
-            items = map(_int_repr, obj)
-        else:
-            items = [_dumps(item, inner) for item in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    return _json_dumps(obj, indent)
-
-
-def _json_dumps(obj, indent: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` nested at ``indent``."""
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wfcover import cli
-from wfcover.cli import _dumps, build_parser, run
+from wfcover.cli import build_parser, run
 
 import cli_parity
 
@@ -148,32 +148,6 @@ class TestReportToDict:
         doc["claims"][0]["status"] = "mutated"
         doc["claims"][0].pop("text")
         assert astuple(record) == before
-
-
-class TestWriter:
-    """``_dumps`` against its oracle, ``json.dumps(sort_keys=True, indent=2)``."""
-
-    @staticmethod
-    def outcome(render, doc):
-        try:
-            return render(doc)
-        except TypeError as exc:
-            return ("TypeError", str(exc))
-
-    @given(_VALUES)
-    @example([[], {}, {"a": {}}, [1, True, None], (1, 2)])
-    @example({"b": 1, "a": [2, 3.5], "c": {10: ["y"], 2: "x"}})
-    def test_matches_json_dumps(self, doc):
-        expected = self.outcome(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
-        assert self.outcome(_dumps, doc) == expected
-
-    @pytest.mark.parametrize("doc", [{1, 2}, {"a": [1, {2}]}, [{"b": {3}}], {"a": 0, 1: 0}])
-    def test_raises_the_type_error_of_json_dumps(self, doc):
-        with pytest.raises(TypeError) as expected:
-            json.dumps(doc, sort_keys=True, indent=2)
-        with pytest.raises(TypeError) as got:
-            _dumps(doc)
-        assert str(got.value) == str(expected.value)
 
 
 def reference_report_dict(report):
@@ -309,9 +283,8 @@ class TestReportText:
             self.assert_matches_reference(replace(report, witnesses=witnesses))
         self.assert_matches_reference(replace(report, condition_values=(empty,)))
 
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(_reports())
-    def test_drawn_reports(self, report):
+    @staticmethod
+    def assert_written_as_json_dumps(report):
         # json.dumps of the reference raises where a dict mixes key types,
         # and _report_text must raise the same TypeError
         try:
@@ -322,6 +295,28 @@ class TestReportText:
             assert str(got.value) == str(exc)
         else:
             assert cli._report_text(report) == expected
+
+    @pytest.mark.parametrize(
+        "detail",
+        [{10: ["y"], 2: "x"}, {"b": 1, "a": [2, 3.5]}, {"a": {"b": 1}}, {"m": []}, {"a": 0, 1: 0}],
+        ids=["int-keys", "float", "nested", "empty-list", "mixed-keys"],
+    )
+    def test_detail_that_is_not_flat(self, detail):
+        # json.dumps writes each of these, or raises on mixed keys;
+        # report_to_dict would read int keys back as str
+        from dataclasses import replace
+
+        from wfcover import check_thm35, generate, parse_family
+        from wfcover.theorems import WitnessRecord
+
+        report = check_thm35(generate(parse_family("cycle:5")), generate(parse_family("cycle:4")))
+        witness = WitnessRecord("vm", None, None, False, detail)
+        self.assert_written_as_json_dumps(replace(report, witnesses=(witness, *report.witnesses)))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_reports())
+    def test_drawn_reports(self, report):
+        self.assert_written_as_json_dumps(report)
 
 
 class TestAnalyze:
@@ -839,11 +834,11 @@ class TestParserCounters:
 
 class TestRenderCounters:
     """Exact rendering work, as ``TestParserCounters`` pins parser work, on
-    the thm35 K8∘P3 document (56 condition rows, 64 witnesses): the
-    ``_dumps`` calls, recursive ones included, and the vertex and detail
-    lists written and reused by the memos ``_mask_text`` and ``_ints_text``.
-    A check's witness details are flat, so only a detail that is not goes
-    through ``_dumps``."""
+    the thm35 K8∘P3 document (56 condition rows, 64 witnesses): the calls of
+    the stdlib fallback ``_dumps``, and the vertex and detail lists written
+    and reused by the memos ``_mask_text`` and ``_ints_text``.  A check's
+    witness details are flat, so only a detail that is not goes through
+    ``_dumps``."""
 
     @staticmethod
     def k8_p3():
@@ -853,7 +848,7 @@ class TestRenderCounters:
         assert (len(report.condition_values), len(report.witnesses)) == (56, 64)
         return report
 
-    def test_dumps_calls(self, monkeypatch):
+    def test_stdlib_fallback_calls(self, monkeypatch):
         from dataclasses import replace
 
         from wfcover.theorems import WitnessRecord
@@ -869,12 +864,11 @@ class TestRenderCounters:
             return len(calls)
 
         assert counted(report) == 0
-        # _dumps writes the whole detail: one call for it and one for each
-        # value under it that is not an item of a list of ints
+        # one call writes each detail that is not flat, whole
         nested = WitnessRecord("vm", None, None, False, {"a": {"b": 1}, "error": "x"})
         floating = WitnessRecord("vm", None, None, False, {"a": 1.5, "m": [0]})
-        assert counted(replace(report, witnesses=(nested,))) == 4
-        assert counted(replace(report, witnesses=(floating, *report.witnesses))) == 3
+        assert counted(replace(report, witnesses=(nested,))) == 1
+        assert counted(replace(report, witnesses=(floating, *report.witnesses))) == 1
         assert counted(replace(report, witnesses=())) == 0
 
     def test_lists_written_once(self):
