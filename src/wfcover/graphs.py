@@ -1,13 +1,14 @@
 """Immutable bitset-backed simple graphs: families, graph6 I/O, components.
 
 Vertices are always 0..order-1 and adjacency is stored as one bitmask per
-vertex, which keeps subset work (components, forest tests) cheap.
+vertex, which keeps subset work (components, forest tests) cheap.  Rows are
+checked where they come from outside, in ``Graph(order, adj)``; the builders'
+rows are valid by construction and are not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 GRAPH6_MAX_ORDER = 62
@@ -41,42 +42,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _tile(block: int, period: int, total: int) -> int:
-    """``block`` repeated every ``period`` bits over ``total`` bits."""
-    return block * (((1 << total) - 1) // ((1 << period) - 1))
-
-
-@lru_cache(maxsize=None)
-def _transpose_steps(width: int) -> tuple[tuple[int, int], ...]:
-    """The (shift, mask) delta swaps that transpose a ``width`` x ``width``
-    bit matrix packed row-major (row r at bits r*width ...), ``width`` a
-    power of two.  Step j swaps bit (r, c + j) with bit (r + j, c) wherever
-    r and c have bit j clear; its mask selects the lower bit of each pair,
-    the columns with bit j set in the rows with bit j clear."""
-    steps = []
-    j = width // 2
-    while j:
-        columns = _tile(((1 << j) - 1) << j, 2 * j, width)
-        rows = _tile(_tile(1, width, j * width), 2 * j * width, width * width)
-        steps.append((j * (width - 1), columns * rows))
-        j //= 2
-    return tuple(steps)
-
-
-def _is_symmetric(adj: tuple[int, ...]) -> bool:
-    """Whether the rows, each within ``len(adj)`` bits, equal their columns:
-    the packed matrix against its transpose, in log2 steps."""
-    width = 8
-    while width < len(adj):
-        width *= 2
-    packed = int.from_bytes(b"".join(row.to_bytes(width // 8, "little") for row in adj), "little")
-    t = packed
-    for shift, mask in _transpose_steps(width):
-        swap = ((t >> shift) ^ t) & mask
-        t ^= swap ^ (swap << shift)
-    return t == packed
-
-
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph on {0, ..., order-1}.
@@ -85,7 +50,10 @@ class Graph:
     hashable, so they can be shared freely across worker processes.  ``name``
     is a display label only, and ``factors`` is the pair (G, H) of a graph
     built by ``lexicographic``; neither takes part in equality.
-    ``edge_count`` is counted once, when the graph is made.
+    ``edge_count`` is counted once, when the graph is made.  ``Graph(order,
+    adj)`` checks that every row is in range, loop-free and matched by its
+    column; ``from_edges``, ``from_graph6`` and ``lexicographic`` build
+    valid rows and skip that check.
     """
 
     order: int
@@ -105,14 +73,22 @@ class Graph:
                 raise ValueError(f"adjacency row {v} mentions vertices outside the graph")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        object.__setattr__(self, "edge_count", sum(row.bit_count() for row in self.adj) // 2)
-        if _is_symmetric(self.adj):
-            return
-        # asymmetric: name the first one-sided pair, row by row
         for v in range(self.order):
             for u in iter_bits(self.adj[v]):
                 if not (self.adj[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric between {u} and {v}")
+        object.__setattr__(self, "edge_count", sum(row.bit_count() for row in self.adj) // 2)
+
+    @classmethod
+    def _built(
+        cls, order: int, adj: tuple[int, ...], name: str | None = None, factors: tuple[Graph, Graph] | None = None
+    ) -> Graph:
+        """A graph on rows a builder made valid by construction, its fields
+        set as unpickling sets them, without ``__post_init__``'s checks."""
+        g = object.__new__(cls)
+        edge_count = sum(row.bit_count() for row in adj) // 2
+        vars(g).update(order=order, adj=adj, name=name, factors=factors, edge_count=edge_count)
+        return g
 
     @classmethod
     def from_edges(
@@ -126,7 +102,9 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(order, tuple(rows), name)
+        if order < 1:
+            raise ValueError("graphs must have at least one vertex")
+        return cls._built(order, tuple(rows), name)
 
     @property
     def vertices_mask(self) -> int:
@@ -306,7 +284,7 @@ def from_graph6(data: bytes | str) -> Graph:
             if bits >> pos & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._built(n, tuple(rows))
 
 
 def component_masks(g: Graph) -> list[int]:

@@ -84,4 +84,4 @@ def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductIndexMap]:
     name = None
     if g.name and h.name:
         name = f"lex({g.name},{h.name})"
-    return Graph(order, tuple(rows), name=name, factors=(g, h)), ProductIndexMap(m, n)
+    return Graph._built(order, tuple(rows), name, (g, h)), ProductIndexMap(m, n)

@@ -31,8 +31,9 @@ as V(nK1) is nK1's only maximal forest and only maximal independent set.
 It lifts each forest's blocks once and makes each V* from them with one
 multiply, shift and or per M_H.  Every witness, however built, is
 size-checked and re-verified by brute force in one helper, ``_verified``,
-and a failure is never silently ignored.  The public ``construct_*`` check their inputs on
-every call.  H enters a check through one record per H, ``_h_summary``,
+and a failure is never silently ignored; a V*'s size is checked against its
+condition value.  The public ``construct_*`` check their inputs on every
+call.  H enters a check through one record per H, ``_h_summary``,
 and G's maximal forests with their partitions through one per
 (G, z_choice), ``_forest_partitions``: each M_H and each forest of G is
 checked once, however many pairs share its factor.
@@ -225,8 +226,9 @@ def _product(g: Graph, h: Graph) -> Graph:
 
 def _verified(product: Graph, mask: int, expected: int, what: str) -> VertexSubset:
     """The subset ``mask`` of ``product``, once its size is checked against
-    the formula value ``expected`` and it is brute-force verified to be a
-    maximal induced forest: the one verification path of every witness."""
+    ``expected`` (a V*'s condition value, or the size of a union of blocks)
+    and it is brute-force verified to be a maximal induced forest: the one
+    verification path of every witness."""
     subset = VertexSubset(product.order, mask)
     if len(subset) != expected:
         raise WitnessVerificationError(
@@ -392,9 +394,9 @@ def _condition_4(
     V* is lifted per forest, not per block: X1 × F_H once, and the fibre
     spreads of X2 ∪ Z and Y ∪ T, each ``lift`` of (part, {0}), once.  As
     M_H < 2**|V(H)|, (X2 ∪ Z) × M_H is the spread times M_H, and
-    (Y ∪ T) × {anchor} the spread shifted by the anchor.  Its size formula
-    |F_H|*|X1| + |M_H|*(|X2| + |Z|) + |Y| + |T| reads the partition's
-    counts, I = |X1|, L = |X2|, K2 = |Z| = |T| and L' = |Y|."""
+    (Y ∪ T) × {anchor} the spread shifted by the anchor.  V* has order
+    |F_H|*|X1| + |M_H|*(|X2| + |Z|) + |Y| + |T|, with I = |X1|, L = |X2|,
+    K2 = |Z| = |T| and L' = |Y|."""
     f_h, _, _, h_forest, mis_h = _h_summary(h)
     per_m_h = [(m_h, _anchor(m_h, anchor), len(m_h), m_h.vertices()) for m_h in mis_h]
     product = _product(g, h)
@@ -403,11 +405,8 @@ def _condition_4(
     forests_g = _forest_partitions(g, z_choice)
     records = []
     witnesses = []
-    fh_size = len(h_forest)
     for forest, p, stats in forests_g:
         forest_vertices = forest.vertices()
-        by_m_h = stats.k2_components + stats.outer_leaves
-        fixed_size = fh_size * stats.isolated + stats.k2_components + stats.internal
         fixed = lift(((p.x1.mask, h_forest.mask),), h.order)
         spread_m_h = lift(((p.x2.mask | p.z.mask, 1),), h.order)
         spread_anchor = lift(((p.y.mask | p.t.mask, 1),), h.order)
@@ -420,9 +419,9 @@ def _condition_4(
             if named:
                 detail["m_h"] = list(m_h_vertices)
             mask = fixed | spread_m_h * m_h.mask | spread_anchor << anchor
-            witnesses.append(
-                _record(kind, detail, _verified, product, mask, fixed_size + m_h_size * by_m_h, "V*")
-            )
+            # the canonical F_H is the ``hi`` of H's forest record, so |F_H| = f(H)
+            # and V*'s real order certifies condition (4)'s value
+            witnesses.append(_record(kind, detail, _verified, product, mask, lhs, "V*"))
     return truth, forests_g, records, witnesses
 
 

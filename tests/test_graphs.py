@@ -12,9 +12,12 @@ from wfcover import (
     FamilySpec,
     Graph,
     VertexSubset,
+    from_graph6,
     generate,
     is_induced_forest,
+    lexicographic,
     parse_family,
+    to_graph6,
 )
 from wfcover.graphs import FIG1_EDGES
 
@@ -113,8 +116,15 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
-    def test_constructors_produce_symmetric_irreflexive(self, atlas_le5):
-        for g in atlas_le5:
+    def test_constructors_produce_symmetric_irreflexive(self, atlas_le4, atlas_le5):
+        # the builders' graphs skip the public row checks, so they must pass them
+        families = [fam(t) for t in ("fig1", "path:1", "path:6", "cycle:5", "complete:5", "empty:4")]
+        decoded = [from_graph6(to_graph6(g)) for g in atlas_le5]
+        products = [lexicographic(g, h)[0] for g in atlas_le4 for h in atlas_le4]
+        for g in [*atlas_le5, *families, *decoded, *products]:
+            checked = Graph(g.order, g.adj)
+            assert checked == g and hash(checked) == hash(g)
+            assert vars(g)["edge_count"] == checked.edge_count
             for v in range(g.order):
                 assert not g.has_edge(v, v)
                 for u in range(g.order):

@@ -566,3 +566,4 @@ class TestCheckPath:
                                     g, rec.forest, h, fh, rec.m_h, z_choice=z_choice, anchor=anchor
                                 )
                             assert w.verified and w.subset == want
+                            assert w.size == rec.lhs
