@@ -20,23 +20,24 @@ thm35  both factors have an edge: if G∘H is well-f-covered then
 
 The necessary conditions come with explicit witness forests inside the
 product: V_M = M × F_H, and V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪
-((Y ∪ T) × {anchor}) from the partition of a maximal forest of G.  Each is a
-union of blocks gmask × hmask, lifted into the product by ``products.lift``.
-thm32 and thm35 share one pair path, ``_condition_4``: it reads H's summary,
-checks the anchor against every M_H before the product is built, builds the
-product and its ground truth, reads G's forest partitions, and evaluates
-condition (4) with its V* for each maximal forest of G and each M_H.  thm32
-runs it on nK1, whose summary gives F_H = M_H = V(nK1) and f(H) = |M_H| = n,
-as V(nK1) is nK1's only maximal forest and only maximal independent set.
-It lifts each forest's blocks once and makes each V* from them with one
-multiply, shift and or per M_H.  Every witness, however built, is
-size-checked and re-verified by brute force in one helper, ``_verified``,
-and a failure is never silently ignored; a V*'s size is checked against its
-condition value.  The public ``construct_*`` check their inputs on every
-call.  H enters a check through one record per H, ``_h_summary``,
-and G's maximal forests with their partitions through one per
-(G, z_choice), ``_forest_partitions``: each M_H and each forest of G is
-checked once, however many pairs share its factor.
+((Y ∪ T) × {anchor}) from the partition of a maximal forest of G.  V* has
+one builder: ``_lifts`` lifts a forest's X1 × F_H and the fibre spreads of
+X2 ∪ Z and Y ∪ T once, and ``_vstar_mask`` makes each V* from them with one
+multiply, shift and or per M_H.  thm32 and thm35 share one pair path,
+``_condition_4``: it reads H's summary, checks the anchor against every M_H
+before the product is built, builds the product and its ground truth, reads
+G's forest partitions, and evaluates condition (4) with its V* for each
+maximal forest of G and each M_H.  thm32 runs it, and
+``construct_vstar_empty_second`` its V*, on nK1, whose summary gives
+F_H = M_H = V(nK1) and f(H) = n: V(nK1) is nK1's only maximal forest and
+only maximal independent set.  Every witness is size-checked against its
+formula value (a V*'s is condition (4)'s with f(H) = |F_H|) and re-verified
+by brute force in one helper, ``_verified``; a failure is never silently
+ignored.  The public ``construct_*`` check their inputs on every call.  H
+enters a check through one record per H, ``_h_summary``, and G's maximal
+forests with their partitions through one per (G, z_choice),
+``_forest_partitions``: each M_H and each forest of G is checked once,
+however many pairs share its factor.
 
 Ground truth is exact.  The product's forest number, maximal forest orders
 and witness pair come from ``forests.product_profile``, which derives them
@@ -226,8 +227,8 @@ def _product(g: Graph, h: Graph) -> Graph:
 
 def _verified(product: Graph, mask: int, expected: int, what: str) -> VertexSubset:
     """The subset ``mask`` of ``product``, once its size is checked against
-    ``expected`` (a V*'s condition value, or the size of a union of blocks)
-    and it is brute-force verified to be a maximal induced forest: the one
+    ``expected`` (a V*'s condition value, or |M|*|F_H| for V_M) and it is
+    brute-force verified to be a maximal induced forest: the one
     verification path of every witness."""
     subset = VertexSubset(product.order, mask)
     if len(subset) != expected:
@@ -242,27 +243,20 @@ def _verified(product: Graph, mask: int, expected: int, what: str) -> VertexSubs
     return subset
 
 
-def _witness(product: Graph, h_order: int, blocks, what: str) -> VertexSubset:
-    """Lift ``blocks`` into ``product`` and verify the union, whose size
-    formula is sum |gmask|*|hmask|."""
-    expected = sum(gmask.bit_count() * hmask.bit_count() for gmask, hmask in blocks)
-    return _verified(product, lift(blocks, h_order), expected, what)
+def _lifts(p: ForestPartition, h_forest: int, h_order: int) -> tuple[int, int, int]:
+    """The three lifts of V* that read only the partition ``p`` of a maximal
+    forest of G: X1 × F_H, and the fibre spreads of X2 ∪ Z and of Y ∪ T,
+    each the ``lift`` of (part, {0})."""
+    blocks = ((p.x1.mask, h_forest), (p.x2.mask | p.z.mask, 1), (p.y.mask | p.t.mask, 1))
+    return tuple(lift((block,), h_order) for block in blocks)
 
 
-def _vstar(
-    product: Graph, h_order: int, p: ForestPartition, h_forest: int, h_independent: int, anchor: int
-) -> VertexSubset:
-    """V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪ ((Y ∪ T) × {anchor}) in ``product``,
-    from the partition ``p`` of a maximal forest of G and masks of F_H, M_H."""
-    point = 1 << anchor
-    blocks = (
-        (p.x1.mask, h_forest),
-        (p.x2.mask, h_independent),
-        (p.z.mask, h_independent),
-        (p.y.mask, point),
-        (p.t.mask, point),
-    )
-    return _witness(product, h_order, blocks, "V*")
+def _vstar_mask(lifts: tuple[int, int, int], h_independent: int, anchor: int) -> int:
+    """V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪ ((Y ∪ T) × {anchor}) from ``_lifts``:
+    as M_H < 2**|V(H)|, (X2 ∪ Z) × M_H is a spread times M_H, and
+    (Y ∪ T) × {anchor} a spread shifted by the anchor."""
+    fixed, spread_m_h, spread_anchor = lifts
+    return fixed | spread_m_h * h_independent | spread_anchor << anchor
 
 
 def _anchor_in_range(anchor: int | None, n: int) -> None:
@@ -306,6 +300,21 @@ def _h_summary(h: Graph) -> tuple[int, bool, bool, VertexSubset, tuple[VertexSub
     return forests.number(), independent.aggregates.uniform()[0], forests.uniform()[0], f_h, mis_h
 
 
+def _vstar(
+    g: Graph, forest: VertexSubset, h: Graph, h_forest: VertexSubset,
+    h_independent: VertexSubset, z_choice: str, anchor: int | None,
+) -> VertexSubset:
+    """V* for the maximal forest ``forest`` of G, built as a check builds it
+    and verified against condition (4)'s value with f(H) = |F_H|: the
+    builder behind both ``construct_vstar_*``, which check F_H and M_H."""
+    _anchor_in_range(anchor, h.order)
+    anchor = _anchor(h_independent, anchor)
+    p = forest_partition(g, forest, z_choice=z_choice)
+    mask = _vstar_mask(_lifts(p, h_forest.mask, h.order), h_independent.mask, anchor)
+    expected = thm35_lhs(p.stats, len(h_forest), len(h_independent))
+    return _verified(_product(g, h), mask, expected, "V*")
+
+
 def construct_vstar_empty_second(
     g: Graph, forest: VertexSubset, n: int, *, z_choice: str = "min", anchor: int | None = None
 ) -> VertexSubset:
@@ -318,12 +327,9 @@ def construct_vstar_empty_second(
     """
     if n < 1:
         raise ValueError("second-factor order must be positive")
-    _anchor_in_range(anchor, n)
     h = generate(FamilySpec("empty", n))
     all_h = VertexSubset(n, h.vertices_mask)
-    anchor = _anchor(all_h, anchor)
-    p = forest_partition(g, forest, z_choice=z_choice)
-    return _vstar(_product(g, h), n, p, all_h.mask, all_h.mask, anchor)
+    return _vstar(g, forest, h, all_h, all_h, z_choice, anchor)
 
 
 def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> VertexSubset:
@@ -338,7 +344,8 @@ def construct_vm(g: Graph, m: VertexSubset, h: Graph, f_h: VertexSubset) -> Vert
         raise ValueError("witness construction requires a maximal independent set")
     if not is_maximal_induced_forest(h, f_h):
         raise ValueError("witness construction requires a maximal induced forest of H")
-    return _witness(_product(g, h), h.order, ((m.mask, f_h.mask),), "V_M")
+    vm = lift(((m.mask, f_h.mask),), h.order)
+    return _verified(_product(g, h), vm, len(m) * len(f_h), "V_M")
 
 
 def construct_vstar_nonempty_second(
@@ -365,9 +372,7 @@ def construct_vstar_nonempty_second(
     if not is_maximal_induced_forest(h, h_forest):
         raise ValueError("h_forest must be a maximal induced forest of H")
     _require_independent(h, h_independent)
-    anchor = _anchor(h_independent, anchor)
-    p = forest_partition(g, forest, z_choice=z_choice)
-    return _vstar(_product(g, h), h.order, p, h_forest.mask, h_independent.mask, anchor)
+    return _vstar(g, forest, h, h_forest, h_independent, z_choice, anchor)
 
 
 def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
@@ -391,12 +396,10 @@ def _condition_4(
     product is built.  M_H is recorded in the condition and the witness
     detail iff ``named``.
 
-    V* is lifted per forest, not per block: X1 × F_H once, and the fibre
-    spreads of X2 ∪ Z and Y ∪ T, each ``lift`` of (part, {0}), once.  As
-    M_H < 2**|V(H)|, (X2 ∪ Z) × M_H is the spread times M_H, and
-    (Y ∪ T) × {anchor} the spread shifted by the anchor.  V* has order
+    Each forest's ``_lifts`` are made once.  V* has order
     |F_H|*|X1| + |M_H|*(|X2| + |Z|) + |Y| + |T|, with I = |X1|, L = |X2|,
-    K2 = |Z| = |T| and L' = |Y|."""
+    K2 = |Z| = |T| and L' = |Y|; the canonical F_H is the ``hi`` of H's
+    forest record, so |F_H| = f(H) and V*'s order certifies condition (4)."""
     f_h, _, _, h_forest, mis_h = _h_summary(h)
     per_m_h = [(m_h, _anchor(m_h, anchor), len(m_h), m_h.vertices()) for m_h in mis_h]
     product = _product(g, h)
@@ -407,9 +410,7 @@ def _condition_4(
     witnesses = []
     for forest, p, stats in forests_g:
         forest_vertices = forest.vertices()
-        fixed = lift(((p.x1.mask, h_forest.mask),), h.order)
-        spread_m_h = lift(((p.x2.mask | p.z.mask, 1),), h.order)
-        spread_anchor = lift(((p.y.mask | p.t.mask, 1),), h.order)
+        lifts = _lifts(p, h_forest.mask, h.order)
         for m_h, anchor, m_h_size, m_h_vertices in per_m_h:
             lhs = thm35_lhs(stats, f_h, m_h_size)
             records.append(
@@ -418,9 +419,7 @@ def _condition_4(
             detail = {"forest": list(forest_vertices), "anchor": anchor, "z_choice": z_choice}
             if named:
                 detail["m_h"] = list(m_h_vertices)
-            mask = fixed | spread_m_h * m_h.mask | spread_anchor << anchor
-            # the canonical F_H is the ``hi`` of H's forest record, so |F_H| = f(H)
-            # and V*'s real order certifies condition (4)'s value
+            mask = _vstar_mask(lifts, m_h.mask, anchor)
             witnesses.append(_record(kind, detail, _verified, product, mask, lhs, "V*"))
     return truth, forests_g, records, witnesses
 

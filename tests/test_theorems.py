@@ -16,7 +16,9 @@ from wfcover import (
     ForestStats,
     Graph,
     HypothesisError,
+    ProductIndexMap,
     VertexSubset,
+    WitnessVerificationError,
     check,
     check_thm31,
     check_thm32,
@@ -27,6 +29,7 @@ from wfcover import (
     enumerate_maximal_induced_forests,
     enumerate_maximal_independent_sets,
     forest_number,
+    forest_partition,
     forest_stats,
     from_graph6,
     generate,
@@ -349,6 +352,34 @@ class TestConstructVstarNonemptySecond:
         with pytest.raises(ValueError):
             construct_vstar_nonempty_second(g, subset(g, [0, 1]), h, None, None)
 
+    @pytest.mark.parametrize("anchor", [9, -1])
+    def test_rejects_anchor_out_of_range_before_the_mh_test(self, anchor):
+        g, h = fam("complete:2"), fam("cycle:4")
+        with pytest.raises(ValueError, match=rf"^anchor {anchor} out of range for second factor of order 4$"):
+            construct_vstar_nonempty_second(
+                g, subset(g, [0, 1]), h, subset(h, [0, 1, 2]), subset(h, [0, 2]), anchor=anchor
+            )
+
+
+def test_public_vstar_is_sized_by_its_condition_value(monkeypatch):
+    # a V* is checked against condition (4)'s value, not against its own
+    # block sizes, so an off-by-one in thm35_lhs fails both public V*
+    g, h = fam("cycle:5"), fam("cycle:4")
+    forest = enumerate_maximal_induced_forests(g)[0]
+    m = enumerate_maximal_independent_sets(g)[0]
+    fh, mh = subset(h, [0, 1, 2]), subset(h, [0, 2])
+    real = theorems.thm35_lhs
+    monkeypatch.setattr(theorems, "thm35_lhs", lambda *args: real(*args) + 1)
+    for build in (
+        lambda: construct_vstar_empty_second(g, forest, 2),
+        lambda: construct_vstar_nonempty_second(g, forest, h, fh, mh),
+    ):
+        with pytest.raises(WitnessVerificationError) as exc:
+            build()
+        size = len(exc.value.subset)
+        assert str(exc.value) == f"witness size {size} differs from formula value {size + 1}"
+    assert len(construct_vm(g, m, h, fh)) == len(m) * len(fh)
+
 
 class TestCheck:
     DIRECT = {
@@ -537,33 +568,55 @@ class TestCheckPath:
             check("thm35", fam("cycle:5"), h, anchor=1)
         assert checked.count(h) == 0
 
+    # the bench's thm35 pairs, next to the order-4 atlas
+    BENCH_THM35_PAIRS = (
+        ("cycle:8", "path:3"), ("cycle:6", "cycle:4"), ("complete:8", "path:3"), ("complete:4", "path:6"),
+    )
+
     @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
     def test_witnesses_match_the_public_constructors(self, atlas_le4, theorem):
-        for g in atlas_le4:
-            for h in atlas_le4:
-                if not hypothesis_filter(theorem, g, h):
-                    continue
-                mis_h = enumerate_maximal_independent_sets(h)
-                if theorem == "thm32":
-                    anchors = [None, *range(h.order)]
-                else:
-                    f_h = forest_number(h)
-                    fh = next(s for s in enumerate_maximal_induced_forests(h) if len(s) == f_h)
-                    anchors = [None] + [a for a in range(h.order) if all(a in m for m in mis_h)]
-                for z_choice in ("min", "max"):
-                    for anchor in anchors:
-                        report = check(theorem, g, h, z_choice=z_choice, anchor=anchor)
-                        vstar = [w for w in report.witnesses if w.kind.startswith("vstar")]
-                        assert len(vstar) == len(report.condition_values) > 0
-                        for rec, w in zip(report.condition_values, vstar):
-                            assert rec.stats == forest_stats(g, rec.forest)
-                            if theorem == "thm32":
-                                want = construct_vstar_empty_second(
-                                    g, rec.forest, h.order, z_choice=z_choice, anchor=anchor
-                                )
-                            else:
-                                want = construct_vstar_nonempty_second(
-                                    g, rec.forest, h, fh, rec.m_h, z_choice=z_choice, anchor=anchor
-                                )
-                            assert w.verified and w.subset == want
-                            assert w.size == rec.lhs
+        # each V*, the check's and the public constructor's, equals the union
+        # of its five blocks built here pair by pair
+        pairs = [(g, h) for g in atlas_le4 for h in atlas_le4]
+        if theorem == "thm35":
+            pairs += [(fam(g), fam(h)) for g, h in self.BENCH_THM35_PAIRS]
+        for g, h in pairs:
+            if not hypothesis_filter(theorem, g, h):
+                continue
+            mis_h = enumerate_maximal_independent_sets(h)
+            if theorem == "thm32":
+                anchors = [None, *range(h.order)]
+                fh = VertexSubset(h.order, h.vertices_mask)
+            else:
+                f_h = forest_number(h)
+                fh = next(s for s in enumerate_maximal_induced_forests(h) if len(s) == f_h)
+                anchors = [None] + [a for a in range(h.order) if all(a in m for m in mis_h)]
+            index = ProductIndexMap(g.order, h.order)
+            for z_choice in ("min", "max"):
+                for anchor in anchors:
+                    report = check(theorem, g, h, z_choice=z_choice, anchor=anchor)
+                    vstar = [w for w in report.witnesses if w.kind.startswith("vstar")]
+                    assert len(vstar) == len(report.condition_values) > 0
+                    for rec, w in zip(report.condition_values, vstar):
+                        assert rec.stats == forest_stats(g, rec.forest)
+                        if theorem == "thm32":
+                            m_h = fh
+                            want = construct_vstar_empty_second(
+                                g, rec.forest, h.order, z_choice=z_choice, anchor=anchor
+                            )
+                        else:
+                            m_h = rec.m_h
+                            want = construct_vstar_nonempty_second(
+                                g, rec.forest, h, fh, m_h, z_choice=z_choice, anchor=anchor
+                            )
+                        p = forest_partition(g, rec.forest, z_choice=z_choice)
+                        point = (w.detail["anchor"],)
+                        blocks = (
+                            (p.x1, fh.vertices()), (p.x2, m_h.vertices()), (p.z, m_h.vertices()),
+                            (p.y, point), (p.t, point),
+                        )
+                        union = index.subset_from_pairs(
+                            (gv, hv) for part, hs in blocks for gv in part.vertices() for hv in hs
+                        )
+                        assert w.verified and w.subset == want == union
+                        assert w.size == rec.lhs
