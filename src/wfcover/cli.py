@@ -31,7 +31,7 @@ from .products import lexicographic
 from .forests import DEFAULT_MAX_ORDER, Z_CHOICES, forest_number, is_well_f_covered
 from .forests import maximal_forest_order_histogram
 from .independence import independence_number, is_well_covered
-from .theorems import THEOREM_IDS, ConditionRecord, TheoremReport, WitnessRecord, check
+from .theorems import THEOREM_IDS, VERDICT_CONSISTENT, ConditionRecord, TheoremReport, WitnessRecord, check
 from .examples import verify_paper_examples
 from .search import ScanConfig, read_graph6_stream, scan
 
@@ -283,7 +283,7 @@ def _cmd_check_theorem(args) -> tuple[str, str, int]:
         args.theorem, g, h, max_order=args.max_order, z_choice=args.z_tiebreak, anchor=args.anchor
     )
     summary = f"check-theorem {args.theorem}: verdict {report.verdict}"
-    return _report_text(report), summary, 0 if report.verdict == "consistent" else 1
+    return _report_text(report), summary, 0 if report.verdict == VERDICT_CONSISTENT else 1
 
 
 def _cmd_verify_paper(args) -> tuple[str, str, int]:
@@ -292,7 +292,7 @@ def _cmd_verify_paper(args) -> tuple[str, str, int]:
     for claim in report.claims:
         statuses[claim.status] = statuses.get(claim.status, 0) + 1
     summary = ", ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
-    code = 0 if report.verdict == "consistent" else 1
+    code = 0 if report.verdict == VERDICT_CONSISTENT else 1
     return _report_text(report), f"verify-paper: {summary}; verdict {report.verdict}", code
 
 
@@ -323,7 +323,7 @@ def _cmd_search(args) -> tuple[str, str, int]:
         "verdicts": verdicts,
         "findings_file": args.out,
     }
-    noteworthy = checked - verdicts.get("consistent", 0)
+    noteworthy = checked - verdicts.get(VERDICT_CONSISTENT, 0)
     summary = f"search {args.theorem}: {checked} pairs checked, {noteworthy} findings"
     return _dumps(doc), summary, 1 if noteworthy else 0
 

@@ -115,13 +115,13 @@ def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
     report = check(theorem, g, h, max_order)
     truth = report.ground_truth
     # alpha(G) and f(H) are not part of every report's ground truth; they are
-    # cheap for hypothesis-filtered pairs, so fill the gaps here.
+    # cheap, and read under each graph's own order, as the check admitted the pair.
     alpha_g = truth.get("alpha_g")
     if alpha_g is None:
-        alpha_g = independence_number(g, max_order)
+        alpha_g = independence_number(g, g.order)
     f_h = truth.get("f_h")
     if f_h is None:
-        f_h = forest_number(h, max_order)
+        f_h = forest_number(h, h.order)
     return Finding(
         g_graph6=_graph6_text(g),
         h_graph6=_graph6_text(h),
@@ -211,7 +211,7 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
             batch = math.ceil(len(tasks) / (BATCHES_PER_WORKER * workers))
             runs = pool.map(_check_run, tasks, chunksize=batch)
         for finding in chain.from_iterable(runs):
-            if finding.verdict != "consistent" and out_file is not None:
+            if finding.verdict != VERDICT_CONSISTENT and out_file is not None:
                 out_file.write(json.dumps(finding.to_dict(), sort_keys=True) + "\n")
                 out_file.flush()
             yield finding

@@ -48,12 +48,12 @@ while a necessary condition fails (or a constructed witness fails
 verification), ``non_sufficiency_witness`` iff every condition holds yet the
 product is not well-f-covered, and ``consistent`` otherwise.
 
-The enumeration bound is checked on |G|·|H|, the order of the product,
-which no factor outgrows, right after the range checks of a check's
-arguments: an oversized pair is rejected before either factor is enumerated
-or the product built.  The factor queries of a check then use the
-caller's bound, and the two per-factor records none, as the pair's order
-bounds each factor.
+The caller's enumeration bound is read once per check, on |G|·|H|, right
+after the range checks of a check's arguments: an oversized pair is
+rejected before either factor is enumerated or the product built.  No
+factor outgrows the product, so every later read of G, H or G∘H is
+unbounded: a public query is passed the graph's own order, and f, alpha,
+wc and wfc of a factor come off the catalogue records the check reads.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .forests import (
     _forest_catalogue,
     _within_bound,
     enumerate_maximal_induced_forests,
-    forest_number,
     forest_partition,
     is_maximal_induced_forest,
     is_well_f_covered,
@@ -78,9 +77,7 @@ from .forests import (
 from .independence import (
     _independent_catalogue,
     enumerate_maximal_independent_sets,
-    independence_number,
     is_maximal_independent_set,
-    is_well_covered,
 )
 
 # The paper's case split of G∘H: per theorem, each factor hypothesis as
@@ -385,8 +382,7 @@ def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
 
 
 def _condition_4(
-    g: Graph, h: Graph, max_order: int | None, z_choice: str, anchor: int | None,
-    kind: str, *, named: bool,
+    g: Graph, h: Graph, z_choice: str, anchor: int | None, kind: str, *, named: bool,
 ) -> tuple[dict, tuple, list[ConditionRecord], list[WitnessRecord]]:
     """The pair path of thm32 and thm35: the product's ground truth, G's
     ``(forest, partition, stats)`` rows, and condition (4) with its V*
@@ -403,7 +399,7 @@ def _condition_4(
     f_h, _, _, h_forest, mis_h = _h_summary(h)
     per_m_h = [(m_h, _anchor(m_h, anchor), len(m_h), m_h.vertices()) for m_h in mis_h]
     product = _product(g, h)
-    truth = _product_ground_truth(product, max_order)
+    truth = _product_ground_truth(product)
     f_p = truth["f_product"]
     forests_g = _forest_partitions(g, z_choice)
     records = []
@@ -435,13 +431,14 @@ def _verdict(witnesses: list[WitnessRecord], conditions_hold: bool, wfc_product:
     return VERDICT_CONSISTENT
 
 
-def _product_ground_truth(product: Graph, max_order: int | None) -> dict:
-    f_p = forest_number(product, max_order)
-    wfc_p, witness = is_well_f_covered(product, max_order)
-    orders = sorted(maximal_forest_order_histogram(product, max_order))
+def _product_ground_truth(product: Graph) -> dict:
+    """The product's maximal forest orders, f(G∘H) the largest of them, and
+    its verdict with the witness pair, read under its own order."""
+    orders = sorted(maximal_forest_order_histogram(product, product.order))
+    wfc_p, witness = is_well_f_covered(product, product.order)
     truth = {
         "product_order": product.order,
-        "f_product": f_p,
+        "f_product": orders[-1],
         "well_f_covered_product": wfc_p,
         "maximal_forest_orders": orders,
     }
@@ -455,9 +452,9 @@ def check_thm31(g: Graph, h: Graph, max_order: int | None = None) -> TheoremRepo
     _require("thm31", g, h)
     _within_bound(g.order * h.order, max_order)
     m = g.order
-    truth = _product_ground_truth(_product(g, h), max_order)
-    wfc_h, _ = is_well_f_covered(h, max_order)
-    f_h = forest_number(h, max_order)
+    truth = _product_ground_truth(_product(g, h))
+    forests_h = _forest_catalogue(h).aggregates
+    f_h, wfc_h = forests_h.number(), forests_h.uniform()[0]
     truth.update({"f_h": f_h, "well_f_covered_h": wfc_h})
     biconditional = truth["well_f_covered_product"] == wfc_h
     formula = truth["f_product"] == m * f_h
@@ -490,8 +487,7 @@ def check_thm32(
     _anchor_in_range(anchor, n)
     _within_bound(g.order * n, max_order)
     truth, _, records, witnesses = _condition_4(
-        g, generate(FamilySpec("empty", n)), max_order, z_choice, anchor,
-        "vstar_empty_second", named=False,
+        g, generate(FamilySpec("empty", n)), z_choice, anchor, "vstar_empty_second", named=False
     )
     all_hold = all(r.holds for r in records)
     return TheoremReport(
@@ -517,16 +513,16 @@ def check_thm35(
     _anchor_in_range(anchor, h.order)
     _within_bound(g.order * h.order, max_order)
     truth, forests_g, records, vstars = _condition_4(
-        g, h, max_order, z_choice, anchor, "vstar_nonempty_second", named=True
+        g, h, z_choice, anchor, "vstar_nonempty_second", named=True
     )
     f_h, wc_h, wfc_h, fh_canon, mis_h = _h_summary(h)
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]
 
-    alpha_g = independence_number(g, max_order)
-    f_g = forest_number(g, max_order)
-    wc_g, _ = is_well_covered(g, max_order)
-    wfc_g, _ = is_well_f_covered(g, max_order)
+    independent_g = _independent_catalogue(g).aggregates
+    alpha_g, wc_g = independent_g.number(), independent_g.uniform()[0]
+    forest_record_g = _forest_catalogue(g).aggregates
+    f_g, wfc_g = forest_record_g.number(), forest_record_g.uniform()[0]
     truth.update(
         {
             "alpha_g": alpha_g,
@@ -547,7 +543,7 @@ def check_thm35(
 
     # V_M first, then V*; construct_vm checks the canonical F_H each time
     witnesses = []
-    for m in enumerate_maximal_independent_sets(g, max_order):
+    for m in enumerate_maximal_independent_sets(g, g.order):
         detail = {"m": list(m.vertices()), "f_h": list(fh_canon.vertices())}
         if wfc_p:
             detail["quotient_holds"] = len(m) * len(fh_canon) == f_p

@@ -9,6 +9,7 @@ import pytest
 
 import wfcover.examples as examples
 import wfcover.forests as forests
+import wfcover.independence as independence
 import wfcover.theorems as theorems
 from conftest import atlas_graphs, clear_wfcover_caches, induced_subgraph
 from wfcover import (
@@ -473,21 +474,52 @@ class TestCheckPath:
         assert str(info.value) == f"graph order {g.order * h.order} exceeds the enumeration bound {bound}"
 
     @pytest.mark.parametrize(
-        "run,f_product",
+        "run,facts,witnesses",
         [
-            (lambda: check_thm35(fam("complete:2"), fam("path:25"), max_order=50), 25),
-            (lambda: check_thm31(fam("empty:1"), fam("cycle:25"), max_order=25), 24),
+            (lambda: check_thm35(fam("complete:2"), fam("path:25"), max_order=50),
+             {"f_product": 25, "f_h": 25}, 1083),
+            (lambda: check_thm31(fam("empty:1"), fam("cycle:25"), max_order=25),
+             {"f_product": 24, "f_h": 24}, 0),
             # H's summary applies no bound of its own, here to 30K1
-            (lambda: check_thm32(fam("complete:1"), 30, max_order=30), 30),
+            (lambda: check_thm32(fam("complete:1"), 30, max_order=30), {"f_product": 30}, 1),
+            # G's facts past the default bound: 25 V_M and 300 * 2 V*
+            (lambda: check_thm35(fam("complete:25"), fam("complete:2"), max_order=50),
+             {"f_product": 2, "alpha_g": 1, "f_g": 2}, 625),
         ],
-        ids=["thm35-K2-P25", "thm31-K1-C25", "thm32-K1-30K1"],
+        ids=["thm35-K2-P25", "thm31-K1-C25", "thm32-K1-30K1", "thm35-K25-K2"],
     )
-    def test_factor_queries_use_the_callers_bound(self, run, f_product):
+    def test_factor_queries_use_the_callers_bound(self, run, facts, witnesses):
         # each pair has a factor past the default bound of 24 and a product
         # within the caller's bound
         report = run()
         assert report.verdict == "consistent"
-        assert report.ground_truth["f_product"] == f_product
+        assert {key: report.ground_truth[key] for key in facts} == facts
+        assert len(report.witnesses) == witnesses
+
+    @pytest.mark.parametrize(
+        "theorem,g,h",
+        [("thm31", "empty:3", "cycle:4"), ("thm32", "path:4", "empty:2"),
+         ("thm35", "cycle:5", "cycle:4"), ("thm35", "complete:4", "path:3")],
+    )
+    def test_callers_bound_is_read_once_at_the_pair(self, monkeypatch, theorem, g, h):
+        # after the pair's test no read of G, H or G∘H can exceed the bound,
+        # so each applies its graph's own order
+        g, h = fam(g), fam(h)
+        calls = []
+        real = forests._within_bound
+
+        def recording(order, bound):
+            calls.append((order, bound))
+            real(order, bound)
+
+        for module in (forests, independence, theorems):
+            monkeypatch.setattr(module, "_within_bound", recording)
+        clear_wfcover_caches()
+        check(theorem, g, h, max_order=23)
+        pair = (g.order * h.order, 23)
+        # every factor and the product have fewer than 23 vertices
+        assert calls[0] == pair
+        assert all(order == bound for order, bound in calls[1:])
 
     @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
     def test_failed_witness_verification_is_recorded(self, monkeypatch, theorem):
