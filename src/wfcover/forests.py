@@ -35,13 +35,14 @@ walk cuts an excluded vertex once it can no longer be dominated, and tests
 each forest it reaches on neighbourhood masks: a role choice is kept iff
 the outside vertices that nothing else dominates lie in the neighbourhood
 of its BIG vertices.  The profile reads H in the type it returns, one
-``Aggregates`` per role (``_fibres``, cached per H); the ISO record is the
-forest catalogue's own.  Per pair only a fold remains: it sums the sizes of
-the patterns, and its witnesses are the patterns of extreme order with the
-least or the greatest fibres of H lifted onto them (``products.lift``).
-The answers equal the catalogue's; a graph with the same adjacency but no
-factors still goes through the kernel, and so does
-``enumerate_maximal_induced_forests``.
+``Aggregates`` per role; the ISO record is the forest catalogue's own.
+With H's checked maximal independent sets they make the one record of a
+second factor, ``_fibres``, cached per H, which the checks read too.  Per
+pair only a fold remains: it sums the sizes of the patterns, and its
+witnesses are the patterns of extreme order with the least or the greatest
+fibres of H lifted onto them (``products.lift``).  The answers equal the
+catalogue's; a graph with the same adjacency but no factors still goes
+through the kernel, and so does ``enumerate_maximal_induced_forests``.
 """
 
 from __future__ import annotations
@@ -638,20 +639,25 @@ def _role_patterns(
 
 
 @lru_cache(maxsize=256)
-def _fibres(h: Graph) -> tuple[Aggregates, Aggregates, Aggregates, Aggregates]:
-    """What the profile of G∘H reads of H: per role (ISO, ONE, UNIV, BIG)
-    the record of the fibres it allows, empty for a role H has none for.
-    ISO is H's forest catalogue record; read once per H for every G."""
-    from .independence import _independent_catalogue  # independence imports this module
+def _fibres(h: Graph) -> tuple[tuple[Aggregates, ...], tuple[VertexSubset, ...]]:
+    """The one record of a second factor H, read by the profile of every G∘H
+    and by every check of a pair with H: per role (ISO, ONE, UNIV, BIG) the
+    record of the fibres it allows, empty for a role H has none for, and H's
+    maximal independent sets, ascending, each checked once.  ISO is H's
+    forest catalogue record; UNIV holds the MIS of size 1, BIG the rest.  It
+    applies no bound."""
+    from .independence import _independent_catalogue, is_maximal_independent_set  # a cyclic import
 
-    mis = [s.mask for s in _independent_catalogue(h).sets()]
+    mis = tuple(_independent_catalogue(h).sets())
+    if not all(is_maximal_independent_set(h, m) for m in mis):
+        raise ValueError("the catalogue lists a set that is not a maximal independent set of H")
     n = h.order
     return (
         _forest_catalogue(h).aggregates,
         Aggregates.of(n, [1 << x for x in range(n)]),
-        Aggregates.of(n, [m for m in mis if m.bit_count() == 1]),
-        Aggregates.of(n, [m for m in mis if m.bit_count() > 1]),
-    )
+        Aggregates.of(n, [m.mask for m in mis if len(m) == 1]),
+        Aggregates.of(n, [m.mask for m in mis if len(m) > 1]),
+    ), mis
 
 
 @lru_cache(maxsize=8)
@@ -689,11 +695,11 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     or more vertices.  So the walk over the induced forests of G that finds
     them is a table, ``_role_patterns``, cached per (G, signature) and
     shared by every H with that signature.  The rest of H that the profile
-    reads is one ``Aggregates`` per role, ``_fibres``, cached per H and
-    shared by every G; the signature is read off them.  The fold here is the
-    only work per pair: each pattern adds the convolution of its vertices'
-    fibre size histograms to the total, so patterns with equal role counts
-    are summed at once.
+    reads is one ``Aggregates`` per role, the role records of ``_fibres``,
+    cached per H and shared by every G; the signature is read off them.
+    The fold here is the only work per pair: each pattern adds the
+    convolution of its vertices' fibre size histograms to the total, so
+    patterns with equal role counts are summed at once.
 
     A pattern's orders are the sums of one fibre size per vertex, so a
     pattern reaches the least (greatest) order of the product only if its
@@ -709,7 +715,7 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     """
     if h.order == 1:
         return _forest_catalogue(g).aggregates
-    roles = _fibres(h)
+    roles = _fibres(h)[0]
     has_univ, has_big = bool(roles[_UNIV].counts), bool(roles[_BIG].counts)
     table = _role_patterns(g, h.edge_count > 0, has_univ, has_big)
 

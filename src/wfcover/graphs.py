@@ -51,9 +51,9 @@ class Graph:
     is a display label only, and ``factors`` is the pair (G, H) of a graph
     built by ``lexicographic``; neither takes part in equality.
     ``edge_count`` is counted once, when the graph is made.  ``Graph(order,
-    adj)`` checks that every row is in range, loop-free and matched by its
-    column; ``from_edges``, ``from_graph6`` and ``lexicographic`` build
-    valid rows and skip that check.
+    adj)`` stores the rows as a tuple and checks that each is an ``int`` in
+    range, loop-free and matched by its column; ``from_edges``,
+    ``from_graph6`` and ``lexicographic`` build valid rows and skip that check.
     """
 
     order: int
@@ -65,10 +65,13 @@ class Graph:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("graphs must have at least one vertex")
+        object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.order:
             raise ValueError("adjacency row count must equal the order")
         full = (1 << self.order) - 1
         for v, row in enumerate(self.adj):
+            if not isinstance(row, int):
+                raise ValueError(f"adjacency row {v} is not an int: {row!r}")
             if row & ~full:
                 raise ValueError(f"adjacency row {v} mentions vertices outside the graph")
             if (row >> v) & 1:
@@ -94,6 +97,8 @@ class Graph:
     def from_edges(
         cls, order: int, edges: Iterable[tuple[int, int]], name: str | None = None
     ) -> Graph:
+        if order < 1:
+            raise ValueError("graphs must have at least one vertex")
         rows = [0] * order
         for u, v in edges:
             if u == v:
@@ -102,8 +107,6 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        if order < 1:
-            raise ValueError("graphs must have at least one vertex")
         return cls._built(order, tuple(rows), name)
 
     @property

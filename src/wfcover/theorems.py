@@ -24,20 +24,24 @@ product: V_M = M × F_H, and V* = (X1 × F_H) ∪ ((X2 ∪ Z) × M_H) ∪
 one builder: ``_lifts`` lifts a forest's X1 × F_H and the fibre spreads of
 X2 ∪ Z and Y ∪ T once, and ``_vstar_mask`` makes each V* from them with one
 multiply, shift and or per M_H.  thm32 and thm35 share one pair path,
-``_condition_4``: it reads H's summary, checks the anchor against every M_H
+``_condition_4``: it reads H's record, checks the anchor against every M_H
 before the product is built, builds the product and its ground truth, reads
 G's forest partitions, and evaluates condition (4) with its V* for each
 maximal forest of G and each M_H.  thm32 runs it, and
-``construct_vstar_empty_second`` its V*, on nK1, whose summary gives
+``construct_vstar_empty_second`` its V*, on nK1, whose record gives
 F_H = M_H = V(nK1) and f(H) = n: V(nK1) is nK1's only maximal forest and
 only maximal independent set.  Every witness is size-checked against its
 formula value (a V*'s is condition (4)'s with f(H) = |F_H|) and re-verified
 by brute force in one helper, ``_verified``; a failure is never silently
 ignored.  The public ``construct_*`` check their inputs on every call.  H
-enters a check through one record per H, ``_h_summary``, and G's maximal
-forests with their partitions through one per (G, z_choice),
-``_forest_partitions``: each M_H and each forest of G is checked once,
-however many pairs share its factor.
+enters a check through the one record per H that the product profile also
+reads, ``forests._fibres``: f(H), wfc(H) and the canonical F_H off its ISO
+role record, "H has a size-1 maximal independent set" off UNIV, wc(H) as
+"UNIV and BIG hold one size between them", and each M_H off its list.
+thm31 reads the ISO record alone, H's forest catalogue record, so it lists
+no M_H.  G's maximal forests with their partitions enter through one record
+per (G, z_choice), ``_forest_partitions``: each M_H and each forest of G is
+checked once, however many pairs share its factor.
 
 Ground truth is exact.  The product's forest number, maximal forest orders
 and witness pair come from ``forests.product_profile``, which derives them
@@ -66,6 +70,7 @@ from .products import lexicographic, lift
 from .forests import (
     ForestPartition,
     ForestStats,
+    _fibres,
     _forest_catalogue,
     _within_bound,
     enumerate_maximal_induced_forests,
@@ -206,8 +211,9 @@ def _forest_partitions(
     """Each maximal forest of G, ascending, with its partition and counters:
     the part of thm32's and thm35's per-forest work that reads G alone, so
     every second factor checked against G shares it.  ``forest_partition``
-    checks each forest's maximality once per (G, ``z_choice``).  Like
-    ``_h_summary`` it applies no bound: the check has bounded the pair."""
+    checks each forest's maximality once per (G, ``z_choice``).  Like H's
+    record, ``forests._fibres``, it applies no bound: the check has bounded
+    the pair."""
     out = []
     for forest in enumerate_maximal_induced_forests(g, g.order):
         p = forest_partition(g, forest, z_choice=z_choice)
@@ -263,13 +269,6 @@ def _anchor_in_range(anchor: int | None, n: int) -> None:
         raise ValueError(f"anchor {anchor} out of range for second factor of order {n}")
 
 
-def _require_independent(h: Graph, h_independent: VertexSubset) -> None:
-    """Raise ValueError unless ``h_independent`` is a maximal independent set
-    of H."""
-    if not is_maximal_independent_set(h, h_independent):
-        raise ValueError("h_independent must be a maximal independent set of H")
-
-
 def _anchor(h_independent: VertexSubset, anchor: int | None) -> int:
     """``anchor``, by default the smallest vertex of M_H = ``h_independent``,
     once it is checked to belong to M_H."""
@@ -280,21 +279,6 @@ def _anchor(h_independent: VertexSubset, anchor: int | None) -> int:
             f"{sorted(h_independent.vertices())}"
         )
     return anchor
-
-
-@lru_cache(maxsize=256)
-def _h_summary(h: Graph) -> tuple[int, bool, bool, VertexSubset, tuple[VertexSubset, ...]]:
-    """H as a check reads it: f(H), wc(H), wfc(H), the canonical F_H (the
-    ``hi`` of H's forest catalogue record, so each V* has condition (4)'s
-    order) and each M_H, ascending, checked once per H.  It applies no
-    bound: the check has bounded the pair."""
-    forests = _forest_catalogue(h).aggregates
-    independent = _independent_catalogue(h)
-    mis_h = tuple(independent.sets())
-    for m_h in mis_h:
-        _require_independent(h, m_h)
-    f_h = VertexSubset(h.order, forests.hi)
-    return forests.number(), independent.aggregates.uniform()[0], forests.uniform()[0], f_h, mis_h
 
 
 def _vstar(
@@ -368,7 +352,8 @@ def construct_vstar_nonempty_second(
         raise ValueError("construction needs both a maximal forest and a maximal independent set of H")
     if not is_maximal_induced_forest(h, h_forest):
         raise ValueError("h_forest must be a maximal induced forest of H")
-    _require_independent(h, h_independent)
+    if not is_maximal_independent_set(h, h_independent):
+        raise ValueError("h_independent must be a maximal independent set of H")
     return _vstar(g, forest, h, h_forest, h_independent, z_choice, anchor)
 
 
@@ -386,17 +371,19 @@ def _condition_4(
 ) -> tuple[dict, tuple, list[ConditionRecord], list[WitnessRecord]]:
     """The pair path of thm32 and thm35: the product's ground truth, G's
     ``(forest, partition, stats)`` rows, and condition (4) with its V*
-    witness for each maximal forest F of G and each M_H of H's summary:
+    witness for each maximal forest F of G and each M_H of H's record:
     f(H)*I + |M_H|*(K2 + L) + K2 + L' against f(G∘H), and V* with the
-    summary's F_H.  The anchor is checked against every M_H before the
+    record's F_H.  The anchor is checked against every M_H before the
     product is built.  M_H is recorded in the condition and the witness
     detail iff ``named``.
 
     Each forest's ``_lifts`` are made once.  V* has order
     |F_H|*|X1| + |M_H|*(|X2| + |Z|) + |Y| + |T|, with I = |X1|, L = |X2|,
     K2 = |Z| = |T| and L' = |Y|; the canonical F_H is the ``hi`` of H's
-    forest record, so |F_H| = f(H) and V*'s order certifies condition (4)."""
-    f_h, _, _, h_forest, mis_h = _h_summary(h)
+    ISO role record, its forest catalogue record, so |F_H| = f(H) and V*'s
+    order certifies condition (4)."""
+    (iso, *_), mis_h = _fibres(h)
+    f_h = iso.number()
     per_m_h = [(m_h, _anchor(m_h, anchor), len(m_h), m_h.vertices()) for m_h in mis_h]
     product = _product(g, h)
     truth = _product_ground_truth(product)
@@ -406,7 +393,7 @@ def _condition_4(
     witnesses = []
     for forest, p, stats in forests_g:
         forest_vertices = forest.vertices()
-        lifts = _lifts(p, h_forest.mask, h.order)
+        lifts = _lifts(p, iso.hi, h.order)
         for m_h, anchor, m_h_size, m_h_vertices in per_m_h:
             lhs = thm35_lhs(stats, f_h, m_h_size)
             records.append(
@@ -515,7 +502,10 @@ def check_thm35(
     truth, forests_g, records, vstars = _condition_4(
         g, h, z_choice, anchor, "vstar_nonempty_second", named=True
     )
-    f_h, wc_h, wfc_h, fh_canon, mis_h = _h_summary(h)
+    (iso, _, univ, big), _ = _fibres(h)
+    f_h, wfc_h = iso.number(), iso.uniform()[0]
+    wc_h = len(univ.counts) + len(big.counts) == 1
+    fh_canon = VertexSubset(h.order, iso.hi)
     f_p = truth["f_product"]
     wfc_p = truth["well_f_covered_product"]
 
@@ -535,7 +525,7 @@ def check_thm35(
         }
     )
 
-    premise1 = all(s.isolated == 0 for _, _, s in forests_g) and any(len(m) == 1 for m in mis_h)
+    premise1 = all(s.isolated == 0 for _, _, s in forests_g) and bool(univ.counts)
     cond1 = wc_g and ((not premise1) or (wfc_g and f_g == f_p))
     premise2 = any(s.k2_components + s.outer_leaves > 0 for _, _, s in forests_g)
     cond2 = wfc_h and ((not premise2) or wc_h)

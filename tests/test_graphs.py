@@ -14,6 +14,7 @@ from wfcover import (
     VertexSubset,
     from_graph6,
     generate,
+    forest_number,
     is_induced_forest,
     lexicographic,
     parse_family,
@@ -116,6 +117,34 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "order,adj,message",
+        [
+            (3, (0, 0), "adjacency row count must equal the order"),
+            (2, (0b10, 0b101), "adjacency row 1 mentions vertices outside the graph"),
+            (3, (0, 0b10, 0), "self-loop at vertex 1"),
+            (2, (0b10, "1"), "adjacency row 1 is not an int: '1'"),
+            (2, (0b10, 1.0), "adjacency row 1 is not an int: 1.0"),
+        ],
+    )
+    def test_public_rows_are_rejected_by_name(self, order, adj, message):
+        with pytest.raises(ValueError) as err:
+            Graph(order, adj)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("edges", [[], [(0, 1)], [(0, 0)]])
+    def test_from_edges_rejects_vertexless_before_any_edge(self, edges):
+        with pytest.raises(ValueError) as err:
+            Graph.from_edges(0, edges)
+        assert str(err.value) == "graphs must have at least one vertex"
+
+    def test_list_rows_are_stored_as_a_tuple(self):
+        g = Graph(3, [6, 5, 3])
+        assert g.adj == (6, 5, 3) and type(g.adj) is tuple
+        twin = Graph(3, (6, 5, 3))
+        assert g == twin and hash(g) == hash(twin)
+        assert forest_number(g) == 2
+
     def test_constructors_produce_symmetric_irreflexive(self, atlas_le4, atlas_le5):
         # the builders' graphs skip the public row checks, so they must pass them
         families = [fam(t) for t in ("fig1", "path:1", "path:6", "cycle:5", "complete:5", "empty:4")]
@@ -157,6 +186,16 @@ class TestVertexSubset:
             VertexSubset.from_vertices(3, [3])
         with pytest.raises(ValueError):
             VertexSubset(3, 0b1000)
+
+    def test_rejects_hostless(self):
+        with pytest.raises(ValueError) as err:
+            VertexSubset(0, 0)
+        assert str(err.value) == "host order must be positive"
+
+    def test_forest_test_rejects_a_subset_of_another_order(self):
+        with pytest.raises(ValueError) as err:
+            is_induced_forest(fam("path:3"), VertexSubset(4, 0b11))
+        assert str(err.value) == "subset belongs to a graph of different order"
 
 
 class TestInducedSubgraph:

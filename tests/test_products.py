@@ -106,6 +106,13 @@ class TestIndexMap:
         b = index_map.subset_from_pairs([(0, 1), (1, 0)])
         assert a == b
 
+    @pytest.mark.parametrize("v", [-1, 6])
+    def test_decode_rejects_out_of_range(self, v):
+        _, index_map = lexicographic(fam("path:2"), fam("path:3"))
+        with pytest.raises(ValueError) as err:
+            index_map.decode(v)
+        assert str(err.value) == f"product vertex {v} out of range"
+
     def test_out_of_range_pair(self):
         _, index_map = lexicographic(fam("path:2"), fam("path:2"))
         with pytest.raises(ValueError):

@@ -149,26 +149,34 @@ def oracle_record(sets) -> tuple:
 def test_role_records_match_oracles(atlas_le5):
     # per role (ISO, ONE, UNIV, BIG) the fibres H allows: its maximal forests,
     # its vertices, its universal vertices, and its maximal independent sets
-    # of two or more vertices, the maximal cliques of its complement
+    # of two or more vertices, the maximal cliques of its complement; then
+    # H's maximal independent sets, ascending, and what the checks read off
+    # the record: "H has a size-1 MIS" off UNIV, and wc(H) as "UNIV and BIG
+    # hold one size between them"
     clear_wfcover_caches()  # so that _fibres and the catalogue start cold together
     empty_roles = set()
-    for h in atlas_le5:
-        if h.order < 2:
-            continue
+    hs = [fam("empty:1"), fam("empty:6"), fam("complete:6"), fam("path:3"), fam("cycle:4"), *atlas_le5]
+    for h in hs:
         H = to_nx(h)
+        cliques = list(nx.find_cliques(nx.complement(H)))
         expected = (
             naive_maximal_forests(h),
             [{v} for v in H],
             [{v} for v in H if H.degree(v) == h.order - 1],
-            [c for c in nx.find_cliques(nx.complement(H)) if len(c) >= 2],
+            [c for c in cliques if len(c) >= 2],
         )
-        roles = forests._fibres(h)
+        roles, mis = forests._fibres(h)
         assert roles[0] is forests._forest_catalogue(h).aggregates
         for r, (record, sets) in enumerate(zip(roles, expected)):
             assert record.order == h.order
             assert (record.counts, record.lo, record.hi) == oracle_record(sets), (h.edges(), r)
             if not sets:
                 empty_roles.add(r)
+        assert [(m.order, m.mask) for m in mis] == sorted((h.order, sum(1 << v for v in c)) for c in cliques)
+        _, _, univ, big = roles
+        mis_sizes = {len(c) for c in cliques}
+        assert bool(univ.counts) == (1 in mis_sizes), h.edges()
+        assert (len(univ.counts) + len(big.counts) == 1) == (len(mis_sizes) == 1), h.edges()
     # complete graphs have no BIG fibre, P4 no UNIV fibre
     assert empty_roles == {2, 3}
 

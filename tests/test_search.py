@@ -481,6 +481,11 @@ class TestReadGraph6Stream:
         graphs = list(read_graph6_stream(source))
         assert graphs[0].edge_count == 1
 
+    def test_bare_header_line_is_skipped(self):
+        # a prefix with no record after it is a blank line, in strict mode too
+        source = io.StringIO("@\n>>graph6<<\n  >>graph6<<  \nA_\n")
+        assert [g.order for g in read_graph6_stream(source)] == [1, 2]
+
     def test_strict_mode_names_line(self):
         source = io.StringIO("@\nnot-a-graph\n")
         with pytest.raises(Graph6Error, match="line 2"):

@@ -37,6 +37,7 @@ from wfcover import (
     hypothesis_filter,
     is_induced_forest,
     is_maximal_induced_forest,
+    is_well_covered,
     is_well_f_covered,
     lexicographic,
     parse_family,
@@ -178,6 +179,12 @@ class TestConstructVstarEmptySecond:
         with pytest.raises(ValueError):
             construct_vstar_empty_second(g, f, 2)
 
+    def test_rejects_nonpositive_order(self):
+        g = fam("complete:2")
+        with pytest.raises(ValueError) as err:
+            construct_vstar_empty_second(g, subset(g, [0, 1]), 0)
+        assert str(err.value) == "second-factor order must be positive"
+
     def test_rejects_bad_anchor(self):
         g = fam("complete:2")
         with pytest.raises(ValueError):
@@ -237,6 +244,22 @@ class TestCheckThm35:
         assert report.ground_truth["f_product"] == 2
         assert report.ground_truth["well_f_covered_product"]
         assert {rec.lhs for rec in report.condition_values} == {2}
+
+    def test_facts_of_h_match_the_public_queries(self, atlas_le5):
+        # thm35 reads f(H), wc(H), wfc(H) and "H has a size-1 MIS" off H's
+        # record; with G = K2, whose one maximal forest has no isolated
+        # vertex, condition (1) holds iff H has no size-1 MIS or f(G∘H) = 2
+        k2 = fam("complete:2")
+        for h in atlas_le5:
+            if h.edge_count == 0:
+                continue
+            report = check_thm35(k2, h)
+            truth = report.ground_truth
+            assert truth["f_h"] == forest_number(h)
+            assert truth["well_covered_h"] == is_well_covered(h)[0], h.edges()
+            assert truth["well_f_covered_h"] == is_well_f_covered(h)[0]
+            size_1 = any(len(m) == 1 for m in enumerate_maximal_independent_sets(h))
+            assert report.conditions["condition_1"] == (not size_1 or truth["f_product"] == 2), h.edges()
 
     def test_rejects_empty_factors(self):
         with pytest.raises(HypothesisError):
@@ -353,6 +376,23 @@ class TestConstructVstarNonemptySecond:
         with pytest.raises(ValueError):
             construct_vstar_nonempty_second(g, subset(g, [0, 1]), h, None, None)
 
+    @pytest.mark.parametrize(
+        "g,h,h_forest,h_independent,message",
+        [
+            ("empty:2", "cycle:4", [0, 1, 2], [0, 2], "both factors must contain an edge"),
+            ("complete:2", "empty:2", [0, 1], [0, 1], "both factors must contain an edge"),
+            ("complete:2", "cycle:4", [0, 1], [0, 2], "h_forest must be a maximal induced forest of H"),
+            ("complete:2", "cycle:4", [0, 1, 2], [0], "h_independent must be a maximal independent set of H"),
+        ],
+    )
+    def test_rejects_each_bad_input_by_name(self, g, h, h_forest, h_independent, message):
+        g, h = fam(g), fam(h)
+        with pytest.raises(ValueError) as err:
+            construct_vstar_nonempty_second(
+                g, subset(g, [0, 1]), h, subset(h, h_forest), subset(h, h_independent)
+            )
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("anchor", [9, -1])
     def test_rejects_anchor_out_of_range_before_the_mh_test(self, anchor):
         g, h = fam("complete:2"), fam("cycle:4")
@@ -403,6 +443,9 @@ class TestCheck:
     def test_rejects_unknown_theorem(self):
         with pytest.raises(ValueError, match="unknown theorem id 'thm99'"):
             check("thm99", fam("path:2"), fam("path:2"))
+        with pytest.raises(ValueError) as err:
+            hypothesis_filter("thm99", fam("path:2"), fam("path:2"))
+        assert str(err.value) == "unknown theorem id 'thm99'"
 
     @pytest.mark.parametrize(
         "options", [{"anchor": 0}, {"anchor": 99}, {"z_choice": "min"}, {"z_choice": "max"}]
@@ -556,13 +599,15 @@ class TestCheckPath:
         calls = []
         names = ("forest_partition", "is_maximal_induced_forest", "is_maximal_independent_set",
                  "enumerate_maximal_induced_forests")
-        for name in names:
+        # H's record, forests._fibres, checks each M_H through the independence binding
+        bindings = [(theorems, name) for name in names] + [(independence, "is_maximal_independent_set")]
+        for mod, name in bindings:
 
-            def counting(graph, *args, _name=name, _real=getattr(theorems, name), **kwargs):
+            def counting(graph, *args, _name=name, _real=getattr(mod, name), **kwargs):
                 calls.append((_name, graph))
                 return _real(graph, *args, **kwargs)
 
-            monkeypatch.setattr(theorems, name, counting)
+            monkeypatch.setattr(mod, name, counting)
         clear_wfcover_caches()
         report = check(theorem, g, h)
 
@@ -578,27 +623,46 @@ class TestCheckPath:
         product_checks = count("is_maximal_induced_forest", lambda graph: graph.order == product_order)
         assert product_checks == len(report.witnesses) > 0
 
-    def test_second_check_with_the_same_h_makes_no_mis_check(self, monkeypatch):
-        # the M_H of C4 are checked with P4, the first G; C5 reuses them, and
-        # each check still tests its own anchor against every M_H
-        h = fam("cycle:4")
+    @pytest.fixture
+    def mis_checks(self, monkeypatch):
+        """The graph of every maximal independent set check, through either
+        binding: H's record checks its M_H through the independence one."""
         checked = []
-        real = theorems.is_maximal_independent_set
+        real = independence.is_maximal_independent_set
 
         def counting(graph, s):
             checked.append(graph)
             return real(graph, s)
 
-        monkeypatch.setattr(theorems, "is_maximal_independent_set", counting)
+        for mod in (theorems, independence):
+            monkeypatch.setattr(mod, "is_maximal_independent_set", counting)
         clear_wfcover_caches()
+        return checked
+
+    def test_second_check_with_the_same_h_makes_no_mis_check(self, mis_checks):
+        # the M_H of C4 are checked with P4, the first G; C5 reuses them, and
+        # each check still tests its own anchor against every M_H
+        h = fam("cycle:4")
         check("thm35", fam("path:4"), h)
-        assert checked.count(h) == 2
-        checked.clear()
+        assert mis_checks.count(h) == 2
+        mis_checks.clear()
         report = check("thm35", fam("cycle:5"), h)
         assert all(w.verified for w in report.witnesses)
         with pytest.raises(ValueError, match=r"^anchor 1 does not belong to the maximal independent set \[0, 2\]$"):
             check("thm35", fam("cycle:5"), h, anchor=1)
-        assert checked.count(h) == 0
+        assert mis_checks.count(h) == 0
+
+    @pytest.mark.parametrize("g,h", [("cycle:5", "cycle:4"), ("path:4", "path:3"), ("complete:3", "cycle:5")])
+    def test_the_fold_and_the_check_share_one_checked_record_of_h(self, mis_checks, g, h):
+        # the profile of G∘H reads H's record, so the fold alone checks each
+        # M_H once, and the check that follows reads the same record
+        g, h = fam(g), fam(h)
+        forest_number(lexicographic(g, h)[0])
+        assert mis_checks.count(h) == len(enumerate_maximal_independent_sets(h))
+        mis_checks.clear()
+        report = check_thm35(g, h)
+        assert all(w.verified for w in report.witnesses)
+        assert mis_checks.count(h) == 0
 
     # the bench's thm35 pairs, next to the order-4 atlas
     BENCH_THM35_PAIRS = (
