@@ -5,9 +5,12 @@ is acyclic.  A forest is maximal when adding any outside vertex closes a
 cycle.  Enumeration is exhaustive: an include/exclude walk per connected
 component, deciding high-degree vertices first, that never includes a
 vertex closing a cycle (``_join``, the one include step, which the
-role-pattern walk below shares) and cuts a branch as soon as some excluded
-vertex has fewer than two neighbours left to choose; each completed set is
-then tested for maximality.  Twins (vertices with one open or one closed
+role-pattern walk below shares) and cuts an exclusion that strands a
+vertex, one that every completion could take without closing a cycle: it
+has fewer than two neighbours left to choose, or it could have joined and
+its only two are not connected through the vertices still chosen or
+undecided (``_connected``, a flood fill); each completed set is then tested
+for maximality.  Twins (vertices with one open or one closed
 neighbourhood) can be swapped by an automorphism, so the walk includes a
 twin only after its predecessor in the class and keeps one representative
 per orbit; the catalogue expands or counts the orbits, each once per
@@ -403,6 +406,23 @@ def _join(comps: list[int], bit: int, nbrs: int) -> list[int] | None:
     return rest
 
 
+def _connected(adj: tuple[int, ...], within: int, pair: int) -> bool:
+    """Whether the two vertices of the mask ``pair`` lie in one component
+    of the subgraph that ``within`` induces: a flood fill from the lower one
+    that stops once it reaches the other."""
+    low = pair & -pair
+    seen = todo = low
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        new = adj[bit.bit_length() - 1] & within & ~seen
+        if new & pair:
+            return True
+        seen |= new
+        todo |= new
+    return False
+
+
 def _same_order(g: Graph, s: VertexSubset) -> None:
     """Raise ValueError unless ``s`` is a subset of a graph of ``g``'s order."""
     if s.order != g.order:
@@ -433,14 +453,27 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
     every component it touches, so nothing is undone on the way back, and
     refuses it when a component holds two of its neighbours, since it
     closes a cycle.  A vertex's potential neighbours are its neighbours in
-    ``smask | undecided``.  An excluded vertex with fewer than two of them can be added to every
-    completion of ``smask`` without closing a cycle, so its branch holds no
-    maximal forest and is cut.  Excluding ``i`` takes a potential neighbour
-    away only from the neighbours of ``i``, so the exclude branch re-checks
-    ``i`` and its earlier-excluded neighbours.  It skips those in ``twice``:
-    ``once`` and ``twice`` hold the vertices with at least one and at least
-    two neighbours in ``smask``, and since ``smask`` only grows along a
-    branch, a vertex in ``twice`` keeps two potential neighbours for good.
+    ``potential = smask | undecided``; every completion of ``smask`` lies
+    inside ``potential``, so its components lie inside those of
+    ``G[potential]``.  An excluded vertex that has fewer than two potential
+    neighbours, or exactly two that lie in different components of
+    ``G[potential]``, has at most one neighbour in each component of every
+    completion, so it can be added to every completion without closing a
+    cycle: its branch holds no maximal forest and is cut.  Excluding ``i``
+    takes a potential neighbour away only from the neighbours of ``i``, so
+    the exclude branch re-checks ``i`` and its earlier-excluded neighbours
+    for fewer than two.  It skips those in ``twice``: ``once`` and ``twice``
+    hold the vertices with at least one and at least two neighbours in
+    ``smask``, and since ``smask`` only grows along a branch, a vertex in
+    ``twice`` keeps two potential neighbours for good.  Only ``i`` itself,
+    and only when it could have been included and has exactly two
+    potential neighbours, gets the component test, a flood fill
+    (``_connected``): on a path it leaves one node per vertex for the one
+    maximal forest (P22: 23 nodes), where a walk without it reaches every
+    subset with no two consecutive excluded vertices, Fibonacci many.  The
+    other cases, three or more potential neighbours, the neighbours of
+    ``i``, and a closing or twin-gated ``i``, skip the flood; a vertex that
+    closes a cycle has two neighbours in one component of ``smask`` anyway.
     A completed subset is kept only if it is maximal: ``_blocks_all``, the
     rule ``is_maximal_induced_forest`` uses too, tests the excluded vertices
     against the component list ``comps`` and returns at the first that
@@ -461,15 +494,19 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
         nbrs = adj[i]
         # include i unless its previous twin is excluded or it closes a cycle
         p = prev[i]
+        joined = None
         if p < 0 or smask >> p & 1:
             joined = _join(comps, bit, nbrs)
             if joined is not None:
                 decide(i + 1, smask | bit, undecided, once | nbrs, twice | (once & nbrs), joined)
         # exclude i: dead end if i, or an excluded neighbour of i that is not
-        # yet in twice, keeps at most one potential neighbour, since that
-        # vertex would then extend every completion of smask
+        # yet in twice, keeps at most one potential neighbour, or if i could
+        # join and its only two potential neighbours are not joined in
+        # G[potential], since i would then extend every completion of smask
         potential = smask | undecided
-        if (nbrs & potential).bit_count() < 2:
+        near = nbrs & potential
+        k = near.bit_count()
+        if k < 2 or k == 2 and joined is not None and not _connected(adj, potential, near):
             return
         for v in iter_bits(nbrs & ~potential & (bit - 1) & ~twice):
             if (adj[v] & potential).bit_count() < 2:

@@ -51,9 +51,10 @@ class Graph:
     is a display label only, and ``factors`` is the pair (G, H) of a graph
     built by ``lexicographic``; neither takes part in equality.
     ``edge_count`` is counted once, when the graph is made.  ``Graph(order,
-    adj)`` stores the rows as a tuple and checks that each is an ``int`` in
-    range, loop-free and matched by its column; ``from_edges``,
-    ``from_graph6`` and ``lexicographic`` build valid rows and skip that check.
+    adj)`` checks that ``order`` is an ``int``, stores the rows as a tuple
+    and checks that each is an ``int`` in range, loop-free and matched by its
+    column; ``from_edges``, ``from_graph6`` and ``lexicographic`` build valid
+    rows and skip that check.
     """
 
     order: int
@@ -63,6 +64,8 @@ class Graph:
     edge_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.order, int):
+            raise ValueError(f"order is not an int: {self.order!r}")
         if self.order < 1:
             raise ValueError("graphs must have at least one vertex")
         object.__setattr__(self, "adj", tuple(self.adj))
@@ -130,12 +133,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class VertexSubset:
-    """A subset of the vertices of a host graph of the given order."""
+    """A subset of the vertices of a host graph of the given order; both
+    ``order`` and ``mask`` must be ``int``s."""
 
     order: int
     mask: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.order, int):
+            raise ValueError(f"order is not an int: {self.order!r}")
+        if not isinstance(self.mask, int):
+            raise ValueError(f"mask is not an int: {self.mask!r}")
         if self.order < 1:
             raise ValueError("host order must be positive")
         if self.mask < 0 or self.mask >> self.order:

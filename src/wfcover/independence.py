@@ -1,9 +1,10 @@
 """Maximal independent sets, independence number, well-covered decision.
 
 Mirrors the forest enumeration: an exhaustive include/exclude scan per
-connected component with domination pruning, one representative per orbit
-of swapping twins, combined and expanded by the same catalogue, canonical
-ascending order.
+connected component, one representative per orbit of swapping twins,
+combined and expanded by the same catalogue, canonical ascending order.
+The scan cuts an exclusion that strands a vertex: one that nothing covers
+and that has no neighbour left that could still join.
 """
 
 from __future__ import annotations
@@ -27,7 +28,21 @@ def is_maximal_independent_set(g: Graph, s: VertexSubset) -> bool:
 
 def _maximal_independent_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -> list[int]:
     """The maximal independent set masks of the graph (n, adj) that include
-    a vertex ``i`` only with its previous twin ``prev[i]`` (-1 for none)."""
+    a vertex ``i`` only with its previous twin ``prev[i]`` (-1 for none).
+
+    Include/exclude walk over vertices 0..n-1.  ``covered`` holds the chosen
+    set ``smask`` and its neighbours; an undecided vertex in it can no
+    longer join, so the vertices that still can are ``undecided &
+    ~covered``.  An excluded vertex that nothing covers and that has no
+    neighbour among them is never dominated, so its branch holds no maximal
+    independent set and is cut.  Excluding ``i`` removes a candidate only
+    from the neighbours of ``i``, so the exclude branch re-checks ``i`` and
+    its earlier-excluded neighbours that nothing covers (C30: 27 821 nodes
+    for 4 610 sets, where a test of ``i`` against ``smask | undecided``
+    alone reaches 4 870 845).  Including ``i`` covers its neighbours, which
+    can strand an excluded vertex at distance two; that is left to the
+    leaf test ``covered == full``, since re-checking those vertices cost
+    more than it saved on random graphs."""
     full = (1 << n) - 1
     out: list[int] = []
 
@@ -41,9 +56,19 @@ def _maximal_independent_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ..
         p = prev[i]
         if not adj[i] & smask and (p < 0 or smask >> p & 1):
             decide(i + 1, smask | bit, undecided, covered | adj[i] | bit)
-        # exclude i: dead end unless some chosen or future vertex can dominate i
-        if adj[i] & (smask | undecided):
-            decide(i + 1, smask, undecided, covered)
+        # exclude i: dead end if i, uncovered, or an uncovered earlier-excluded
+        # neighbour of i, which had i as a candidate, has no neighbour left
+        # that can still join (an undecided vertex nothing covers)
+        free = undecided & ~covered
+        if not covered & bit and not adj[i] & free:
+            return
+        check = adj[i] & (bit - 1) & ~covered
+        while check:
+            low = check & -check
+            if not adj[low.bit_length() - 1] & free:
+                return
+            check ^= low
+        decide(i + 1, smask, undecided, covered)
 
     decide(0, 0, full, 0)
     return out

@@ -108,19 +108,18 @@ def nx_is_forest(G: nx.Graph, vertices) -> bool:
 
 
 def naive_maximal_forests(g: Graph) -> set[frozenset[int]]:
-    """Subset-filter oracle: all subsets, keep induced forests with no forest extension."""
+    """Subset-filter oracle: all subsets, keep induced forests with no forest
+    extension.  Each subset's cycle basis is taken once, so the extensions
+    are looked up among the forests found."""
     G = to_nx(g)
-    out = set()
     universe = range(g.order)
-    for r in range(g.order + 1):
-        for combo in combinations(universe, r):
-            s = set(combo)
-            if not nx_is_forest(G, s):
-                continue
-            if any(nx_is_forest(G, s | {v}) for v in universe if v not in s):
-                continue
-            out.add(frozenset(s))
-    return out
+    found = {
+        frozenset(combo)
+        for r in range(g.order + 1)
+        for combo in combinations(universe, r)
+        if nx_is_forest(G, combo)
+    }
+    return {s for s in found if not any(s | {v} in found for v in universe if v not in s)}
 
 
 def naive_maximal_independent(g: Graph) -> set[frozenset[int]]:

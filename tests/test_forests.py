@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -14,6 +17,8 @@ from wfcover import (
     ForestStats,
     Graph,
     VertexSubset,
+    check_thm31,
+    enumerate_maximal_independent_sets,
     enumerate_maximal_induced_forests,
     forest_number,
     forest_partition,
@@ -28,7 +33,13 @@ from wfcover import (
     parse_family,
 )
 
-from conftest import disjoint_union, induced_subgraph, naive_maximal_forests
+from conftest import (
+    clear_wfcover_caches,
+    disjoint_union,
+    induced_subgraph,
+    naive_maximal_forests,
+    naive_maximal_independent,
+)
 
 
 def fam(text: str) -> Graph:
@@ -131,28 +142,41 @@ class TestEnumeration:
             enumerate_maximal_induced_forests(fam("empty:11"), max_order=10)
 
 
-def kernel_counters(g: Graph) -> tuple[tuple[int, int, int], int]:
-    """Nodes, leaves and representatives of one forest catalogue build: calls
-    of the kernel's closure ``decide`` and of the maximality rule
-    ``_blocks_all`` it applies to each leaf, counted by a profile
-    hook, and the number of orbit representatives returned; then the number
-    of maximal forests they stand for."""
-    counts = {"decide": 0, "_blocks_all": 0}
-    kernel_file = forests._maximal_forest_masks.__code__.co_filename
+@contextmanager
+def kernel_calls():
+    """Count, by a profile hook, the calls of each kernel's closure
+    ``decide`` and of the maximality rule ``_blocks_all``, keyed by (module,
+    name) with module "forests" or "independence"."""
+    counts: Counter[tuple[str, str]] = Counter()
+    files = {forests.__file__: "forests", independence.__file__: "independence"}
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_name in counts and code.co_filename == kernel_file:
-            counts[code.co_name] += 1
+        if event == "call" and code.co_filename in files and code.co_name in ("decide", "_blocks_all"):
+            counts[files[code.co_filename], code.co_name] += 1
 
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        catalogue = forests.Catalogue.build(g, forests._maximal_forest_masks)
+        yield counts
     finally:
         sys.setprofile(previous)
+
+
+def kernel_counters(
+    g: Graph, kernel=forests._maximal_forest_masks
+) -> tuple[tuple[int, int, int], int]:
+    """Nodes, leaves and representatives of one catalogue build by
+    ``kernel``: calls of its closure ``decide`` and of the maximality rule
+    ``_blocks_all`` it applies to each leaf (none for the MIS kernel, whose
+    leaf test is one comparison), and the number of orbit representatives
+    returned; then the number of maximal sets they stand for."""
+    module = kernel.__module__.rsplit(".", 1)[1]
+    with kernel_calls() as counts:
+        catalogue = forests.Catalogue.build(g, kernel)
     reps = sum(len(reps) for reps, _ in catalogue.components)
-    return (counts["decide"], counts["_blocks_all"], reps), sum(catalogue.aggregates.histogram().values())
+    nodes = counts[module, "decide"], counts[module, "_blocks_all"], reps
+    return nodes, sum(catalogue.aggregates.histogram().values())
 
 
 class TestKernelCounters:
@@ -174,6 +198,112 @@ class TestKernelCounters:
     def test_nodes_leaves_kept(self, g, h, expected):
         product, _ = lexicographic(fam(g), fam(h))
         assert kernel_counters(product) == expected
+
+
+def cut_graphs() -> list[tuple[str, Graph]]:
+    """Sparse graphs, where the kernels' exclusion cuts fire: paths and
+    cycles of up to 14 vertices, the 3×4 grid, and seeded G(n, p) with
+    n in 11..14 and p in 0.15..0.5."""
+    out = [(f"path:{n}", fam(f"path:{n}")) for n in range(2, 15)]
+    out += [(f"cycle:{n}", fam(f"cycle:{n}")) for n in range(3, 15)]
+    grid = [(4 * r + c, 4 * r + c + 1) for r in range(3) for c in range(3)]
+    grid += [(4 * r + c, 4 * r + c + 4) for r in range(2) for c in range(4)]
+    out.append(("grid:3x4", Graph.from_edges(12, grid)))
+    for seed in range(10):
+        n, p = 11 + seed % 4, (0.15, 0.2, 0.3, 0.4, 0.5)[seed % 5]
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        out.append((f"gnp:{n},{p},{seed}", Graph.from_edges(n, edges)))
+    return out
+
+
+# (forest, MIS) kernel nodes on ``cut_graphs()`` before either kernel cut
+# an exclusion that strands a vertex it could still extend or dominate
+NODES_BEFORE_CUTS = {
+    "path:2": (3, 4),
+    "path:3": (7, 7),
+    "path:4": (12, 12),
+    "path:5": (21, 21),
+    "path:6": (35, 35),
+    "path:7": (58, 58),
+    "path:8": (95, 95),
+    "path:9": (155, 155),
+    "path:10": (252, 252),
+    "path:11": (409, 409),
+    "path:12": (663, 663),
+    "path:13": (1074, 1074),
+    "path:14": (1739, 1739),
+    "cycle:3": (6, 6),
+    "cycle:4": (14, 12),
+    "cycle:5": (29, 27),
+    "cycle:6": (49, 45),
+    "cycle:7": (81, 74),
+    "cycle:8": (133, 121),
+    "cycle:9": (217, 197),
+    "cycle:10": (353, 320),
+    "cycle:11": (573, 519),
+    "cycle:12": (929, 841),
+    "cycle:13": (1505, 1362),
+    "cycle:14": (2437, 2205),
+    "grid:3x4": (1019, 346),
+    "gnp:11,0.15,0": (24, 24),
+    "gnp:12,0.2,1": (189, 105),
+    "gnp:13,0.3,2": (864, 354),
+    "gnp:14,0.4,3": (1474, 287),
+    "gnp:11,0.5,4": (443, 136),
+    "gnp:12,0.15,5": (149, 71),
+    "gnp:13,0.2,6": (467, 209),
+    "gnp:14,0.3,7": (1643, 332),
+    "gnp:11,0.4,8": (385, 122),
+    "gnp:12,0.5,9": (705, 183),
+}
+
+
+class TestKernelCuts:
+    """The exclusion cuts of both kernels: a branch ends once an excluded
+    vertex would extend every completion (forest kernel: it could join and
+    its only two potential neighbours are not joined in G[potential]) or
+    can never be dominated (MIS kernel: no undecided vertex that nothing
+    covers is left next to it).  Both only prune, so the sets equal the
+    oracles' and the node counts can only fall."""
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in cut_graphs()])
+    def test_both_kernels_match_the_oracles(self, g):
+        found = {frozenset(f.vertices()) for f in enumerate_maximal_induced_forests(g)}
+        assert found == naive_maximal_forests(g)
+        found = {frozenset(s.vertices()) for s in enumerate_maximal_independent_sets(g)}
+        assert found == naive_maximal_independent(g)
+
+    def test_nodes_never_exceed_those_before_the_cuts(self):
+        for name, g in cut_graphs():
+            nodes = (
+                kernel_counters(g)[0][0],
+                kernel_counters(g, independence._maximal_independent_masks)[0][0],
+            )
+            before = NODES_BEFORE_CUTS[name]
+            assert nodes[0] <= before[0] and nodes[1] <= before[1], (name, nodes, before)
+
+    @pytest.mark.parametrize(
+        "text,bound,forests_found", [("path:22", 100, 1), ("cycle:26", 1_000, 26)]
+    )
+    def test_forest_kernel_nodes(self, text, bound, forests_found):
+        (nodes, _, _), total = kernel_counters(fam(text))
+        assert nodes < bound and total == forests_found
+
+    @pytest.mark.parametrize("text,sets", [("path:30", 4_410), ("cycle:30", 4_610)])
+    def test_mis_kernel_nodes(self, text, sets):
+        (nodes, _, _), total = kernel_counters(fam(text), independence._maximal_independent_masks)
+        assert nodes < 60_000 and total == sets
+
+    @pytest.mark.parametrize("text,f_product", [("path:30", 30), ("cycle:30", 29)])
+    def test_thm31_on_a_long_path_or_cycle(self, text, f_product):
+        clear_wfcover_caches()
+        with kernel_calls() as counts:
+            report = check_thm31(fam("complete:1"), fam(text), max_order=30)
+        assert report.verdict == "consistent"
+        assert report.ground_truth["f_product"] == f_product
+        assert counts["forests", "decide"] < 1_000
+        assert counts["independence", "decide"] < 60_000
 
 
 class TestBenchProducts:

@@ -125,6 +125,8 @@ class TestGraphInvariants:
             (3, (0, 0b10, 0), "self-loop at vertex 1"),
             (2, (0b10, "1"), "adjacency row 1 is not an int: '1'"),
             (2, (0b10, 1.0), "adjacency row 1 is not an int: 1.0"),
+            (2.0, (0b10, 0b1), "order is not an int: 2.0"),
+            ("2", (0b10, 0b1), "order is not an int: '2'"),
         ],
     )
     def test_public_rows_are_rejected_by_name(self, order, adj, message):
@@ -186,6 +188,15 @@ class TestVertexSubset:
             VertexSubset.from_vertices(3, [3])
         with pytest.raises(ValueError):
             VertexSubset(3, 0b1000)
+
+    @pytest.mark.parametrize(
+        "order,mask,message",
+        [(3, 1.0, "mask is not an int: 1.0"), (3.0, 1, "order is not an int: 3.0")],
+    )
+    def test_non_int_fields_are_rejected_by_name(self, order, mask, message):
+        with pytest.raises(ValueError) as err:
+            VertexSubset(order, mask)
+        assert str(err.value) == message
 
     def test_rejects_hostless(self):
         with pytest.raises(ValueError) as err:
