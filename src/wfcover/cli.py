@@ -28,7 +28,7 @@ from typing import IO, TYPE_CHECKING, Callable
 
 from .graphs import FAMILY_KINDS, GRAPH6_MAX_ORDER, Graph, from_graph6, generate, parse_family, to_graph6
 from .products import lexicographic
-from .forests import DEFAULT_MAX_ORDER, Z_CHOICES, forest_number, is_well_f_covered
+from .forests import DEFAULT_MAX_ORDER, Z_CHOICES, _within_bound, forest_number, is_well_f_covered
 from .forests import maximal_forest_order_histogram
 from .independence import independence_number, is_well_covered
 from .theorems import THEOREM_IDS, VERDICT_CONSISTENT, ConditionRecord, TheoremReport, WitnessRecord, check
@@ -250,14 +250,14 @@ def _cmd_product(args) -> tuple[str, str, int]:
 
 def _cmd_analyze(args) -> tuple[str, str, int]:
     g = _graph_from_flags(args)
-    bound = args.max_order
-    wfc, wfc_witness = is_well_f_covered(g, bound)
-    wc, _ = is_well_covered(g, bound)
-    hist = maximal_forest_order_histogram(g, bound)
+    _within_bound(g.order, args.max_order)
+    wfc, wfc_witness = is_well_f_covered(g)
+    wc, _ = is_well_covered(g)
+    hist = maximal_forest_order_histogram(g)
     doc = {
         "schema": SCHEMA_VERSION,
         **_graph_summary(g),
-        "forest_number": forest_number(g, bound),
+        "forest_number": forest_number(g),
         "well_f_covered": wfc,
         "witness": None
         if wfc_witness is None
@@ -265,7 +265,7 @@ def _cmd_analyze(args) -> tuple[str, str, int]:
             "orders": [len(wfc_witness[0]), len(wfc_witness[1])],
             "forests": [list(wfc_witness[0]), list(wfc_witness[1])],
         },
-        "independence_number": independence_number(g, bound),
+        "independence_number": independence_number(g),
         "well_covered": wc,
         "maximal_forest_orders_histogram": {str(k): v for k, v in hist.items()},
     }

@@ -779,39 +779,33 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     return Aggregates(g.order * n, tuple(sorted(total.items())), *witnesses)
 
 
-def _forest_aggregates(g: Graph, max_order: int | None) -> Aggregates:
+def _forest_aggregates(g: Graph) -> Aggregates:
     """What the aggregate queries read: for a graph built by
     ``lexicographic`` the profile from its factors, else its catalogue's."""
-    _within_bound(g.order, max_order)
     return _forest_catalogue(g).aggregates if g.factors is None else product_profile(*g.factors)
 
 
-def enumerate_maximal_induced_forests(
-    g: Graph, max_order: int | None = None
-) -> list[VertexSubset]:
+def enumerate_maximal_induced_forests(g: Graph) -> list[VertexSubset]:
     """Exactly the maximal induced forests, each once, ascending by bitmask."""
-    _within_bound(g.order, max_order)
     return _forest_catalogue(g).sets()
 
 
-def maximal_forest_order_histogram(g: Graph, max_order: int | None = None) -> dict[int, int]:
+def maximal_forest_order_histogram(g: Graph) -> dict[int, int]:
     """Counts of maximal induced forests by order (component-wise convolution)."""
-    return _forest_aggregates(g, max_order).histogram()
+    return _forest_aggregates(g).histogram()
 
 
-def forest_number(g: Graph, max_order: int | None = None) -> int:
+def forest_number(g: Graph) -> int:
     """Order of a maximum induced forest: |V| minus the minimum feedback vertex set."""
-    return _forest_aggregates(g, max_order).number()
+    return _forest_aggregates(g).number()
 
 
-def is_well_f_covered(
-    g: Graph, max_order: int | None = None
-) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
+def is_well_f_covered(g: Graph) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
     """Decide whether all maximal induced forests share one order.
 
     When they do not, also return a witness pair (smaller, larger).
     """
-    return _forest_aggregates(g, max_order).uniform()
+    return _forest_aggregates(g).uniform()
 
 
 def _partition(

@@ -100,10 +100,14 @@ class Graph:
     def from_edges(
         cls, order: int, edges: Iterable[tuple[int, int]], name: str | None = None
     ) -> Graph:
+        if not isinstance(order, int):
+            raise ValueError(f"order is not an int: {order!r}")
         if order < 1:
             raise ValueError("graphs must have at least one vertex")
         rows = [0] * order
         for u, v in edges:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < order and 0 <= v < order):
@@ -151,8 +155,12 @@ class VertexSubset:
 
     @classmethod
     def from_vertices(cls, order: int, vertices: Iterable[int]) -> VertexSubset:
+        if not isinstance(order, int):
+            raise ValueError(f"order is not an int: {order!r}")
         mask = 0
         for v in vertices:
+            if not isinstance(v, int):
+                raise ValueError(f"vertex is not an int: {v!r}")
             if not 0 <= v < order:
                 raise ValueError(f"vertex {v} out of range for order {order}")
             mask |= 1 << v

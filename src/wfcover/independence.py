@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, VertexSubset, iter_bits
-from .forests import Catalogue, _same_order, _within_bound
+from .forests import Catalogue, _same_order
 
 
 def is_maximal_independent_set(g: Graph, s: VertexSubset) -> bool:
@@ -79,26 +79,19 @@ def _independent_catalogue(g: Graph) -> Catalogue:
     return Catalogue.build(g, _maximal_independent_masks)
 
 
-def enumerate_maximal_independent_sets(
-    g: Graph, max_order: int | None = None
-) -> list[VertexSubset]:
+def enumerate_maximal_independent_sets(g: Graph) -> list[VertexSubset]:
     """Exactly the maximal independent sets, each once, ascending by bitmask."""
-    _within_bound(g.order, max_order)
     return _independent_catalogue(g).sets()
 
 
-def independence_number(g: Graph, max_order: int | None = None) -> int:
+def independence_number(g: Graph) -> int:
     """Size of a maximum independent set."""
-    _within_bound(g.order, max_order)
     return _independent_catalogue(g).aggregates.number()
 
 
-def is_well_covered(
-    g: Graph, max_order: int | None = None
-) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
+def is_well_covered(g: Graph) -> tuple[bool, tuple[VertexSubset, VertexSubset] | None]:
     """Decide whether all maximal independent sets share one size.
 
     When they do not, also return a witness pair (smaller, larger).
     """
-    _within_bound(g.order, max_order)
     return _independent_catalogue(g).aggregates.uniform()

@@ -101,8 +101,10 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.theorem not in THEOREM_IDS:
             raise ValueError(f"theorem must be one of {THEOREM_IDS}, got {self.theorem!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not isinstance(self.max_order, int) or self.max_order < 1:
+            raise ValueError(f"max_order must be an int of at least 1, got {self.max_order!r}")
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ValueError(f"workers must be an int of at least 1, got {self.workers!r}")
 
 
 @lru_cache(maxsize=256)
@@ -115,13 +117,13 @@ def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
     report = check(theorem, g, h, max_order)
     truth = report.ground_truth
     # alpha(G) and f(H) are not part of every report's ground truth; they are
-    # cheap, and read under each graph's own order, as the check admitted the pair.
+    # cheap, and no factor outgrows the pair the check admitted.
     alpha_g = truth.get("alpha_g")
     if alpha_g is None:
-        alpha_g = independence_number(g, g.order)
+        alpha_g = independence_number(g)
     f_h = truth.get("f_h")
     if f_h is None:
-        f_h = forest_number(h, h.order)
+        f_h = forest_number(h)
     return Finding(
         g_graph6=_graph6_text(g),
         h_graph6=_graph6_text(h),

@@ -52,12 +52,12 @@ while a necessary condition fails (or a constructed witness fails
 verification), ``non_sufficiency_witness`` iff every condition holds yet the
 product is not well-f-covered, and ``consistent`` otherwise.
 
-The caller's enumeration bound is read once per check, on |G|·|H|, right
+The caller's enumeration bound is tested once per check, on |G|·|H|, right
 after the range checks of a check's arguments: an oversized pair is
 rejected before either factor is enumerated or the product built.  No
-factor outgrows the product, so every later read of G, H or G∘H is
-unbounded: a public query is passed the graph's own order, and f, alpha,
-wc and wfc of a factor come off the catalogue records the check reads.
+factor outgrows the product, and the queries take no bound, so no later
+read of G, H or G∘H tests one; f, alpha, wc and wfc of a factor come off
+the catalogue records the check reads.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def _forest_partitions(
     record, ``forests._fibres``, it applies no bound: the check has bounded
     the pair."""
     out = []
-    for forest in enumerate_maximal_induced_forests(g, g.order):
+    for forest in enumerate_maximal_induced_forests(g):
         p = forest_partition(g, forest, z_choice=z_choice)
         out.append((forest, p, p.stats))
     return tuple(out)
@@ -420,9 +420,9 @@ def _verdict(witnesses: list[WitnessRecord], conditions_hold: bool, wfc_product:
 
 def _product_ground_truth(product: Graph) -> dict:
     """The product's maximal forest orders, f(G∘H) the largest of them, and
-    its verdict with the witness pair, read under its own order."""
-    orders = sorted(maximal_forest_order_histogram(product, product.order))
-    wfc_p, witness = is_well_f_covered(product, product.order)
+    its verdict with the witness pair."""
+    orders = sorted(maximal_forest_order_histogram(product))
+    wfc_p, witness = is_well_f_covered(product)
     truth = {
         "product_order": product.order,
         "f_product": orders[-1],
@@ -533,7 +533,7 @@ def check_thm35(
 
     # V_M first, then V*; construct_vm checks the canonical F_H each time
     witnesses = []
-    for m in enumerate_maximal_independent_sets(g, g.order):
+    for m in enumerate_maximal_independent_sets(g):
         detail = {"m": list(m.vertices()), "f_h": list(fh_canon.vertices())}
         if wfc_p:
             detail["quotient_holds"] = len(m) * len(fh_canon) == f_p

@@ -16,10 +16,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import wfcover.forests as forests
+import wfcover.independence as independence
 from wfcover import cli
 from wfcover.cli import build_parser, run
 
 import cli_parity
+from conftest import clear_wfcover_caches
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -610,6 +613,14 @@ class TestUsageAndBounds:
         assert code == 2
         assert "bound" in err
 
+    def test_analyze_tests_the_bound_before_any_query(self):
+        # the queries take no bound; analyze tests |G| once, before the first
+        clear_wfcover_caches()
+        code, out, err = invoke(["analyze", "--family", "empty:25"])
+        assert (code, out, err) == (2, "", "error: graph order 25 exceeds the enumeration bound 24\n")
+        assert forests._forest_catalogue.cache_info().currsize == 0
+        assert independence._independent_catalogue.cache_info().currsize == 0
+
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("WFCOVER_MAX_ORDER", "4")
         code, _, err = invoke(["analyze", "--family", "cycle:5"])
@@ -920,26 +931,27 @@ class TestImportFootprint:
         c5.write_text("Dhc\n")
         script = f"""
 import io, json, sys
-before = set(sys.modules)
 from wfcover.cli import run
 out = io.StringIO()
 codes = [
+    run(["check-theorem", "thm35", "--g", "complete:4", "--h", "cycle:5"], out, out),
     run(["check-theorem", "thm35", "--g", "cycle:5", "--h", "cycle:4"], out, out),
     run(["search", "--g-file", {str(atlas)!r}, "--theorem", "thm35", "--workers", "1"], out, out),
     run(["search", "--g-file", {str(c5)!r}, "--h-file", {str(atlas)!r}, "--theorem", "thm35",
          "--workers", "2"], out, out),
 ]
-print(json.dumps({{"codes": codes, "added": sorted(set(sys.modules) - before)}}))
+print(json.dumps({{"codes": codes, "modules": sorted(sys.modules)}}))
 """
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         result = json.loads(proc.stdout)
-        assert result["codes"] == [1, 1, 1]
-        assert "wfcover.search" in result["added"]
+        assert result["codes"] == [0, 1, 1, 1]
+        assert "wfcover.search" in result["modules"]
+        # every module the interpreter holds, its startup's too
         pool = [
-            name for name in result["added"]
+            name for name in result["modules"]
             if name.split(".")[0] in ("multiprocessing", "_multiprocessing") or name == "concurrent.futures.process"
         ]
         assert pool == []
-        assert {"argparse", "gettext"}.isdisjoint(result["added"])
+        assert {"argparse", "gettext"}.isdisjoint(result["modules"])

@@ -13,7 +13,6 @@ import pytest
 import wfcover.forests as forests
 import wfcover.independence as independence
 from wfcover import (
-    EnumerationBoundError,
     ForestStats,
     Graph,
     VertexSubset,
@@ -27,6 +26,7 @@ from wfcover import (
     independence_number,
     is_induced_forest,
     is_maximal_induced_forest,
+    is_well_covered,
     is_well_f_covered,
     lexicographic,
     maximal_forest_order_histogram,
@@ -134,12 +134,24 @@ class TestEnumeration:
             ours = {frozenset(f.vertices()) for f in enumerate_maximal_induced_forests(g)}
             assert ours == naive_maximal_forests(g), g.edges()
 
-    def test_bound_error_names_bound(self):
-        g = fam("empty:25")
-        with pytest.raises(EnumerationBoundError, match="24"):
-            enumerate_maximal_induced_forests(g)
-        with pytest.raises(EnumerationBoundError, match="10"):
-            enumerate_maximal_induced_forests(fam("empty:11"), max_order=10)
+    @pytest.mark.parametrize(
+        "family,f,alpha,forests_found,sets_found,wc",
+        [
+            ("empty:25", 25, 25, 1, 1, True),
+            ("complete:25", 2, 1, 300, 25, True),
+            ("path:25", 25, 13, 1, 1081, False),
+        ],
+    )
+    def test_queries_take_no_bound(self, family, f, alpha, forests_found, sets_found, wc):
+        # past DEFAULT_MAX_ORDER: only a check or the CLI tests a bound
+        g = fam(family)
+        assert len(enumerate_maximal_induced_forests(g)) == forests_found
+        assert maximal_forest_order_histogram(g) == {f: forests_found}
+        assert forest_number(g) == f
+        assert is_well_f_covered(g) == (True, None)
+        assert len(enumerate_maximal_independent_sets(g)) == sets_found
+        assert independence_number(g) == alpha
+        assert is_well_covered(g)[0] is wc
 
 
 @contextmanager

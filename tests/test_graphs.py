@@ -140,6 +140,20 @@ class TestGraphInvariants:
             Graph.from_edges(0, edges)
         assert str(err.value) == "graphs must have at least one vertex"
 
+    @pytest.mark.parametrize(
+        "order,edges,message",
+        [
+            (2.0, [], "order is not an int: 2.0"),
+            ("3", [(0, 1)], "order is not an int: '3'"),
+            (3, [(0, 1.0)], "edge (0, 1.0) has an endpoint that is not an int"),
+            (3, [("0", 1)], "edge ('0', 1) has an endpoint that is not an int"),
+        ],
+    )
+    def test_from_edges_rejects_non_ints_by_name(self, order, edges, message):
+        with pytest.raises(ValueError) as err:
+            Graph.from_edges(order, edges)
+        assert str(err.value) == message
+
     def test_list_rows_are_stored_as_a_tuple(self):
         g = Graph(3, [6, 5, 3])
         assert g.adj == (6, 5, 3) and type(g.adj) is tuple
@@ -196,6 +210,19 @@ class TestVertexSubset:
     def test_non_int_fields_are_rejected_by_name(self, order, mask, message):
         with pytest.raises(ValueError) as err:
             VertexSubset(order, mask)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "order,vertices,message",
+        [
+            (3, [1.0], "vertex is not an int: 1.0"),
+            (3, [0, "2"], "vertex is not an int: '2'"),
+            ("3", [1], "order is not an int: '3'"),
+        ],
+    )
+    def test_from_vertices_rejects_non_ints_by_name(self, order, vertices, message):
+        with pytest.raises(ValueError) as err:
+            VertexSubset.from_vertices(order, vertices)
         assert str(err.value) == message
 
     def test_rejects_hostless(self):

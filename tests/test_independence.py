@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from wfcover import (
-    EnumerationBoundError,
     Graph,
     VertexSubset,
     enumerate_maximal_independent_sets,
@@ -60,10 +59,6 @@ class TestEnumeration:
         assert sets == enumerate_maximal_independent_sets(g)
         masks = [s.mask for s in sets]
         assert masks == sorted(masks)
-
-    def test_bound_error(self):
-        with pytest.raises(EnumerationBoundError):
-            enumerate_maximal_independent_sets(fam("empty:25"))
 
 
 class TestIndependenceNumber:

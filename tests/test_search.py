@@ -468,6 +468,16 @@ class TestScan:
         with pytest.raises(ValueError):
             ScanConfig(theorem="thm31", workers=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_order", None), ("max_order", 0), ("max_order", -3), ("max_order", 24.0),
+         ("workers", "2"), ("workers", 2.5)],
+    )
+    def test_config_rejects_a_bad_field_by_name(self, field, value):
+        # at construction, not at the first pair of a scan
+        with pytest.raises(ValueError, match=rf"^{field} must be an int of at least 1, got "):
+            ScanConfig(theorem="thm35", **{field: value})
+
 
 class TestReadGraph6Stream:
     def test_reads_in_order_skipping_blanks(self):
