@@ -3,27 +3,27 @@
 "Forest" always means *induced* forest: a vertex set whose induced subgraph
 is acyclic.  A forest is maximal when adding any outside vertex closes a
 cycle.  Enumeration is exhaustive: an include/exclude walk per connected
-component, deciding high-degree vertices first, that never includes a
-vertex closing a cycle (``_join``, the one include step, which the
-role-pattern walk below shares) and cuts an exclusion that strands a
-vertex, one that every completion could take without closing a cycle: it
-has fewer than two neighbours left to choose, or it could have joined and
-its only two are not connected through the vertices still chosen or
-undecided (``_connected``, a flood fill); each completed set is then tested
-for maximality.  Twins (vertices with one open or one closed
-neighbourhood) can be swapped by an automorphism, so the walk includes a
-twin only after its predecessor in the class and keeps one representative
-per orbit; the catalogue expands or counts the orbits, each once per
-catalogue.  Results are returned in a canonical ascending-bitmask order
-regardless of internal traversal.  Maximality has one rule, stated over a
-list of component masks, ``_blocks_all``: every outside vertex has two
+component, in the graph's own labels along a decision sequence that puts
+high-degree vertices first, that never includes a vertex closing a cycle
+(``_join``, the one include step, which the role-pattern walk below shares)
+and cuts an exclusion that strands a vertex, one that every completion could
+take without closing a cycle: it has fewer than two neighbours left to
+choose, or it could have joined and its only two are not connected through
+the vertices still chosen or undecided (``_connected``, a flood fill); each
+completed set is then tested for maximality.  Twins (vertices with one open
+or one closed neighbourhood) can be swapped by an automorphism, so the walk
+includes a twin only after its predecessor in the class and keeps one
+representative per orbit; the catalogue expands or counts the orbits, each
+once per catalogue.  Results are returned in a canonical ascending-bitmask
+order regardless of internal traversal.  Maximality has one rule, stated over
+a list of component masks, ``_blocks_all``: every outside vertex has two
 neighbours in one component.  It returns at the first vertex that escapes,
 and the component that blocks a vertex blocks every vertex with two
 neighbours in it at once (``_blocked_by``).  The kernel applies it to each
 leaf with the component list it carries; ``is_maximal_induced_forest`` and
 ``forest_partition`` get their components from one walk over the set
-(``_forest_components``), which also checks that the degrees inside the
-set of each component c sum to 2(|c| - 1); the role-pattern walk reads the
+(``_forest_components``), which also checks that the degrees inside the set
+of each component c sum to 2(|c| - 1); the role-pattern walk reads the
 vertices each component blocks.
 
 For a product built by ``lexicographic``, the forest number, the order
@@ -43,9 +43,12 @@ With H's checked maximal independent sets they make the one record of a
 second factor, ``_fibres``, cached per H, which the checks read too.  Per
 pair only a fold remains: it sums the sizes of the patterns, and its
 witnesses are the patterns of extreme order with the least or the greatest
-fibres of H lifted onto them (``products.lift``).  The answers equal the
-catalogue's; a graph with the same adjacency but no factors still goes
-through the kernel, and so does ``enumerate_maximal_induced_forests``.
+fibres of H lifted onto them (``products.lift``).  The fold is in closed
+form: each key's histogram is a product of powers of the ISO and BIG
+records, shifted and scaled by its one-vertex ONE and UNIV fibres.  The
+answers equal the catalogue's; a graph with the same adjacency but no
+factors still goes through the kernel, and so does
+``enumerate_maximal_induced_forests``.
 """
 
 from __future__ import annotations
@@ -229,39 +232,36 @@ class Catalogue:
 
     @classmethod
     def build(
-        cls, g: Graph, kernel: Callable[[int, tuple[int, ...], tuple[int, ...]], list[int]]
+        cls,
+        g: Graph,
+        kernel: Callable[[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], list[int]],
     ) -> Catalogue:
-        """Run ``kernel(n, adj, prev)`` on each component, relabelled to
-        0..n-1 class by class: twin classes ordered by descending degree,
-        ties by smallest member, members ascending.  ``prev[i]`` is the label
-        of the twin just before ``i`` in its class, or -1.
+        """Run ``kernel(comp, adj, sequence, prev)`` on each component mask
+        ``comp`` of ``g``, in the graph's own labels: ``adj`` is ``g.adj``,
+        ``sequence`` holds the component's vertices in decision order, twin
+        classes by descending degree, ties by smallest member, members
+        ascending, and ``prev[i]`` is the twin just before ``sequence[i]`` in
+        its class, or -1.
 
-        The kernels decide vertices in label order, so hubs come first: a
+        The kernels decide vertices in sequence order, so hubs come first: a
         decided hub constrains many vertices while the subtrees below it are
         still large, instead of after they have been walked.  They include
         a vertex only when its previous twin is included, so they return the
-        smallest mask of each orbit.  Without twins the order is descending
-        degree, ties by index.  Each component's masks are mapped back and
-        sorted, so the result does not depend on the order.
+        smallest mask of each orbit, as a mask of ``g``.  Without twins the
+        order is descending degree, ties by index.  Each component's masks
+        are sorted, so the result does not depend on the order.
         """
         per_comp = []
         for comp in component_masks(g):
             classes = sorted(
                 _twin_classes(g.adj, comp), key=lambda c: (-g.adj[c[0]].bit_count(), c[0])
             )
-            verts: list[int] = []
+            sequence: list[int] = []
             prev: list[int] = []
             for c in classes:
-                prev += [-1, *range(len(verts), len(verts) + len(c) - 1)]
-                verts += c
-            label = {v: i for i, v in enumerate(verts)}
-            adj = tuple(sum(1 << label[u] for u in iter_bits(g.adj[v])) for v in verts)
-            reps = []
-            for lm in kernel(len(verts), adj, tuple(prev)):
-                gm = 0
-                for i in iter_bits(lm):
-                    gm |= 1 << verts[i]
-                reps.append(gm)
+                sequence += c
+                prev += [-1, *c[:-1]]
+            reps = kernel(comp, g.adj, tuple(sequence), tuple(prev))
             twins = tuple(sum(1 << v for v in c) for c in classes if len(c) > 1)
             per_comp.append((tuple(sorted(reps)), twins))
         return cls(g.order, tuple(per_comp))
@@ -310,6 +310,15 @@ def _convolve(a: dict[int, int], b: Collection[tuple[int, int]]) -> dict[int, in
     for i, ci in a.items():
         for j, cj in b:
             out[i + j] = out.get(i + j, 0) + ci * cj
+    return out
+
+
+def _powers(counts: tuple[tuple[int, int], ...], top: int) -> list[dict[int, int]]:
+    """The size histograms of the unions of 0, 1, ..., ``top`` disjoint
+    sets, each counted by the (size, number) pairs ``counts``."""
+    out = [{0: 1}]
+    for _ in range(top):
+        out.append(_convolve(out[-1], counts))
     return out
 
 
@@ -441,14 +450,17 @@ def is_maximal_induced_forest(g: Graph, s: VertexSubset) -> bool:
     return _maximal_forest_components(g.order, g.adj, s.mask) is not None
 
 
-def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -> list[int]:
-    """The maximal induced forest masks of the graph (n, adj) that include a
-    vertex ``i`` only with its previous twin ``prev[i]`` (-1 for none): one
-    per orbit of swapping twins, its smallest mask when each class's labels
-    are consecutive.
+def _maximal_forest_masks(
+    comp: int, adj: tuple[int, ...], sequence: tuple[int, ...], prev: tuple[int, ...]
+) -> list[int]:
+    """The maximal induced forest masks of the component ``comp`` of the
+    graph with rows ``adj`` that include the vertex ``sequence[i]`` only
+    with its previous twin ``prev[i]`` (-1 for none): one per orbit of
+    swapping twins, its smallest mask when each class's members come
+    ascending in ``sequence``.  Masks are in the graph's own labels.
 
-    Include/exclude walk over vertices 0..n-1 that passes down the
-    components of the chosen set ``smask`` as a list of disjoint masks.
+    Include/exclude walk over the vertices of ``sequence`` that passes down
+    the components of the chosen set ``smask`` as a list of disjoint masks.
     Including a vertex builds a new list by ``_join``, which merges it with
     every component it touches, so nothing is undone on the way back, and
     refuses it when a component holds two of its neighbours, since it
@@ -459,20 +471,21 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
     neighbours, or exactly two that lie in different components of
     ``G[potential]``, has at most one neighbour in each component of every
     completion, so it can be added to every completion without closing a
-    cycle: its branch holds no maximal forest and is cut.  Excluding ``i``
-    takes a potential neighbour away only from the neighbours of ``i``, so
-    the exclude branch re-checks ``i`` and its earlier-excluded neighbours
-    for fewer than two.  It skips those in ``twice``: ``once`` and ``twice``
-    hold the vertices with at least one and at least two neighbours in
-    ``smask``, and since ``smask`` only grows along a branch, a vertex in
-    ``twice`` keeps two potential neighbours for good.  Only ``i`` itself,
-    and only when it could have been included and has exactly two
-    potential neighbours, gets the component test, a flood fill
+    cycle: its branch holds no maximal forest and is cut.  Excluding a
+    vertex ``v`` takes a potential neighbour away only from the neighbours
+    of ``v``, so the exclude branch re-checks ``v`` and its excluded
+    neighbours for fewer than two; those are its neighbours outside
+    ``potential``, all decided before it.  It skips those in ``twice``:
+    ``once`` and ``twice`` hold the vertices with at least one and at least
+    two neighbours in ``smask``, and since ``smask`` only grows along a
+    branch, a vertex in ``twice`` keeps two potential neighbours for good.
+    Only ``v`` itself, and only when it could have been included and has
+    exactly two potential neighbours, gets the component test, a flood fill
     (``_connected``): on a path it leaves one node per vertex for the one
     maximal forest (P22: 23 nodes), where a walk without it reaches every
     subset with no two consecutive excluded vertices, Fibonacci many.  The
     other cases, three or more potential neighbours, the neighbours of
-    ``i``, and a closing or twin-gated ``i``, skip the flood; a vertex that
+    ``v``, and a closing or twin-gated ``v``, skip the flood; a vertex that
     closes a cycle has two neighbours in one component of ``smask`` anyway.
     A completed subset is kept only if it is maximal: ``_blocks_all``, the
     rule ``is_maximal_induced_forest`` uses too, tests the excluded vertices
@@ -481,39 +494,40 @@ def _maximal_forest_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -
     The twin gate only skips include branches, so every cut above stays
     sound.
     """
-    full = (1 << n) - 1
+    n = len(sequence)
     out: list[int] = []
 
     def decide(i: int, smask: int, undecided: int, once: int, twice: int, comps: list[int]) -> None:
         if i == n:
-            if _blocks_all(adj, comps, full & ~smask):
+            if _blocks_all(adj, comps, comp & ~smask):
                 out.append(smask)
             return
-        bit = 1 << i
+        v = sequence[i]
+        bit = 1 << v
         undecided &= ~bit
-        nbrs = adj[i]
-        # include i unless its previous twin is excluded or it closes a cycle
+        nbrs = adj[v]
+        # include v unless its previous twin is excluded or it closes a cycle
         p = prev[i]
         joined = None
         if p < 0 or smask >> p & 1:
             joined = _join(comps, bit, nbrs)
             if joined is not None:
                 decide(i + 1, smask | bit, undecided, once | nbrs, twice | (once & nbrs), joined)
-        # exclude i: dead end if i, or an excluded neighbour of i that is not
-        # yet in twice, keeps at most one potential neighbour, or if i could
+        # exclude v: dead end if v, or an excluded neighbour of v that is not
+        # yet in twice, keeps at most one potential neighbour, or if v could
         # join and its only two potential neighbours are not joined in
-        # G[potential], since i would then extend every completion of smask
+        # G[potential], since v would then extend every completion of smask
         potential = smask | undecided
         near = nbrs & potential
         k = near.bit_count()
         if k < 2 or k == 2 and joined is not None and not _connected(adj, potential, near):
             return
-        for v in iter_bits(nbrs & ~potential & (bit - 1) & ~twice):
-            if (adj[v] & potential).bit_count() < 2:
+        for u in iter_bits(nbrs & ~potential & ~twice):
+            if (adj[u] & potential).bit_count() < 2:
                 return
         decide(i + 1, smask, undecided, once, twice, comps)
 
-    decide(0, 0, full, 0, 0, [])
+    decide(0, 0, comp, 0, 0, [])
     return out
 
 
@@ -736,7 +750,11 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     cached per H and shared by every G; the signature is read off them.
     The fold here is the only work per pair: each pattern adds the
     convolution of its vertices' fibre size histograms to the total, so
-    patterns with equal role counts are summed at once.
+    patterns with equal role counts (i, o, u, b) are summed at once, in
+    closed form.  The ISO and BIG histograms are raised to each power the
+    table needs once per call; a ONE or UNIV fibre is one vertex, chosen
+    among n = |H| or among the |UNIV| universal vertices, so those roles
+    add the factor n**o * |UNIV|**u at the shift o + u.
 
     A pattern's orders are the sums of one fibre size per vertex, so a
     pattern reaches the least (greatest) order of the product only if its
@@ -746,8 +764,10 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     per role, its smallest fibre of that size: it is the ``lift`` of the
     role masks with those fibres.  The catalogue's witness masks are the
     smallest masks of least and of greatest order, so they are the smallest
-    of these lifts over the patterns that reach the extreme orders.  For
-    |H| = 1 the product is G itself, with the same labels, so its own
+    of these lifts over the patterns that reach the extreme orders.  Every
+    fibre is nonempty, so a lift's top block is its pattern's highest
+    vertex, and only the patterns whose highest vertex is lowest are lifted.
+    For |H| = 1 the product is G itself, with the same labels, so its own
     catalogue's record is returned.
     """
     if h.order == 1:
@@ -756,25 +776,27 @@ def product_profile(g: Graph, h: Graph) -> Aggregates:
     has_univ, has_big = bool(roles[_UNIV].counts), bool(roles[_BIG].counts)
     table = _role_patterns(g, h.edge_count > 0, has_univ, has_big)
 
-    total: dict[int, int] = {}
-    for counts, pats in table:
-        poly = {0: len(pats)}
-        for r, k in enumerate(counts):
-            for _ in range(k):
-                poly = _convolve(poly, roles[r].counts)
-        for k, c in poly.items():
-            total[k] = total.get(k, 0) + c
-    witnesses = []
     n = h.order
-    for t, extremes in ((min(total), [r.lo for r in roles]), (max(total), [r.hi for r in roles])):
-        sizes = [f.bit_count() for f in extremes]
+    n_univ = sum(c for _, c in roles[_UNIV].counts)
+    iso = _powers(roles[_ISO].counts, max(counts[_ISO] for counts, _ in table))
+    big = _powers(roles[_BIG].counts, max(counts[_BIG] for counts, _ in table))
+    total: dict[int, int] = {}
+    for (i, o, u, b), pats in table:
+        weight, shift = len(pats) * n**o * n_univ**u, o + u
+        for k, c in _convolve(iso[i], big[b].items()).items():
+            total[k + shift] = total.get(k + shift, 0) + weight * c
+    witnesses = []
+    for t, fibres in ((min(total), [r.lo for r in roles]), (max(total), [r.hi for r in roles])):
+        s_iso, s_one, s_univ, s_big = (f.bit_count() for f in fibres)
+        reach = [
+            masks
+            for (i, o, u, b), pats in table
+            if i * s_iso + o * s_one + u * s_univ + b * s_big == t
+            for masks in pats
+        ]
+        low = min(map(max, reach)).bit_length()
         witnesses.append(
-            min(
-                lift(zip(masks, extremes), n)
-                for counts, pats in table
-                if sum(k * size for k, size in zip(counts, sizes)) == t
-                for masks in pats
-            )
+            min(lift(zip(masks, fibres), n) for masks in reach if max(masks).bit_length() == low)
         )
     return Aggregates(g.order * n, tuple(sorted(total.items())), *witnesses)
 

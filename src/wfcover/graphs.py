@@ -34,6 +34,13 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``: Python counts
+    ``True`` and ``False`` as ints, but no order, row, mask, vertex, family
+    size or limit is one.  Every ``int`` field check calls this."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -51,10 +58,11 @@ class Graph:
     is a display label only, and ``factors`` is the pair (G, H) of a graph
     built by ``lexicographic``; neither takes part in equality.
     ``edge_count`` is counted once, when the graph is made.  ``Graph(order,
-    adj)`` checks that ``order`` is an ``int``, stores the rows as a tuple
-    and checks that each is an ``int`` in range, loop-free and matched by its
-    column; ``from_edges``, ``from_graph6`` and ``lexicographic`` build valid
-    rows and skip that check.
+    adj)`` checks that ``order`` is an ``int`` (``is_int``: not a
+    ``bool``), stores the rows as a tuple and checks that each is an
+    ``int`` in range, loop-free and matched by its column; ``from_edges``,
+    ``from_graph6`` and ``lexicographic`` build valid rows and skip that
+    check.
     """
 
     order: int
@@ -64,7 +72,7 @@ class Graph:
     edge_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int):
+        if not is_int(self.order):
             raise ValueError(f"order is not an int: {self.order!r}")
         if self.order < 1:
             raise ValueError("graphs must have at least one vertex")
@@ -73,7 +81,7 @@ class Graph:
             raise ValueError("adjacency row count must equal the order")
         full = (1 << self.order) - 1
         for v, row in enumerate(self.adj):
-            if not isinstance(row, int):
+            if not is_int(row):
                 raise ValueError(f"adjacency row {v} is not an int: {row!r}")
             if row & ~full:
                 raise ValueError(f"adjacency row {v} mentions vertices outside the graph")
@@ -100,13 +108,13 @@ class Graph:
     def from_edges(
         cls, order: int, edges: Iterable[tuple[int, int]], name: str | None = None
     ) -> Graph:
-        if not isinstance(order, int):
+        if not is_int(order):
             raise ValueError(f"order is not an int: {order!r}")
         if order < 1:
             raise ValueError("graphs must have at least one vertex")
         rows = [0] * order
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (is_int(u) and is_int(v)):
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -138,15 +146,15 @@ class Graph:
 @dataclass(frozen=True)
 class VertexSubset:
     """A subset of the vertices of a host graph of the given order; both
-    ``order`` and ``mask`` must be ``int``s."""
+    ``order`` and ``mask`` must be ``int``s other than ``bool``s."""
 
     order: int
     mask: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int):
+        if not is_int(self.order):
             raise ValueError(f"order is not an int: {self.order!r}")
-        if not isinstance(self.mask, int):
+        if not is_int(self.mask):
             raise ValueError(f"mask is not an int: {self.mask!r}")
         if self.order < 1:
             raise ValueError("host order must be positive")
@@ -155,11 +163,11 @@ class VertexSubset:
 
     @classmethod
     def from_vertices(cls, order: int, vertices: Iterable[int]) -> VertexSubset:
-        if not isinstance(order, int):
+        if not is_int(order):
             raise ValueError(f"order is not an int: {order!r}")
         mask = 0
         for v in vertices:
-            if not isinstance(v, int):
+            if not is_int(v):
                 raise ValueError(f"vertex is not an int: {v!r}")
             if not 0 <= v < order:
                 raise ValueError(f"vertex {v} out of range for order {order}")
@@ -193,7 +201,7 @@ class FamilySpec:
             if self.k is not None:
                 raise FamilyError("fig1 takes no size parameter")
             return
-        if self.k is None or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise FamilyError(f"{self.kind} needs a positive size parameter")
         if self.kind == "cycle" and self.k < 3:
             raise FamilyError(f"cycles need at least 3 vertices, got {self.k}")

@@ -1,7 +1,8 @@
 """Maximal independent sets, independence number, well-covered decision.
 
 Mirrors the forest enumeration: an exhaustive include/exclude scan per
-connected component, one representative per orbit of swapping twins,
+connected component, in the graph's own labels along the catalogue's
+decision sequence, one representative per orbit of swapping twins,
 combined and expanded by the same catalogue, canonical ascending order.
 The scan cuts an exclusion that strands a vertex: one that nothing covers
 and that has no neighbour left that could still join.
@@ -26,43 +27,50 @@ def is_maximal_independent_set(g: Graph, s: VertexSubset) -> bool:
     return covered == g.vertices_mask
 
 
-def _maximal_independent_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ...]) -> list[int]:
-    """The maximal independent set masks of the graph (n, adj) that include
-    a vertex ``i`` only with its previous twin ``prev[i]`` (-1 for none).
+def _maximal_independent_masks(
+    comp: int, adj: tuple[int, ...], sequence: tuple[int, ...], prev: tuple[int, ...]
+) -> list[int]:
+    """The maximal independent set masks of the component ``comp`` of the
+    graph with rows ``adj`` that include the vertex ``sequence[i]`` only
+    with its previous twin ``prev[i]`` (-1 for none), in the graph's own
+    labels.
 
-    Include/exclude walk over vertices 0..n-1.  ``covered`` holds the chosen
-    set ``smask`` and its neighbours; an undecided vertex in it can no
-    longer join, so the vertices that still can are ``undecided &
-    ~covered``.  An excluded vertex that nothing covers and that has no
-    neighbour among them is never dominated, so its branch holds no maximal
-    independent set and is cut.  Excluding ``i`` removes a candidate only
-    from the neighbours of ``i``, so the exclude branch re-checks ``i`` and
-    its earlier-excluded neighbours that nothing covers (C30: 27 821 nodes
-    for 4 610 sets, where a test of ``i`` against ``smask | undecided``
-    alone reaches 4 870 845).  Including ``i`` covers its neighbours, which
-    can strand an excluded vertex at distance two; that is left to the
-    leaf test ``covered == full``, since re-checking those vertices cost
-    more than it saved on random graphs."""
-    full = (1 << n) - 1
+    Include/exclude walk over the vertices of ``sequence``.  ``covered``
+    holds the chosen set ``smask`` and its neighbours; an undecided vertex
+    in it can no longer join, so the vertices that still can are
+    ``undecided & ~covered``.  An excluded vertex that nothing covers and
+    that has no neighbour among them is never dominated, so its branch holds
+    no maximal independent set and is cut.  Excluding a vertex ``v`` removes
+    a candidate only from the neighbours of ``v``, so the exclude branch
+    re-checks ``v`` and its excluded neighbours that nothing covers: those
+    among the decided vertices ``~undecided``, the prefix of the sequence
+    (C30: 27 821 nodes for 4 610 sets, where a test of ``v`` against
+    ``smask | undecided`` alone reaches 4 870 845).  Including ``v`` covers
+    its neighbours, which can strand an excluded vertex at distance two;
+    that is left to the leaf test ``covered == comp``, since re-checking
+    those vertices cost more than it saved on random graphs."""
+    n = len(sequence)
     out: list[int] = []
 
     def decide(i: int, smask: int, undecided: int, covered: int) -> None:
         if i == n:
-            if covered == full:
+            if covered == comp:
                 out.append(smask)
             return
-        bit = 1 << i
+        v = sequence[i]
+        bit = 1 << v
         undecided &= ~bit
+        nbrs = adj[v]
         p = prev[i]
-        if not adj[i] & smask and (p < 0 or smask >> p & 1):
-            decide(i + 1, smask | bit, undecided, covered | adj[i] | bit)
-        # exclude i: dead end if i, uncovered, or an uncovered earlier-excluded
-        # neighbour of i, which had i as a candidate, has no neighbour left
+        if not nbrs & smask and (p < 0 or smask >> p & 1):
+            decide(i + 1, smask | bit, undecided, covered | nbrs | bit)
+        # exclude v: dead end if v, uncovered, or an uncovered excluded
+        # neighbour of v, which had v as a candidate, has no neighbour left
         # that can still join (an undecided vertex nothing covers)
         free = undecided & ~covered
-        if not covered & bit and not adj[i] & free:
+        if not covered & bit and not nbrs & free:
             return
-        check = adj[i] & (bit - 1) & ~covered
+        check = nbrs & ~undecided & ~covered
         while check:
             low = check & -check
             if not adj[low.bit_length() - 1] & free:
@@ -70,7 +78,7 @@ def _maximal_independent_masks(n: int, adj: tuple[int, ...], prev: tuple[int, ..
             check ^= low
         decide(i + 1, smask, undecided, covered)
 
-    decide(0, 0, full, 0)
+    decide(0, 0, comp, 0)
     return out
 
 

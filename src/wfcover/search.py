@@ -29,7 +29,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .graphs import Graph, Graph6Error, from_graph6, to_graph6
+from .graphs import Graph, Graph6Error, from_graph6, is_int, to_graph6
 from .forests import DEFAULT_MAX_ORDER, forest_number
 from .independence import independence_number
 from .theorems import THEOREM_IDS, check, hypothesis_filter
@@ -101,9 +101,9 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.theorem not in THEOREM_IDS:
             raise ValueError(f"theorem must be one of {THEOREM_IDS}, got {self.theorem!r}")
-        if not isinstance(self.max_order, int) or self.max_order < 1:
+        if not is_int(self.max_order) or self.max_order < 1:
             raise ValueError(f"max_order must be an int of at least 1, got {self.max_order!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not is_int(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be an int of at least 1, got {self.workers!r}")
 
 

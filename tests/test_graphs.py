@@ -63,6 +63,11 @@ class TestFamilies:
         with pytest.raises(FamilyError):
             generate(parse_family(bad))
 
+    @pytest.mark.parametrize("k", [None, True, 3.0, "3"])
+    def test_size_parameter_must_be_an_int(self, k):
+        with pytest.raises(FamilyError, match=r"^path needs a positive size parameter$"):
+            FamilySpec("path", k)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(FamilyError):
             parse_family("median:3")
@@ -127,6 +132,8 @@ class TestGraphInvariants:
             (2, (0b10, 1.0), "adjacency row 1 is not an int: 1.0"),
             (2.0, (0b10, 0b1), "order is not an int: 2.0"),
             ("2", (0b10, 0b1), "order is not an int: '2'"),
+            (True, (0,), "order is not an int: True"),
+            (2, (2, True), "adjacency row 1 is not an int: True"),
         ],
     )
     def test_public_rows_are_rejected_by_name(self, order, adj, message):
@@ -147,6 +154,8 @@ class TestGraphInvariants:
             ("3", [(0, 1)], "order is not an int: '3'"),
             (3, [(0, 1.0)], "edge (0, 1.0) has an endpoint that is not an int"),
             (3, [("0", 1)], "edge ('0', 1) has an endpoint that is not an int"),
+            (True, [], "order is not an int: True"),
+            (3, [(0, True)], "edge (0, True) has an endpoint that is not an int"),
         ],
     )
     def test_from_edges_rejects_non_ints_by_name(self, order, edges, message):
@@ -205,7 +214,12 @@ class TestVertexSubset:
 
     @pytest.mark.parametrize(
         "order,mask,message",
-        [(3, 1.0, "mask is not an int: 1.0"), (3.0, 1, "order is not an int: 3.0")],
+        [
+            (3, 1.0, "mask is not an int: 1.0"),
+            (3.0, 1, "order is not an int: 3.0"),
+            (True, 1, "order is not an int: True"),
+            (3, True, "mask is not an int: True"),
+        ],
     )
     def test_non_int_fields_are_rejected_by_name(self, order, mask, message):
         with pytest.raises(ValueError) as err:
@@ -218,6 +232,8 @@ class TestVertexSubset:
             (3, [1.0], "vertex is not an int: 1.0"),
             (3, [0, "2"], "vertex is not an int: '2'"),
             ("3", [1], "order is not an int: '3'"),
+            (3, [True], "vertex is not an int: True"),
+            (True, [0], "order is not an int: True"),
         ],
     )
     def test_from_vertices_rejects_non_ints_by_name(self, order, vertices, message):

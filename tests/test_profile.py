@@ -44,19 +44,16 @@ def star(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
-def aggregates(catalogue) -> tuple:
-    return catalogue.histogram(), catalogue.number(), catalogue.uniform()
-
-
 def assert_parity(g: Graph, h: Graph) -> None:
     product, _ = lexicographic(g, h)
-    expected = aggregates(forests._forest_catalogue(Graph(product.order, product.adj)).aggregates)
-    assert aggregates(forests.product_profile(g, h)) == expected, (g.edges(), h.edges())
+    expected = forests._forest_catalogue(Graph(product.order, product.adj)).aggregates
+    # the whole record: order, counts and both witness masks, even where
+    # uniform() does not expose them
+    assert tuple(forests.product_profile(g, h)) == tuple(expected), (g.edges(), h.edges())
     # the public queries on the product read the profile
-    wfc, pair = expected[2]
-    assert maximal_forest_order_histogram(product) == expected[0]
-    assert forest_number(product) == expected[1]
-    assert is_well_f_covered(product) == (wfc, pair)
+    assert maximal_forest_order_histogram(product) == expected.histogram()
+    assert forest_number(product) == expected.number()
+    assert is_well_f_covered(product) == expected.uniform()
 
 
 def test_every_atlas_pair_le5_by_le4(atlas_le5, atlas_le4):
@@ -316,9 +313,9 @@ def test_factor_less_copy_goes_through_the_kernel(monkeypatch):
     seen = []
     kernel = forests._maximal_forest_masks
 
-    def counting(n, adj, prev):
-        seen.append(n)
-        return kernel(n, adj, prev)
+    def counting(comp, adj, sequence, prev):
+        seen.append(comp.bit_count())
+        return kernel(comp, adj, sequence, prev)
 
     monkeypatch.setattr(forests, "_maximal_forest_masks", counting)
     forests._forest_catalogue.cache_clear()

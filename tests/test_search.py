@@ -471,7 +471,7 @@ class TestScan:
     @pytest.mark.parametrize(
         "field,value",
         [("max_order", None), ("max_order", 0), ("max_order", -3), ("max_order", 24.0),
-         ("workers", "2"), ("workers", 2.5)],
+         ("workers", "2"), ("workers", 2.5), ("max_order", True), ("workers", True)],
     )
     def test_config_rejects_a_bad_field_by_name(self, field, value):
         # at construction, not at the first pair of a scan

@@ -493,9 +493,9 @@ class TestCheckPath:
         seen = []
         kernel = forests._maximal_forest_masks
 
-        def counting(n, adj, prev):
-            seen.append(n)
-            return kernel(n, adj, prev)
+        def counting(comp, adj, sequence, prev):
+            seen.append(comp.bit_count())
+            return kernel(comp, adj, sequence, prev)
 
         monkeypatch.setattr(forests, "_maximal_forest_masks", counting)
         clear_wfcover_caches()
