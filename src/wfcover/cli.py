@@ -92,14 +92,26 @@ def _vertices_text(subset) -> str:
     return "null" if subset is None else _mask_text(subset.mask)
 
 
+# _BYTE_BITS[b]: the set bit positions of the byte value b, in ascending order
+_BYTE_BITS = tuple(tuple(v for v in range(8) if b >> v & 1) for b in range(256))
+
+
 @lru_cache(maxsize=1024)
 def _mask_text(mask: int) -> str:
     """The vertex list of ``mask`` in a record row: a pure function of the
-    mask, so a report writes each distinct list once."""
+    mask, so a report writes each distinct list once.  The mask is read a
+    byte at a time, lowest first, and each nonzero byte's vertices are its
+    ``_BYTE_BITS`` entry plus the byte's offset, so a sparse witness costs
+    its set bits and its bytes, not one step per vertex of the host."""
     if not mask:
         return "[]"
-    # bin(mask)[:1:-1] reads the bits from vertex 0 up, without the "0b"
-    vertices = [str(v) for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    vertices = []
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for v in _BYTE_BITS[byte]:
+                vertices.append(str(base + v))
+        base += 8
     return "[\n        " + ",\n        ".join(vertices) + "\n      ]"
 
 

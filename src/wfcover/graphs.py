@@ -143,23 +143,32 @@ class Graph:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VertexSubset:
     """A subset of the vertices of a host graph of the given order; both
-    ``order`` and ``mask`` must be ``int``s other than ``bool``s."""
+    ``order`` and ``mask`` must be ``int``s other than ``bool``s.
+
+    ``__init__`` is written by hand: a check builds hundreds of subsets, and
+    the generated frozen ``__init__`` stores each field through
+    ``object.__setattr__``.  It stores them straight into the instance
+    ``__dict__``, as unpickling does, and lets an exact ``int`` pass before
+    calling ``is_int``; the checks and their messages are the same."""
 
     order: int
     mask: int
 
-    def __post_init__(self) -> None:
-        if not is_int(self.order):
-            raise ValueError(f"order is not an int: {self.order!r}")
-        if not is_int(self.mask):
-            raise ValueError(f"mask is not an int: {self.mask!r}")
-        if self.order < 1:
+    def __init__(self, order: int, mask: int) -> None:
+        if type(order) is not int and not is_int(order):
+            raise ValueError(f"order is not an int: {order!r}")
+        if type(mask) is not int and not is_int(mask):
+            raise ValueError(f"mask is not an int: {mask!r}")
+        if order < 1:
             raise ValueError("host order must be positive")
-        if self.mask < 0 or self.mask >> self.order:
+        if mask < 0 or mask >> order:
             raise ValueError("subset mentions vertices outside the host graph")
+        state = self.__dict__
+        state["order"] = order
+        state["mask"] = mask
 
     @classmethod
     def from_vertices(cls, order: int, vertices: Iterable[int]) -> VertexSubset:

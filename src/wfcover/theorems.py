@@ -116,9 +116,13 @@ class WitnessVerificationError(Exception):
         self.subset = subset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConditionRecord:
-    """One evaluated per-forest equality (lhs vs the product forest number)."""
+    """One evaluated per-forest equality (lhs vs the product forest number).
+
+    A report holds one per row, so ``__init__`` is written by hand and
+    stores the fields straight into the instance ``__dict__``, as unpickling
+    does, not through ``object.__setattr__`` one by one."""
 
     forest: VertexSubset
     stats: ForestStats
@@ -127,16 +131,47 @@ class ConditionRecord:
     holds: bool
     m_h: VertexSubset | None = None
 
+    def __init__(
+        self,
+        forest: VertexSubset,
+        stats: ForestStats,
+        lhs: int,
+        rhs: int,
+        holds: bool,
+        m_h: VertexSubset | None = None,
+    ) -> None:
+        state = self.__dict__
+        state["forest"] = forest
+        state["stats"] = stats
+        state["lhs"] = lhs
+        state["rhs"] = rhs
+        state["holds"] = holds
+        state["m_h"] = m_h
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class WitnessRecord:
-    """One constructed witness set and the outcome of its verification."""
+    """One constructed witness set and the outcome of its verification.
+
+    A report holds one per row, so ``__init__`` is written by hand and
+    stores the fields straight into the instance ``__dict__``, as unpickling
+    does, not through ``object.__setattr__`` one by one."""
 
     kind: str
     subset: VertexSubset | None
     size: int | None
     verified: bool
     detail: dict
+
+    def __init__(
+        self, kind: str, subset: VertexSubset | None, size: int | None, verified: bool, detail: dict
+    ) -> None:
+        state = self.__dict__
+        state["kind"] = kind
+        state["subset"] = subset
+        state["size"] = size
+        state["verified"] = verified
+        state["detail"] = detail
 
 
 @dataclass(frozen=True)

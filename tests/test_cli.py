@@ -321,6 +321,30 @@ class TestReportText:
     def test_drawn_reports(self, report):
         self.assert_written_as_json_dumps(report)
 
+    def test_report_past_the_cli_bound(self):
+        # 72 vertices: masks of nine bytes, and numerals past the CLI's bound
+        from wfcover import check_thm35, generate, parse_family
+
+        report = check_thm35(generate(parse_family("complete:9")), generate(parse_family("path:8")), max_order=80)
+        assert len(report.witnesses) == 333
+        assert max(w.subset.mask.bit_length() for w in report.witnesses) == 72
+        self.assert_matches_reference(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1) | st.sampled_from([0, 1 << (n - 1)]))
+    ))
+    @example((200, 0))
+    @example((200, 1 << 199))
+    @example((64, (1 << 64) - 1))
+    def test_mask_text_is_the_json_dumps_row_text(self, order_mask):
+        order, mask = order_mask
+        vertices = [v for v in range(order) if mask >> v & 1]
+        row = json.dumps({"witnesses": [{"subset": vertices}]}, sort_keys=True, indent=2)
+        expected = row.removeprefix('{\n  "witnesses": [\n    {\n      "subset": ').removesuffix("\n    }\n  ]\n}")
+        assert cli._mask_text.__wrapped__(mask) == expected
+        assert cli._mask_text(mask) == expected
+
 
 class TestAnalyze:
     def test_cycle4_fields(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,12 +221,45 @@ class TestVertexSubset:
             (3.0, 1, "order is not an int: 3.0"),
             (True, 1, "order is not an int: True"),
             (3, True, "mask is not an int: True"),
+            (False, 0, "order is not an int: False"),
+            (3, False, "mask is not an int: False"),
+            ("3", 1, "order is not an int: '3'"),
+            (3, "3", "mask is not an int: '3'"),
         ],
     )
     def test_non_int_fields_are_rejected_by_name(self, order, mask, message):
         with pytest.raises(ValueError) as err:
             VertexSubset(order, mask)
         assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            replace(VertexSubset(3, 1), order=order, mask=mask)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "order,mask,message",
+        [
+            (3, -1, "subset mentions vertices outside the host graph"),
+            (3, 0b1000, "subset mentions vertices outside the host graph"),
+            (64, 1 << 64, "subset mentions vertices outside the host graph"),
+            (-2, 0, "host order must be positive"),
+        ],
+    )
+    def test_out_of_range_fields_are_rejected(self, order, mask, message):
+        with pytest.raises(ValueError) as err:
+            VertexSubset(order, mask)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            replace(VertexSubset(3, 1), order=order, mask=mask)
+        assert str(err.value) == message
+
+    def test_int_subclasses_other_than_bool_are_ints(self):
+        class Size(IntEnum):
+            SIX = 6
+            LOW = 0b101
+
+        s = VertexSubset(Size.SIX, Size.LOW)
+        assert s == VertexSubset(6, 5) and hash(s) == hash(VertexSubset(6, 5))
+        assert s.vertices() == (0, 2) and len(s) == 2
 
     @pytest.mark.parametrize(
         "order,vertices,message",
