@@ -1,7 +1,9 @@
 """Exact well-f-coveredness analysis of graphs and their lexicographic products."""
 
 from .graphs import (
+    DEFAULT_MAX_ORDER,
     FIG1_EDGES,
+    EnumerationBoundError,
     FamilyError,
     FamilySpec,
     Graph,
@@ -14,8 +16,6 @@ from .graphs import (
 )
 from .products import ProductIndexMap, lexicographic
 from .forests import (
-    DEFAULT_MAX_ORDER,
-    EnumerationBoundError,
     ForestPartition,
     ForestStats,
     enumerate_maximal_induced_forests,

@@ -11,7 +11,9 @@ indent=2)`` everything else.  Exit codes: 0 success/consistent, 1 findings
 or property failures, 2 usage, I/O or worker-pool errors.  Each command's
 arguments are declared once, in ``_COMMANDS``: a plain command line is read
 from that table directly, and any other by the argparse parser built from
-it, which alone writes usage, help and error text.
+it, which alone writes usage, help and error text.  The library takes no
+enumeration bound: analyze tests |G| and check-theorem |G|·|H| before any
+other check of their input, and search hands the bound to the scan.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Callable
 
-from .graphs import FAMILY_KINDS, GRAPH6_MAX_ORDER, Graph, from_graph6, generate, parse_family, to_graph6
+from .graphs import DEFAULT_MAX_ORDER, FAMILY_KINDS, GRAPH6_MAX_ORDER, EnumerationBoundError, Graph
+from .graphs import from_graph6, generate, parse_family, to_graph6
 from .products import lexicographic
-from .forests import DEFAULT_MAX_ORDER, Z_CHOICES, _within_bound, forest_number, is_well_f_covered
+from .forests import Z_CHOICES, forest_number, is_well_f_covered
 from .forests import maximal_forest_order_histogram
 from .independence import independence_number, is_well_covered
 from .theorems import THEOREM_IDS, VERDICT_CONSISTENT, ConditionRecord, TheoremReport, WitnessRecord, check
@@ -54,6 +57,12 @@ def _max_order(value: int | None) -> int:
     if not 1 <= value <= DEFAULT_MAX_ORDER:
         raise ValueError(f"enumeration bound must be between 1 and {DEFAULT_MAX_ORDER}, got {value}")
     return value
+
+
+def _within_bound(order: int, bound: int) -> None:
+    """Raise EnumerationBoundError if ``order``, of a graph or a product, exceeds ``bound``."""
+    if order > bound:
+        raise EnumerationBoundError(order, bound)
 
 
 def _first_graph(path: str) -> Graph:
@@ -291,15 +300,14 @@ def _cmd_analyze(args) -> tuple[str, str, int]:
 def _cmd_check_theorem(args) -> tuple[str, str, int]:
     g = _graph_from_arg(args.g)
     h = _graph_from_arg(args.h)
-    report = check(
-        args.theorem, g, h, max_order=args.max_order, z_choice=args.z_tiebreak, anchor=args.anchor
-    )
+    _within_bound(g.order * h.order, args.max_order)
+    report = check(args.theorem, g, h, z_choice=args.z_tiebreak, anchor=args.anchor)
     summary = f"check-theorem {args.theorem}: verdict {report.verdict}"
     return _report_text(report), summary, 0 if report.verdict == VERDICT_CONSISTENT else 1
 
 
 def _cmd_verify_paper(args) -> tuple[str, str, int]:
-    report = verify_paper_examples(max_order=args.max_order)
+    report = verify_paper_examples()
     statuses = {}
     for claim in report.claims:
         statuses[claim.status] = statuses.get(claim.status, 0) + 1
@@ -378,7 +386,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple, tuple]] = {
         _arg("--anchor", type=int, default=None, help="second-factor anchor vertex override"),
         _BOUND,
     )),
-    "verify-paper": (_cmd_verify_paper, "re-check the bundled case studies", (), (_BOUND,)),
+    "verify-paper": (_cmd_verify_paper, "re-check the bundled case studies", (), ()),
     "search": (_cmd_search, "scan graph6 files for non-sufficiency witnesses", (), (
         _arg("--g-file", required=True, help="graph6 file for first factors"),
         _arg("--h-file", default=None, help="graph6 file for second factors (default: --g-file)"),

@@ -1,7 +1,8 @@
 """End-to-end audit of the three bundled product case studies.
 
-Each case study is a list of checkable sentences about a specific product
-(P4 with two edgeless copies, the fig1 graph with C4, and C5 with C4).
+Each case study is a list of checkable sentences about a specific product,
+of fixed order, so the audit takes no enumeration bound: P4 with two edgeless
+copies (8 vertices), the fig1 graph with C4 and C5 with C4 (20 each).
 Facts about a checked pair come from its check report, printed sets are
 tested directly, and each sentence is classified by one rule, ``_claim``:
 
@@ -134,9 +135,9 @@ def _summary(report: TheoremReport, **facts) -> dict:
     }
 
 
-def _audit_p4_with_two_copies(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
+def _audit_p4_with_two_copies() -> tuple[list[ClaimRecord], dict]:
     g = generate(FamilySpec("path", 4))
-    report = check_thm32(g, 2, max_order=max_order)
+    report = check_thm32(g, 2)
     truth = report.ground_truth
     forests_json = [list(r.forest.vertices()) for r in report.condition_values]
     all_are_p3 = all(r.stats == _P3_STATS for r in report.condition_values)
@@ -184,10 +185,10 @@ def _audit_p4_with_two_copies(max_order: int | None) -> tuple[list[ClaimRecord],
     return claims, _summary(report, maximal_forest_orders=truth["maximal_forest_orders"])
 
 
-def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
+def _audit_fig1_with_c4() -> tuple[list[ClaimRecord], dict]:
     g = generate(FamilySpec("fig1"))
     h = generate(FamilySpec("cycle", 4))
-    report = check_thm35(g, h, max_order=max_order)
+    report = check_thm35(g, h)
     truth = report.ground_truth
     # one record per (maximal forest of G, M_H), so every M_H appears
     mis_h_sizes = sorted({len(r.m_h) for r in report.condition_values})
@@ -264,10 +265,10 @@ def _audit_fig1_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]
     return claims, _summary(report, conditions=dict(report.conditions))
 
 
-def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
+def _audit_c5_with_c4() -> tuple[list[ClaimRecord], dict]:
     g = generate(FamilySpec("cycle", 5))
     h = generate(FamilySpec("cycle", 4))
-    report = check_thm35(g, h, max_order=max_order)
+    report = check_thm35(g, h)
     truth = report.ground_truth
     # the product check_thm35 just built, from its one-entry memo
     product = _product(g, h)
@@ -345,7 +346,7 @@ def _audit_c5_with_c4(max_order: int | None) -> tuple[list[ClaimRecord], dict]:
     return claims, _summary(report, conditions=dict(report.conditions))
 
 
-def verify_paper_examples(max_order: int | None = None) -> TheoremReport:
+def verify_paper_examples() -> TheoremReport:
     """Re-run the three case studies and adjudicate every audited sentence."""
     claims: list[ClaimRecord] = []
     ground_truth: dict = {}
@@ -354,7 +355,7 @@ def verify_paper_examples(max_order: int | None = None) -> TheoremReport:
         ("fig1_c4", _audit_fig1_with_c4),
         ("c5_c4", _audit_c5_with_c4),
     ):
-        example_claims, facts = audit(max_order)
+        example_claims, facts = audit()
         claims.extend(example_claims)
         ground_truth[key] = facts
     as_pinned = all(c.status == c.expected for c in claims)

@@ -67,18 +67,7 @@ from .graphs import (
 )
 from .products import lift
 
-DEFAULT_MAX_ORDER = 24
-
 Z_CHOICES = ("min", "max")
-
-
-class EnumerationBoundError(ValueError):
-    """Graph too large for exhaustive enumeration."""
-
-    def __init__(self, order: int, bound: int) -> None:
-        super().__init__(f"graph order {order} exceeds the enumeration bound {bound}")
-        self.order = order
-        self.bound = bound
 
 
 @dataclass(frozen=True, init=False)
@@ -155,14 +144,6 @@ class ForestPartition:
     def stats(self) -> ForestStats:
         """The forest's counters: I = |X1|, K2 = |Z|, L = |X2|, L' = |Y|."""
         return ForestStats(len(self.x1), len(self.z), len(self.x2), len(self.y))
-
-
-def _within_bound(order: int, max_order: int | None) -> None:
-    """Raise EnumerationBoundError if a graph of ``order`` vertices exceeds
-    ``max_order`` (``DEFAULT_MAX_ORDER`` when None)."""
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    if order > bound:
-        raise EnumerationBoundError(order, bound)
 
 
 def _twin_classes(adj: tuple[int, ...], comp: int) -> list[list[int]]:
@@ -720,8 +701,7 @@ def _fibres(h: Graph) -> tuple[tuple[Aggregates, ...], tuple[VertexSubset, ...]]
     and by every check of a pair with H: per role (ISO, ONE, UNIV, BIG) the
     record of the fibres it allows, empty for a role H has none for, and H's
     maximal independent sets, ascending, each checked once.  ISO is H's
-    forest catalogue record; UNIV holds the MIS of size 1, BIG the rest.  It
-    applies no bound."""
+    forest catalogue record; UNIV holds the MIS of size 1, BIG the rest."""
     from .independence import _independent_catalogue, is_maximal_independent_set  # a cyclic import
 
     mis = tuple(_independent_catalogue(h).sets())

@@ -13,6 +13,10 @@ from typing import Iterable, Iterator
 
 GRAPH6_MAX_ORDER = 62
 
+# The default and cap of the enumeration bound that the CLI and a scan test;
+# the queries and checks take graphs of any order.
+DEFAULT_MAX_ORDER = 24
+
 FAMILY_KINDS = ("path", "cycle", "complete", "empty", "fig1")
 
 # The five-vertex example graph: a triangle a,d,e sharing the edge path
@@ -22,6 +26,15 @@ FIG1_EDGES = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (3, 4))
 
 class FamilyError(ValueError):
     """Family parameter outside the generator's domain (e.g. a 2-cycle)."""
+
+
+class EnumerationBoundError(ValueError):
+    """Graph too large for exhaustive enumeration."""
+
+    def __init__(self, order: int, bound: int) -> None:
+        super().__init__(f"graph order {order} exceeds the enumeration bound {bound}")
+        self.order = order
+        self.bound = bound
 
 
 class Graph6Error(ValueError):

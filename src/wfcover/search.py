@@ -1,12 +1,13 @@
 """Batch scanning of graph pairs for non-sufficiency witnesses.
 
-Pairs are filtered by the selected check's hypotheses, checked, and reported
-as Findings in input order.  A run of consecutive pairs that share their
-first factor is always checked whole, in one process; a process pool takes
-the runs in batches of several whole runs, about eight batches per worker,
-and never starts more workers than there are runs.  Findings with
-a non-consistent verdict are also appended to a JSON Lines file so long
-scans can stream their results.
+Pairs are filtered by the selected check's hypotheses and by the product
+order bound ``ScanConfig.max_order`` (the checks take none), checked, and
+reported as Findings in input order.  A run of consecutive pairs that
+share their first factor is always checked whole, in one process; a
+process pool takes the runs in batches of several whole runs, about eight
+batches per worker, and never starts more workers than there are runs.
+Findings with a non-consistent verdict are also appended to a JSON Lines
+file so long scans can stream their results.
 
 The process-pool machinery (``concurrent.futures.process`` and
 ``multiprocessing``) is imported only when a scan starts a pool, so a
@@ -29,8 +30,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .graphs import Graph, Graph6Error, from_graph6, is_int, to_graph6
-from .forests import DEFAULT_MAX_ORDER, forest_number
+from .graphs import DEFAULT_MAX_ORDER, Graph, Graph6Error, from_graph6, is_int, to_graph6
+from .forests import forest_number
 from .independence import independence_number
 from .theorems import THEOREM_IDS, check, hypothesis_filter
 from .theorems import VERDICT_CONSISTENT, VERDICT_NON_SUFFICIENCY, VERDICT_VIOLATION
@@ -113,11 +114,11 @@ def _graph6_text(g: Graph) -> str:
     return to_graph6(g).decode("ascii")
 
 
-def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
-    report = check(theorem, g, h, max_order)
+def _check_pair(theorem: str, g: Graph, h: Graph) -> Finding:
+    report = check(theorem, g, h)
     truth = report.ground_truth
     # alpha(G) and f(H) are not part of every report's ground truth; they are
-    # cheap, and no factor outgrows the pair the check admitted.
+    # cheap, and no factor outgrows the pair the scan admitted.
     alpha_g = truth.get("alpha_g")
     if alpha_g is None:
         alpha_g = independence_number(g)
@@ -145,11 +146,11 @@ def _check_pair(theorem: str, g: Graph, h: Graph, max_order: int) -> Finding:
 BATCHES_PER_WORKER = 8
 
 
-def _check_run(task: tuple[str, Graph, tuple[Graph, ...], int]) -> list[Finding]:
+def _check_run(task: tuple[str, Graph, tuple[Graph, ...]]) -> list[Finding]:
     """Check G against each second factor of one run, in order: the
     catalogues, role tables and graph6 text of G are made once, in one process."""
-    theorem, g, hs, max_order = task
-    return [_check_pair(theorem, g, h, max_order) for h in hs]
+    theorem, g, hs = task
+    return [_check_pair(theorem, g, h) for h in hs]
 
 
 def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[Finding]:
@@ -181,8 +182,8 @@ def scan(pairs: Iterable[tuple[Graph, Graph]], config: ScanConfig) -> Iterator[F
             yield g, h
 
     # lazy, so one worker reads a run (and the first pair after it) per step
-    tasks: Iterable[tuple[str, Graph, tuple[Graph, ...], int]] = (
-        (config.theorem, g, tuple(h for _, h in run), config.max_order)
+    tasks: Iterable[tuple[str, Graph, tuple[Graph, ...]]] = (
+        (config.theorem, g, tuple(h for _, h in run))
         for g, run in groupby(in_scope(), key=itemgetter(0))
     )
 

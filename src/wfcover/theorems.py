@@ -52,12 +52,11 @@ while a necessary condition fails (or a constructed witness fails
 verification), ``non_sufficiency_witness`` iff every condition holds yet the
 product is not well-f-covered, and ``consistent`` otherwise.
 
-The caller's enumeration bound is tested once per check, on |G|·|H|, right
-after the range checks of a check's arguments: an oversized pair is
-rejected before either factor is enumerated or the product built.  No
-factor outgrows the product, and the queries take no bound, so no later
-read of G, H or G∘H tests one; f, alpha, wc and wfc of a factor come off
-the catalogue records the check reads.
+A check takes no enumeration bound: like the queries, it answers a pair of
+any order; the CLI and a scan test their bound on |G|·|H| before they call
+it.  A check first tests the hypotheses, ``z_choice`` and the anchor, before
+either factor is enumerated or the product built.  f, alpha, wc and wfc of
+a factor come off the catalogue records the check reads.
 """
 
 from __future__ import annotations
@@ -65,14 +64,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import FamilySpec, Graph, VertexSubset, generate
+from .graphs import FamilySpec, Graph, VertexSubset, generate, is_int
 from .products import lexicographic, lift
 from .forests import (
+    Z_CHOICES,
     ForestPartition,
     ForestStats,
     _fibres,
     _forest_catalogue,
-    _within_bound,
     enumerate_maximal_induced_forests,
     forest_partition,
     is_maximal_induced_forest,
@@ -246,9 +245,7 @@ def _forest_partitions(
     """Each maximal forest of G, ascending, with its partition and counters:
     the part of thm32's and thm35's per-forest work that reads G alone, so
     every second factor checked against G shares it.  ``forest_partition``
-    checks each forest's maximality once per (G, ``z_choice``).  Like H's
-    record, ``forests._fibres``, it applies no bound: the check has bounded
-    the pair."""
+    checks each forest's maximality once per (G, ``z_choice``)."""
     out = []
     for forest in enumerate_maximal_induced_forests(g):
         p = forest_partition(g, forest, z_choice=z_choice)
@@ -297,9 +294,14 @@ def _vstar_mask(lifts: tuple[int, int, int], h_independent: int, anchor: int) ->
     return fixed | spread_m_h * h_independent | spread_anchor << anchor
 
 
-def _anchor_in_range(anchor: int | None, n: int) -> None:
-    """Raise ValueError unless ``anchor`` is None or a vertex of a second
-    factor of order ``n``."""
+def _witness_options(z_choice: str, anchor: int | None, n: int) -> None:
+    """Raise ValueError unless ``z_choice`` is one of ``Z_CHOICES`` and
+    ``anchor`` is None or a vertex of a second factor of order ``n``: the
+    options of a V*, tested before any work is done."""
+    if z_choice not in Z_CHOICES:
+        raise ValueError(f"z_choice must be one of {Z_CHOICES}, got {z_choice!r}")
+    if anchor is not None and not is_int(anchor):
+        raise ValueError(f"anchor is not an int: {anchor!r}")
     if anchor is not None and not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} out of range for second factor of order {n}")
 
@@ -323,7 +325,7 @@ def _vstar(
     """V* for the maximal forest ``forest`` of G, built as a check builds it
     and verified against condition (4)'s value with f(H) = |F_H|: the
     builder behind both ``construct_vstar_*``, which check F_H and M_H."""
-    _anchor_in_range(anchor, h.order)
+    _witness_options(z_choice, anchor, h.order)
     anchor = _anchor(h_independent, anchor)
     p = forest_partition(g, forest, z_choice=z_choice)
     mask = _vstar_mask(_lifts(p, h_forest.mask, h.order), h_independent.mask, anchor)
@@ -469,10 +471,9 @@ def _product_ground_truth(product: Graph) -> dict:
     return truth
 
 
-def check_thm31(g: Graph, h: Graph, max_order: int | None = None) -> TheoremReport:
+def check_thm31(g: Graph, h: Graph) -> TheoremReport:
     """Check the empty-first-factor characterization against brute force."""
     _require("thm31", g, h)
-    _within_bound(g.order * h.order, max_order)
     m = g.order
     truth = _product_ground_truth(_product(g, h))
     forests_h = _forest_catalogue(h).aggregates
@@ -495,7 +496,6 @@ def check_thm31(g: Graph, h: Graph, max_order: int | None = None) -> TheoremRepo
 def check_thm32(
     g: Graph,
     n: int,
-    max_order: int | None = None,
     z_choice: str = "min",
     anchor: int | None = None,
 ) -> TheoremReport:
@@ -506,8 +506,7 @@ def check_thm32(
     """
     if n < 1:
         raise HypothesisError("thm32 requires a second factor with at least one vertex")
-    _anchor_in_range(anchor, n)
-    _within_bound(g.order * n, max_order)
+    _witness_options(z_choice, anchor, n)
     truth, _, records, witnesses = _condition_4(
         g, generate(FamilySpec("empty", n)), z_choice, anchor, "vstar_empty_second", named=False
     )
@@ -526,14 +525,12 @@ def check_thm32(
 def check_thm35(
     g: Graph,
     h: Graph,
-    max_order: int | None = None,
     z_choice: str = "min",
     anchor: int | None = None,
 ) -> TheoremReport:
     """Evaluate conditions (1)-(4) for factors that both contain an edge."""
     _require("thm35", g, h)
-    _anchor_in_range(anchor, h.order)
-    _within_bound(g.order * h.order, max_order)
+    _witness_options(z_choice, anchor, h.order)
     truth, forests_g, records, vstars = _condition_4(
         g, h, z_choice, anchor, "vstar_nonempty_second", named=True
     )
@@ -603,7 +600,6 @@ def check(
     theorem: str,
     g: Graph,
     h: Graph,
-    max_order: int | None = None,
     z_choice: str | None = None,
     anchor: int | None = None,
 ) -> TheoremReport:
@@ -619,11 +615,11 @@ def check(
             raise ValueError(
                 "thm31 builds no witnesses: --anchor and --z-tiebreak apply to thm32 and thm35 only"
             )
-        return check_thm31(g, h, max_order=max_order)
+        return check_thm31(g, h)
     z_choice = "min" if z_choice is None else z_choice
     if theorem == "thm32":
         _require("thm32", g, h)
-        return check_thm32(g, h.order, max_order=max_order, z_choice=z_choice, anchor=anchor)
+        return check_thm32(g, h.order, z_choice=z_choice, anchor=anchor)
     if theorem == "thm35":
-        return check_thm35(g, h, max_order=max_order, z_choice=z_choice, anchor=anchor)
+        return check_thm35(g, h, z_choice=z_choice, anchor=anchor)
     raise ValueError(f"unknown theorem id {theorem!r}")

@@ -325,7 +325,7 @@ class TestReportText:
         # 72 vertices: masks of nine bytes, and numerals past the CLI's bound
         from wfcover import check_thm35, generate, parse_family
 
-        report = check_thm35(generate(parse_family("complete:9")), generate(parse_family("path:8")), max_order=80)
+        report = check_thm35(generate(parse_family("complete:9")), generate(parse_family("path:8")))
         assert len(report.witnesses) == 333
         assert max(w.subset.mask.bit_length() for w in report.witnesses) == 72
         self.assert_matches_reference(report)
@@ -526,6 +526,19 @@ class TestCheckTheorem:
         code, out, err = invoke(["check-theorem", "thm35", "--g", g, "--h", h, *options])
         assert (code, out, err) == (2, "", f"error: graph order {order} exceeds the enumeration bound 24\n")
 
+    @pytest.mark.parametrize(
+        "argv,order",
+        [
+            # P5 has an edge, which thm31 forbids in G: the bound is reported first
+            (["thm31", "--g", "path:5", "--h", "path:5"], 25),
+            # 5 is no vertex of 3K1: the bound is reported first
+            (["thm32", "--g", "path:9", "--h", "empty:3", "--anchor", "5"], 27),
+        ],
+    )
+    def test_bound_is_tested_before_any_other_argument(self, argv, order):
+        code, out, err = invoke(["check-theorem", *argv])
+        assert (code, out, err) == (2, "", f"error: graph order {order} exceeds the enumeration bound 24\n")
+
 
 class TestSearchCommand:
     def test_finding_exit_one_and_jsonl(self, tmp_path):
@@ -683,6 +696,15 @@ class TestUsageAndBounds:
         code = run(["gen", "--family", "path:3"], stdout=ClosedPipe(), stderr=err)
         assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")
 
+    def test_verify_paper_takes_no_bound(self, monkeypatch):
+        # its three products are fixed in the code; neither a flag nor the
+        # variable bounds them
+        monkeypatch.setenv("WFCOVER_MAX_ORDER", "1")
+        assert invoke(["verify-paper"])[0] == 0
+        code, out, err = invoke(["verify-paper", "--max-order", "24"])
+        usage = build_parser().format_usage()
+        assert (code, out, err) == (2, "", usage + "wfcover: error: unrecognized arguments: --max-order 24\n")
+
     def test_verify_paper_exit_zero(self):
         code, doc, _ = invoke_json(["verify-paper"])
         assert code == 0
@@ -738,6 +760,7 @@ class TestParserSurface:
         ["verify-paper", "--max-order", "x"],
         ["search", "--g-file", "missing.g6", "--theorem", "thm4"],
         ["search", "--g-file", "missing.g6", "--theorem", "thm35", "--workers", "two"],
+        ["verify-paper", "--max-order", "24"],
     ]
 
     @staticmethod
@@ -838,13 +861,13 @@ class TestParserCounters:
     @pytest.mark.parametrize(
         "argv,expected",
         [
-            (None, (7, 28)),
+            (None, (7, 27)),
             (["check-theorem", "thm35", "--g", "path:3", "--h", "cycle:4"], (0, 0)),
             (["gen", "--family", "path:3"], (0, 0)),
             (["verify-paper"], (0, 0)),
-            (["--help"], (7, 28)),
+            (["--help"], (7, 27)),
             # an abbreviation is not plain: argparse reads it
-            (["gen", "--fam", "path:3"], (7, 28)),
+            (["gen", "--fam", "path:3"], (7, 27)),
         ],
     )
     def test_parsers_and_arguments(self, argv, expected, monkeypatch):

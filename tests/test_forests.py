@@ -143,7 +143,7 @@ class TestEnumeration:
         ],
     )
     def test_queries_take_no_bound(self, family, f, alpha, forests_found, sets_found, wc):
-        # past DEFAULT_MAX_ORDER: only a check or the CLI tests a bound
+        # past DEFAULT_MAX_ORDER: only the CLI and a scan test a bound
         g = fam(family)
         assert len(enumerate_maximal_induced_forests(g)) == forests_found
         assert maximal_forest_order_histogram(g) == {f: forests_found}
@@ -311,7 +311,7 @@ class TestKernelCuts:
     def test_thm31_on_a_long_path_or_cycle(self, text, f_product):
         clear_wfcover_caches()
         with kernel_calls() as counts:
-            report = check_thm31(fam("complete:1"), fam(text), max_order=30)
+            report = check_thm31(fam("complete:1"), fam(text))
         assert report.verdict == "consistent"
         assert report.ground_truth["f_product"] == f_product
         assert counts["forests", "decide"] < 1_000

@@ -307,7 +307,7 @@ class TestScan:
 
         monkeypatch.setattr(theorems, "forest_partition", counting)
         clear_wfcover_caches()
-        findings = search._check_run(("thm35", g, hs, 24))
+        findings = search._check_run(("thm35", g, hs))
         assert [f.verdict for f in findings] == [check("thm35", g, h).verdict for h in hs]
         assert sorted(f.mask for f in partitioned) == [f.mask for f in enumerate_maximal_induced_forests(g)]
         assert forests._fibres.cache_info().misses == len(hs)

@@ -7,13 +7,14 @@ import json
 
 import pytest
 
+import wfcover.cli as cli
 import wfcover.examples as examples
 import wfcover.forests as forests
 import wfcover.independence as independence
+import wfcover.search as search
 import wfcover.theorems as theorems
 from conftest import atlas_graphs, clear_wfcover_caches, induced_subgraph
 from wfcover import (
-    EnumerationBoundError,
     ForestStats,
     Graph,
     HypothesisError,
@@ -53,6 +54,12 @@ def fam(text: str) -> Graph:
 
 def subset(g: Graph, vertices) -> VertexSubset:
     return VertexSubset.from_vertices(g.order, vertices)
+
+
+def invoke(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one CLI command."""
+    out, err = io.StringIO(), io.StringIO()
+    return run(argv, out, err), out.getvalue(), err.getvalue()
 
 
 def bowtie() -> Graph:
@@ -508,32 +515,31 @@ class TestCheckPath:
                         ("thm35", "cycle:5", "cycle:4")]
     )
     def test_bound_is_checked_on_the_product(self, theorem, g, h):
-        # a bound that admits both factors but not their product
-        g, h = fam(g), fam(h)
-        bound = max(g.order, h.order) + 1
-        with pytest.raises(EnumerationBoundError) as info:
-            check(theorem, g, h, max_order=bound)
-        assert (info.value.order, info.value.bound) == (g.order * h.order, bound)
-        assert str(info.value) == f"graph order {g.order * h.order} exceeds the enumeration bound {bound}"
+        # check-theorem, given a bound that admits both factors but not their product
+        order = fam(g).order * fam(h).order
+        bound = max(fam(g).order, fam(h).order) + 1
+        argv = ["check-theorem", theorem, "--g", g, "--h", h, "--max-order", str(bound)]
+        assert invoke(argv) == (2, "", f"error: graph order {order} exceeds the enumeration bound {bound}\n")
 
     @pytest.mark.parametrize(
         "run,facts,witnesses",
         [
-            (lambda: check_thm35(fam("complete:2"), fam("path:25"), max_order=50),
-             {"f_product": 25, "f_h": 25}, 1083),
-            (lambda: check_thm31(fam("empty:1"), fam("cycle:25"), max_order=25),
-             {"f_product": 24, "f_h": 24}, 0),
-            # H's summary applies no bound of its own, here to 30K1
-            (lambda: check_thm32(fam("complete:1"), 30, max_order=30), {"f_product": 30}, 1),
-            # G's facts past the default bound: 25 V_M and 300 * 2 V*
-            (lambda: check_thm35(fam("complete:25"), fam("complete:2"), max_order=50),
+            (lambda: check_thm35(fam("complete:2"), fam("path:25")), {"f_product": 25, "f_h": 25}, 1083),
+            (lambda: check_thm31(fam("empty:1"), fam("cycle:25")), {"f_product": 24, "f_h": 24}, 0),
+            # H's summary, here of 30K1
+            (lambda: check_thm32(fam("complete:1"), 30), {"f_product": 30}, 1),
+            # G's facts: 25 V_M and 300 * 2 V*
+            (lambda: check_thm35(fam("complete:25"), fam("complete:2")),
              {"f_product": 2, "alpha_g": 1, "f_g": 2}, 625),
+            # a product of 49 vertices, with its 56 witnesses verified
+            (lambda: check_thm35(fam("cycle:7"), fam("cycle:7")), {"product_order": 49, "f_product": 18}, 56),
         ],
-        ids=["thm35-K2-P25", "thm31-K1-C25", "thm32-K1-30K1", "thm35-K25-K2"],
+        ids=["thm35-K2-P25", "thm31-K1-C25", "thm32-K1-30K1", "thm35-K25-K2", "thm35-C7-C7"],
     )
     def test_factor_queries_use_the_callers_bound(self, run, facts, witnesses):
-        # each pair has a factor past the default bound of 24 and a product
-        # within the caller's bound
+        # a check takes no bound: each pair is past the CLI's default bound
+        # of 24, and the factor queries take none either; a consistent
+        # verdict means every witness was verified
         report = run()
         assert report.verdict == "consistent"
         assert {key: report.ground_truth[key] for key in facts} == facts
@@ -545,21 +551,49 @@ class TestCheckPath:
          ("thm35", "cycle:5", "cycle:4"), ("thm35", "complete:4", "path:3")],
     )
     def test_callers_bound_is_read_once_at_the_pair(self, monkeypatch, theorem, g, h):
-        # no factor outgrows the product, so after the pair's test no read
-        # of G, H or G∘H tests a bound
-        g, h = fam(g), fam(h)
+        # a check tests no bound; check-theorem tests the caller's once, on
+        # |G|·|H|, and no read of G, H or G∘H tests one after it
         calls = []
-        real = forests._within_bound
+        real = cli._within_bound
 
         def recording(order, bound):
             calls.append((order, bound))
             real(order, bound)
 
-        for module in (forests, theorems):
-            monkeypatch.setattr(module, "_within_bound", recording)
+        monkeypatch.setattr(cli, "_within_bound", recording)
+        assert not [m for m in (forests, theorems, examples, search) if hasattr(m, "_within_bound")]
         clear_wfcover_caches()
-        check(theorem, g, h, max_order=23)
-        assert calls == [(g.order * h.order, 23)]
+        check(theorem, fam(g), fam(h))
+        assert calls == []
+        clear_wfcover_caches()
+        assert invoke(["check-theorem", theorem, "--g", g, "--h", h, "--max-order", "23"])[0] in (0, 1)
+        assert calls == [(fam(g).order * fam(h).order, 23)]
+
+    @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
+    def test_z_choice_is_checked_before_any_work(self, builds, theorem):
+        clear_wfcover_caches()
+        with pytest.raises(ValueError, match=r"^z_choice must be one of \('min', 'max'\), got 'mid'$"):
+            {"thm32": lambda: check_thm32(fam("path:4"), 2, z_choice="mid"),
+             "thm35": lambda: check_thm35(fam("cycle:5"), fam("cycle:4"), z_choice="mid")}[theorem]()
+        assert builds == []
+        assert forests._forest_catalogue.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("anchor", [True, False, 1.0, "1"])
+    @pytest.mark.parametrize("entry", ["check", "check_thm32", "check_thm35", "vstar_empty", "vstar_nonempty"])
+    def test_anchor_that_is_not_an_int_is_rejected_by_name(self, entry, anchor):
+        k2, c4 = fam("complete:2"), fam("cycle:4")
+        call = {
+            "check": lambda: check("thm32", fam("path:4"), fam("empty:2"), anchor=anchor),
+            "check_thm32": lambda: check_thm32(fam("path:4"), 2, anchor=anchor),
+            "check_thm35": lambda: check_thm35(fam("cycle:5"), c4, anchor=anchor),
+            "vstar_empty": lambda: construct_vstar_empty_second(k2, subset(k2, [0, 1]), 2, anchor=anchor),
+            "vstar_nonempty": lambda: construct_vstar_nonempty_second(
+                k2, subset(k2, [0, 1]), c4, subset(c4, [0, 1, 2]), subset(c4, [0, 2]), anchor=anchor
+            ),
+        }[entry]
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"anchor is not an int: {anchor!r}"
 
     @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
     def test_failed_witness_verification_is_recorded(self, monkeypatch, theorem):
