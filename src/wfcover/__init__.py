@@ -39,6 +39,8 @@ from .theorems import (
     ConditionRecord,
     HypothesisError,
     TheoremReport,
+    VmDetail,
+    VStarDetail,
     WitnessRecord,
     WitnessVerificationError,
     check,

@@ -5,10 +5,12 @@ Every subcommand returns the text of one JSON document (sorted keys,
 document on stdout and then the summary on stderr, so reports are byte-stable
 for golden-file comparison.  Every document is byte-identical to
 ``json.dumps(doc, sort_keys=True, indent=2)``: ``_report_text`` writes a
-check report's record rows, each distinct vertex or detail list once,
-``_detail_text`` its flat witness details, and ``json.dumps(sort_keys=True,
-indent=2)`` everything else.  Exit codes: 0 success/consistent, 1 findings
-or property failures, 2 usage, I/O or worker-pool errors.  Each command's
+check report's record rows and their ``VStarDetail`` and ``VmDetail``
+witness details, one template each, with each distinct vertex or detail
+list written once, and ``json.dumps(sort_keys=True, indent=2)`` everything
+else, a witness detail of any other type included.  Exit codes: 0
+success/consistent, 1 findings or property failures, 2 usage, I/O or
+worker-pool errors.  Each command's
 arguments are declared once, in ``_COMMANDS``: a plain command line is read
 from that table directly, and any other by the argparse parser built from
 it, which alone writes usage, help and error text.  The library takes no
@@ -35,6 +37,7 @@ from .forests import Z_CHOICES, forest_number, is_well_f_covered
 from .forests import maximal_forest_order_histogram
 from .independence import independence_number, is_well_covered
 from .theorems import THEOREM_IDS, VERDICT_CONSISTENT, ConditionRecord, TheoremReport, WitnessRecord, check
+from .theorems import VmDetail, VStarDetail
 from .examples import verify_paper_examples
 from .search import ScanConfig, read_graph6_stream, scan
 
@@ -105,13 +108,12 @@ def _vertices_text(subset) -> str:
 _BYTE_BITS = tuple(tuple(v for v in range(8) if b >> v & 1) for b in range(256))
 
 
-@lru_cache(maxsize=1024)
-def _mask_text(mask: int) -> str:
-    """The vertex list of ``mask`` in a record row: a pure function of the
-    mask, so a report writes each distinct list once.  The mask is read a
-    byte at a time, lowest first, and each nonzero byte's vertices are its
-    ``_BYTE_BITS`` entry plus the byte's offset, so a sparse witness costs
-    its set bits and its bytes, not one step per vertex of the host."""
+def _list_text(mask: int, indent: str) -> str:
+    """The vertex list of ``mask`` as ``json.dumps`` writes it at ``indent``.
+    The mask is read a byte at a time, lowest first, and each nonzero byte's
+    vertices are its ``_BYTE_BITS`` entry plus the byte's offset, so a sparse
+    witness costs its set bits and its bytes, not one step per vertex of the
+    host."""
     if not mask:
         return "[]"
     vertices = []
@@ -121,40 +123,45 @@ def _mask_text(mask: int) -> str:
             for v in _BYTE_BITS[byte]:
                 vertices.append(str(base + v))
         base += 8
-    return "[\n        " + ",\n        ".join(vertices) + "\n      ]"
-
-
-def _detail_text(detail: dict) -> str:
-    """A witness's ``detail`` at its row's indent, as ``json.dumps`` writes it.
-    A detail whose keys are all str and whose values are each an int, bool,
-    str or non-empty list of ints, as every check's are, is written here,
-    each distinct int list once by ``_ints_text``; any other by ``json.dumps``."""
-    items = []
-    try:
-        for key in sorted(detail):
-            value = detail[key]
-            kind = type(value)
-            if kind is int:
-                text = _int_repr(value)
-            elif kind is str:
-                text = _encode_str(value)
-            elif kind is bool:
-                text = "true" if value else "false"
-            elif kind is list and set(map(type, value)) == {int}:
-                text = _ints_text(tuple(value))
-            else:
-                return _dumps(detail, "      ")
-            # _encode_str raises TypeError on a key that is not a str
-            items.append(f"{_encode_str(key)}: {text}")
-    except TypeError:
-        return _dumps(detail, "      ")
-    return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(vertices) + f"\n{indent}]"
 
 
 @lru_cache(maxsize=1024)
-def _ints_text(values: tuple[int, ...]) -> str:
-    """A list of ints in a witness's detail, as ``json.dumps`` writes it."""
-    return "[\n          " + ",\n          ".join(map(_int_repr, values)) + "\n        ]"
+def _mask_text(mask: int) -> str:
+    """The vertex list of ``mask`` in a record row: a pure function of the
+    mask, so a report writes each distinct list once."""
+    return _list_text(mask, "      ")
+
+
+@lru_cache(maxsize=1024)
+def _detail_mask_text(mask: int) -> str:
+    """The vertex list of ``mask`` in a witness's detail, one level deeper
+    than a row's: each distinct list of a report is written once."""
+    return _list_text(mask, "        ")
+
+
+def _vstar_detail_text(d: VStarDetail) -> str:
+    error = "" if d.error is None else f"\n        \"error\": {_encode_str(d.error)},"
+    m_h = "" if d.m_h is None else f"\n        \"m_h\": {_detail_mask_text(d.m_h.mask)},"
+    return f"""{{
+        "anchor": {_int_repr(d.anchor)},{error}
+        "forest": {_detail_mask_text(d.forest.mask)},{m_h}
+        "z_choice": {_encode_str(d.z_choice)}
+      }}"""
+
+
+def _vm_detail_text(d: VmDetail) -> str:
+    error = "" if d.error is None else f"\n        \"error\": {_encode_str(d.error)},"
+    holds = d.quotient_holds
+    quotient = "" if holds is None else f',\n        "quotient_holds": {"true" if holds else "false"}'
+    return f"""{{{error}
+        "f_h": {_detail_mask_text(d.f_h.mask)},
+        "m": {_detail_mask_text(d.m.mask)}{quotient}
+      }}"""
+
+
+# the template of each typed witness detail; any other detail goes to _dumps
+_DETAIL_TEXT: dict[type, Callable] = {VStarDetail: _vstar_detail_text, VmDetail: _vm_detail_text}
 
 
 def _condition_text(rec: ConditionRecord) -> str:
@@ -175,8 +182,11 @@ def _condition_text(rec: ConditionRecord) -> str:
 
 
 def _witness_text(rec: WitnessRecord) -> str:
+    detail = rec.detail
+    template = _DETAIL_TEXT.get(type(detail))
+    text = _dumps(detail, "      ") if template is None else template(detail)
     return f"""{{
-      "detail": {_detail_text(rec.detail)},
+      "detail": {text},
       "kind": {_encode_str(rec.kind)},
       "size": {"null" if rec.size is None else rec.size},
       "subset": {_vertices_text(rec.subset)},

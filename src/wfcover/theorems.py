@@ -33,11 +33,15 @@ F_H = M_H = V(nK1) and f(H) = n: V(nK1) is nK1's only maximal forest and
 only maximal independent set.  Every witness is size-checked against its
 formula value (a V*'s is condition (4)'s with f(H) = |F_H|) and re-verified
 by brute force in one helper, ``_verified``; a failure is never silently
-ignored.  The public ``construct_*`` check their inputs on every call.  H
-enters a check through the one record per H that the product profile also
-reads, ``forests._fibres``: f(H), wfc(H) and the canonical F_H off its ISO
-role record, "H has a size-1 maximal independent set" off UNIV, wc(H) as
-"UNIV and BIG hold one size between them", and each M_H off its list.
+ignored.  Each witness row carries a typed detail: a ``VStarDetail`` (F, the
+anchor, ``z_choice`` and, for thm35, M_H) or a ``VmDetail`` (M, F_H and,
+when the product is well-f-covered, whether |M|*|F_H| = f(G∘H)), with the
+error text of a failed verification.  The public ``construct_*`` check
+their inputs on every call.  H enters a check through the one record per H
+that the product profile also reads, ``forests._fibres``: f(H), wfc(H) and
+the canonical F_H off its ISO role record, "H has a size-1 maximal
+independent set" off UNIV, wc(H) as "UNIV and BIG hold one size between
+them", and each M_H off its list.
 thm31 reads the ISO record alone, H's forest catalogue record, so it lists
 no M_H.  G's maximal forests with their partitions enter through one record
 per (G, z_choice), ``_forest_partitions``: each M_H and each forest of G is
@@ -61,7 +65,7 @@ a factor come off the catalogue records the check reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .graphs import FamilySpec, Graph, VertexSubset, generate, is_int
@@ -149,8 +153,72 @@ class ConditionRecord:
 
 
 @dataclass(frozen=True, init=False)
+class VStarDetail:
+    """The detail of a V* witness row: the maximal forest F of G, the anchor
+    and ``z_choice`` it was built with, M_H when the check names it (thm35;
+    thm32's is all of V(nK1)), and the verification error of a failed row.
+
+    A report holds one per row, so ``__init__`` is written by hand and
+    stores the fields straight into the instance ``__dict__``, as unpickling
+    does, not through ``object.__setattr__`` one by one."""
+
+    forest: VertexSubset
+    anchor: int
+    z_choice: str
+    m_h: VertexSubset | None = None
+    error: str | None = None
+
+    def __init__(
+        self,
+        forest: VertexSubset,
+        anchor: int,
+        z_choice: str,
+        m_h: VertexSubset | None = None,
+        error: str | None = None,
+    ) -> None:
+        state = self.__dict__
+        state["forest"] = forest
+        state["anchor"] = anchor
+        state["z_choice"] = z_choice
+        state["m_h"] = m_h
+        state["error"] = error
+
+
+@dataclass(frozen=True, init=False)
+class VmDetail:
+    """The detail of a V_M witness row: the maximal independent set M of G,
+    the canonical F_H, whether |M|*|F_H| = f(G∘H) when the product is
+    well-f-covered (else None), and the verification error of a failed row.
+
+    A report holds one per row, so ``__init__`` is written by hand and
+    stores the fields straight into the instance ``__dict__``, as unpickling
+    does, not through ``object.__setattr__`` one by one."""
+
+    m: VertexSubset
+    f_h: VertexSubset
+    quotient_holds: bool | None = None
+    error: str | None = None
+
+    def __init__(
+        self,
+        m: VertexSubset,
+        f_h: VertexSubset,
+        quotient_holds: bool | None = None,
+        error: str | None = None,
+    ) -> None:
+        state = self.__dict__
+        state["m"] = m
+        state["f_h"] = f_h
+        state["quotient_holds"] = quotient_holds
+        state["error"] = error
+
+
+@dataclass(frozen=True, init=False)
 class WitnessRecord:
     """One constructed witness set and the outcome of its verification.
+
+    A check's ``detail`` is a ``VStarDetail`` or a ``VmDetail``; any other
+    value, such as a caller's dict, is rendered whole as JSON.
 
     A report holds one per row, so ``__init__`` is written by hand and
     stores the fields straight into the instance ``__dict__``, as unpickling
@@ -160,10 +228,15 @@ class WitnessRecord:
     subset: VertexSubset | None
     size: int | None
     verified: bool
-    detail: dict
+    detail: VStarDetail | VmDetail | dict
 
     def __init__(
-        self, kind: str, subset: VertexSubset | None, size: int | None, verified: bool, detail: dict
+        self,
+        kind: str,
+        subset: VertexSubset | None,
+        size: int | None,
+        verified: bool,
+        detail: VStarDetail | VmDetail | dict,
     ) -> None:
         state = self.__dict__
         state["kind"] = kind
@@ -394,12 +467,12 @@ def construct_vstar_nonempty_second(
     return _vstar(g, forest, h, h_forest, h_independent, z_choice, anchor)
 
 
-def _record(kind: str, detail: dict, construct, *args) -> WitnessRecord:
+def _record(kind: str, detail: VStarDetail | VmDetail, construct, *args) -> WitnessRecord:
     """Build one witness; a failed verification is recorded, not raised."""
     try:
         subset = construct(*args)
     except WitnessVerificationError as exc:
-        return WitnessRecord(kind, exc.subset, len(exc.subset), False, dict(detail, error=str(exc)))
+        return WitnessRecord(kind, exc.subset, len(exc.subset), False, replace(detail, error=str(exc)))
     return WitnessRecord(kind, subset, len(subset), True, detail)
 
 
@@ -411,8 +484,8 @@ def _condition_4(
     witness for each maximal forest F of G and each M_H of H's record:
     f(H)*I + |M_H|*(K2 + L) + K2 + L' against f(G∘H), and V* with the
     record's F_H.  The anchor is checked against every M_H before the
-    product is built.  M_H is recorded in the condition and the witness
-    detail iff ``named``.
+    product is built.  M_H is recorded in the condition and the witness's
+    ``VStarDetail`` iff ``named``.
 
     Each forest's ``_lifts`` are made once.  V* has order
     |F_H|*|X1| + |M_H|*(|X2| + |Z|) + |Y| + |T|, with I = |X1|, L = |X2|,
@@ -421,7 +494,7 @@ def _condition_4(
     order certifies condition (4)."""
     (iso, *_), mis_h = _fibres(h)
     f_h = iso.number()
-    per_m_h = [(m_h, _anchor(m_h, anchor), len(m_h), m_h.vertices()) for m_h in mis_h]
+    per_m_h = [(m_h, _anchor(m_h, anchor), len(m_h)) for m_h in mis_h]
     product = _product(g, h)
     truth = _product_ground_truth(product)
     f_p = truth["f_product"]
@@ -429,16 +502,12 @@ def _condition_4(
     records = []
     witnesses = []
     for forest, p, stats in forests_g:
-        forest_vertices = forest.vertices()
         lifts = _lifts(p, iso.hi, h.order)
-        for m_h, anchor, m_h_size, m_h_vertices in per_m_h:
+        for m_h, anchor, m_h_size in per_m_h:
             lhs = thm35_lhs(stats, f_h, m_h_size)
-            records.append(
-                ConditionRecord(forest, stats, lhs, f_p, lhs == f_p, m_h if named else None)
-            )
-            detail = {"forest": list(forest_vertices), "anchor": anchor, "z_choice": z_choice}
-            if named:
-                detail["m_h"] = list(m_h_vertices)
+            named_m_h = m_h if named else None
+            records.append(ConditionRecord(forest, stats, lhs, f_p, lhs == f_p, named_m_h))
+            detail = VStarDetail(forest, anchor, z_choice, named_m_h)
             mask = _vstar_mask(lifts, m_h.mask, anchor)
             witnesses.append(_record(kind, detail, _verified, product, mask, lhs, "V*"))
     return truth, forests_g, records, witnesses
@@ -566,9 +635,7 @@ def check_thm35(
     # V_M first, then V*; construct_vm checks the canonical F_H each time
     witnesses = []
     for m in enumerate_maximal_independent_sets(g):
-        detail = {"m": list(m.vertices()), "f_h": list(fh_canon.vertices())}
-        if wfc_p:
-            detail["quotient_holds"] = len(m) * len(fh_canon) == f_p
+        detail = VmDetail(m, fh_canon, len(m) * len(fh_canon) == f_p if wfc_p else None)
         witnesses.append(_record("vm", detail, construct_vm, g, m, h, fh_canon))
     witnesses += vstars
 

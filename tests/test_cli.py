@@ -58,6 +58,11 @@ class TestGoldenFiles:
                 "check_thm32_path8_empty3.json",
             ),
             (["product", "--g", "cycle:4", "--h", "path:3"], "product_cycle4_path3.json"),
+            (
+                # K5∘C4 is well-f-covered, so its V_M details carry quotient_holds
+                ["check-theorem", "thm35", "--g", "complete:5", "--h", "cycle:4"],
+                "check_thm35_complete5_cycle4.json",
+            ),
         ],
     )
     def test_byte_equality(self, argv, golden):
@@ -155,7 +160,10 @@ class TestReportToDict:
 
 def reference_report_dict(report):
     """The report document, built field by field as a dict: the oracle of
-    ``cli._report_text`` and ``cli.report_to_dict``."""
+    ``cli._report_text`` and ``cli.report_to_dict``.  A typed witness detail
+    becomes a dict of its fields, an optional one only when it is set; any
+    other detail is taken as it is."""
+    from wfcover.theorems import VmDetail, VStarDetail
 
     def subset_json(subset):
         return list(subset.vertices())
@@ -172,13 +180,32 @@ def reference_report_dict(report):
             out["m_h"] = subset_json(rec.m_h)
         return out
 
+    def detail_json(detail):
+        if type(detail) is VStarDetail:
+            out = {
+                "forest": subset_json(detail.forest),
+                "anchor": detail.anchor,
+                "z_choice": detail.z_choice,
+            }
+            if detail.m_h is not None:
+                out["m_h"] = subset_json(detail.m_h)
+        elif type(detail) is VmDetail:
+            out = {"m": subset_json(detail.m), "f_h": subset_json(detail.f_h)}
+            if detail.quotient_holds is not None:
+                out["quotient_holds"] = detail.quotient_holds
+        else:
+            return detail
+        if detail.error is not None:
+            out["error"] = detail.error
+        return out
+
     def witness_json(rec):
         return {
             "kind": rec.kind,
             "subset": None if rec.subset is None else subset_json(rec.subset),
             "size": rec.size,
             "verified": rec.verified,
-            "detail": rec.detail,
+            "detail": detail_json(rec.detail),
         }
 
     out = {
@@ -204,7 +231,8 @@ _RECORD_DICTS = st.dictionaries(_TEXT, _VALUES, max_size=3)
 def _reports(draw):
     from wfcover.forests import ForestStats
     from wfcover.graphs import VertexSubset
-    from wfcover.theorems import ClaimRecord, ConditionRecord, TheoremReport, WitnessRecord
+    from wfcover.theorems import ClaimRecord, ConditionRecord, TheoremReport, VmDetail, VStarDetail
+    from wfcover.theorems import WitnessRecord
 
     subsets = _MASKS.map(lambda mask: VertexSubset(24, mask))
     ints = st.integers(-(2**70), 2**70)
@@ -212,8 +240,14 @@ def _reports(draw):
         ConditionRecord, subsets, st.builds(ForestStats, ints, ints, ints, ints), ints, ints,
         st.booleans(), st.none() | subsets,
     )
+    # a check's two detail records, and a caller's dict for the _dumps fallback
+    details = st.one_of(
+        st.builds(VStarDetail, subsets, ints, _TEXT, st.none() | subsets, st.none() | _TEXT),
+        st.builds(VmDetail, subsets, subsets, st.none() | st.booleans(), st.none() | _TEXT),
+        _RECORD_DICTS,
+    )
     witnesses = st.builds(
-        WitnessRecord, _TEXT, st.none() | subsets, st.none() | ints, st.booleans(), _RECORD_DICTS
+        WitnessRecord, _TEXT, st.none() | subsets, st.none() | ints, st.booleans(), details
     )
     claims = st.builds(ClaimRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT, _RECORD_DICTS)
     return TheoremReport(
@@ -894,9 +928,10 @@ class TestRenderCounters:
     """Exact rendering work, as ``TestParserCounters`` pins parser work, on
     the thm35 K8∘P3 document (56 condition rows, 64 witnesses): the calls of
     the stdlib fallback ``_dumps``, and the vertex and detail lists written
-    and reused by the memos ``_mask_text`` and ``_ints_text``.  A check's
-    witness details are flat, so only a detail that is not goes through
-    ``_dumps``."""
+    and reused by the memos ``_mask_text`` and ``_detail_mask_text``.  A
+    check's witness details are ``VStarDetail`` and ``VmDetail`` records,
+    each written by its template, so only a detail of another type goes
+    through ``_dumps``."""
 
     @staticmethod
     def k8_p3():
@@ -922,26 +957,28 @@ class TestRenderCounters:
             return len(calls)
 
         assert counted(report) == 0
-        # one call writes each detail that is not flat, whole
+        # one call writes each detail that is not a typed record, whole
         nested = WitnessRecord("vm", None, None, False, {"a": {"b": 1}, "error": "x"})
         floating = WitnessRecord("vm", None, None, False, {"a": 1.5, "m": [0]})
+        flat = WitnessRecord("vm", None, None, False, {"m": [0, 1], "error": "x"})
         assert counted(replace(report, witnesses=(nested,))) == 1
         assert counted(replace(report, witnesses=(floating, *report.witnesses))) == 1
+        assert counted(replace(report, witnesses=(flat, floating))) == 2
         assert counted(replace(report, witnesses=())) == 0
 
     def test_lists_written_once(self):
         report = self.k8_p3()
-        for memo in (cli._mask_text, cli._ints_text):
+        for memo in (cli._mask_text, cli._detail_mask_text):
             memo.cache_clear()
         text = cli._report_text(report)
         # 176 vertex lists: a forest and an M_H per condition row, a subset
         # per witness; 128 detail lists: forest and m_h of each V*, m and f_h
         # of each V_M
         assert cli._mask_text.cache_info()[:2] == (86, 90)
-        assert cli._ints_text.cache_info()[:2] == (91, 37)
+        assert cli._detail_mask_text.cache_info()[:2] == (91, 37)
         assert cli._report_text(report) == text
         assert cli._mask_text.cache_info()[:2] == (86 + 176, 90)
-        assert cli._ints_text.cache_info()[:2] == (91 + 128, 37)
+        assert cli._detail_mask_text.cache_info()[:2] == (91 + 128, 37)
 
 
 class TestEntryPoint:

@@ -1,10 +1,11 @@
 """The value records' hand-written constructors against generated ones.
 
-``VertexSubset``, ``ForestStats``, ``ForestPartition``, ``ConditionRecord``
-and ``WitnessRecord`` are frozen dataclasses whose ``__init__`` stores the
-fields straight into the instance ``__dict__``.  Each is compared here with
-a reference class that ``dataclasses.make_dataclass`` builds from the same
-fields, whose ``__init__`` the dataclass machinery generates: construction,
+``VertexSubset``, ``ForestStats``, ``ForestPartition``, ``ConditionRecord``,
+``VStarDetail``, ``VmDetail`` and ``WitnessRecord`` are frozen dataclasses
+whose ``__init__`` stores the fields straight into the instance
+``__dict__``.  Each is compared here with a reference class that
+``dataclasses.make_dataclass`` builds from the same fields, whose
+``__init__`` the dataclass machinery generates: construction,
 ``fields``, ``astuple``, ``replace``, eq, hash, repr, freezing, pickling and
 deep copies must all behave the same.
 """
@@ -20,7 +21,7 @@ import pytest
 
 from wfcover.forests import ForestPartition, ForestStats
 from wfcover.graphs import VertexSubset
-from wfcover.theorems import ConditionRecord, WitnessRecord
+from wfcover.theorems import ConditionRecord, VmDetail, VStarDetail, WitnessRecord
 
 
 def _subsets(order, *masks):
@@ -38,9 +39,20 @@ _ARGS = {
         (VertexSubset(6, 0b111), ForestStats(1, 1, 0, 0), 5, 4, True, VertexSubset(3, 1)),
         (VertexSubset(6, 0b111), ForestStats(1, 1, 0, 0), 5, 4, False),
     ],
+    VStarDetail: [
+        (VertexSubset(6, 0b11), 0, "min", VertexSubset(3, 0b101), None),
+        (VertexSubset(6, 0b11), 0, "min", VertexSubset(3, 0b101), "not maximal"),
+        (VertexSubset(6, 0b11), 2, "max"),
+    ],
+    VmDetail: [
+        (VertexSubset(6, 0b1001), VertexSubset(3, 0b11), True, None),
+        (VertexSubset(6, 0b1001), VertexSubset(3, 0b11), True, "not maximal"),
+        (VertexSubset(6, 0b1001), VertexSubset(3, 0b11)),
+    ],
     WitnessRecord: [
-        ("vstar", VertexSubset(6, 0b11), 2, True, {"forest": [0, 1]}),
-        ("vstar", VertexSubset(6, 0b11), 2, False, {"forest": [0, 1]}),
+        ("vstar", VertexSubset(6, 0b11), 2, True, VStarDetail(VertexSubset(3, 0b11), 0, "min")),
+        ("vstar", VertexSubset(6, 0b11), 2, False, VStarDetail(VertexSubset(3, 0b11), 0, "min")),
+        ("vm", None, None, False, VmDetail(VertexSubset(3, 1), VertexSubset(2, 1), None, "no subset")),
         ("vm", None, None, False, {"error": "no subset"}),
     ],
 }

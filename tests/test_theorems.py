@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -611,7 +612,14 @@ class TestCheckPath:
         for got, want in zip(report.witnesses, expected.witnesses):
             assert not got.verified
             assert (got.kind, got.subset, got.size) == (want.kind, want.subset, want.size)
-            assert "not a maximal induced forest" in got.detail["error"]
+            assert "not a maximal induced forest" in got.detail.error
+            assert dataclasses.replace(got.detail, error=None) == want.detail
+        # every row is failed, so each template writes its error branch; thm32's
+        # V* has no m_h
+        from test_cli import reference_report_dict
+
+        expected_text = json.dumps(reference_report_dict(report), sort_keys=True, indent=2)
+        assert cli._report_text(report) == expected_text
 
     @pytest.mark.parametrize(
         "theorem,g,h,partitions,h_forest_checks,h_independent_checks",
@@ -737,7 +745,7 @@ class TestCheckPath:
                                 g, rec.forest, h, fh, m_h, z_choice=z_choice, anchor=anchor
                             )
                         p = forest_partition(g, rec.forest, z_choice=z_choice)
-                        point = (w.detail["anchor"],)
+                        point = (w.detail.anchor,)
                         blocks = (
                             (p.x1, fh.vertices()), (p.x2, m_h.vertices()), (p.z, m_h.vertices()),
                             (p.y, point), (p.t, point),
