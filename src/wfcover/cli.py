@@ -8,10 +8,10 @@ for golden-file comparison.  Every document is byte-identical to
 check report's record rows and their ``VStarDetail`` and ``VmDetail``
 witness details, one template each, with each distinct vertex or detail
 list written once, and ``json.dumps(sort_keys=True, indent=2)`` everything
-else, a witness detail of any other type included.  Exit codes: 0
-success/consistent, 1 findings or property failures, 2 usage, I/O or
-worker-pool errors.  Each command's
-arguments are declared once, in ``_COMMANDS``: a plain command line is read
+else: claims, a report's free-form members and the other commands'
+documents.  Exit codes: 0 success/consistent, 1 findings or property
+failures, 2 usage, I/O or worker-pool errors.  Each command's arguments
+are declared once, in ``_COMMANDS``: a plain command line is read
 from that table directly, and any other by the argparse parser built from
 it, which alone writes usage, help and error text.  The library takes no
 enumeration bound: analyze tests |G| and check-theorem |G|·|H| before any
@@ -160,10 +160,6 @@ def _vm_detail_text(d: VmDetail) -> str:
       }}"""
 
 
-# the template of each typed witness detail; any other detail goes to _dumps
-_DETAIL_TEXT: dict[type, Callable] = {VStarDetail: _vstar_detail_text, VmDetail: _vm_detail_text}
-
-
 def _condition_text(rec: ConditionRecord) -> str:
     s = rec.stats
     m_h = "" if rec.m_h is None else f'\n      "m_h": {_vertices_text(rec.m_h)},'
@@ -183,8 +179,7 @@ def _condition_text(rec: ConditionRecord) -> str:
 
 def _witness_text(rec: WitnessRecord) -> str:
     detail = rec.detail
-    template = _DETAIL_TEXT.get(type(detail))
-    text = _dumps(detail, "      ") if template is None else template(detail)
+    text = _vstar_detail_text(detail) if type(detail) is VStarDetail else _vm_detail_text(detail)
     return f"""{{
       "detail": {text},
       "kind": {_encode_str(rec.kind)},

@@ -62,6 +62,7 @@ from typing import Callable, Collection, NamedTuple
 from .graphs import (
     Graph,
     VertexSubset,
+    _frozen_record,
     component_masks,
     iter_bits,
 )
@@ -70,7 +71,7 @@ from .products import lift
 Z_CHOICES = ("min", "max")
 
 
-@dataclass(frozen=True, init=False)
+@_frozen_record
 class ForestStats:
     """The four counters of a forest F.
 
@@ -81,10 +82,6 @@ class ForestStats:
 
     Every forest vertex falls in exactly one bucket, so
     isolated + 2*k2_components + outer_leaves + internal = |F|.
-
-    A check builds one per maximal forest of G, so ``__init__`` is written
-    by hand and stores the fields straight into the instance ``__dict__``,
-    as unpickling does, not through ``object.__setattr__`` one by one.
     """
 
     isolated: int
@@ -92,19 +89,12 @@ class ForestStats:
     outer_leaves: int
     internal: int
 
-    def __init__(self, isolated: int, k2_components: int, outer_leaves: int, internal: int) -> None:
-        state = self.__dict__
-        state["isolated"] = isolated
-        state["k2_components"] = k2_components
-        state["outer_leaves"] = outer_leaves
-        state["internal"] = internal
-
     @property
     def total(self) -> int:
         return self.isolated + 2 * self.k2_components + self.outer_leaves + self.internal
 
 
-@dataclass(frozen=True, init=False)
+@_frozen_record
 class ForestPartition:
     """The proof partition of a maximal forest F.
 
@@ -114,10 +104,6 @@ class ForestPartition:
     y  = vertices of degree >= 2
     z  = one chosen endpoint per single-edge component
     t  = the partner endpoints of z
-
-    A check builds one per maximal forest of G, so ``__init__`` is written
-    by hand and stores the fields straight into the instance ``__dict__``,
-    as unpickling does, not through ``object.__setattr__`` one by one.
     """
 
     x1: VertexSubset
@@ -125,16 +111,6 @@ class ForestPartition:
     y: VertexSubset
     z: VertexSubset
     t: VertexSubset
-
-    def __init__(
-        self, x1: VertexSubset, x2: VertexSubset, y: VertexSubset, z: VertexSubset, t: VertexSubset
-    ) -> None:
-        state = self.__dict__
-        state["x1"] = x1
-        state["x2"] = x2
-        state["y"] = y
-        state["z"] = z
-        state["t"] = t
 
     @property
     def x(self) -> VertexSubset:

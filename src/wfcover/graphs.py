@@ -8,7 +8,7 @@ rows are valid by construction and are not checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Iterator
 
 GRAPH6_MAX_ORDER = 62
@@ -52,6 +52,28 @@ def is_int(value: object) -> bool:
     ``True`` and ``False`` as ints, but no order, row, mask, vertex, family
     size or limit is one.  Every ``int`` field check calls this."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _frozen_record(cls: type) -> type:
+    """``dataclass(frozen=True)`` for a per-row record, with an ``__init__``
+    that stores each field straight into the instance ``__dict__``, as
+    unpickling does.
+
+    A check builds a record per forest, condition row and witness, and the
+    ``__init__`` that a frozen dataclass generates stores each field through
+    ``object.__setattr__``.  This one is built from ``fields(cls)``, as
+    ``dataclasses`` builds its own, with the same parameters, order and
+    defaults; eq, hash, repr, freezing, pickling and ``replace`` are the
+    dataclass's.  A field takes a plain default or none."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    # each default is passed in by name, as dataclasses passes its own
+    namespace = {f"_default_{f.name}": f.default for f in fields(cls) if f.default is not MISSING}
+    params = [f.name if f.default is MISSING else f"{f.name}=_default_{f.name}" for f in fields(cls)]
+    body = "".join(f"\n    state[{f.name!r}] = {f.name}" for f in fields(cls))
+    exec(f"def __init__(self, {', '.join(params)}):\n    state = self.__dict__{body}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -161,11 +183,8 @@ class VertexSubset:
     """A subset of the vertices of a host graph of the given order; both
     ``order`` and ``mask`` must be ``int``s other than ``bool``s.
 
-    ``__init__`` is written by hand: a check builds hundreds of subsets, and
-    the generated frozen ``__init__`` stores each field through
-    ``object.__setattr__``.  It stores them straight into the instance
-    ``__dict__``, as unpickling does, and lets an exact ``int`` pass before
-    calling ``is_int``; the checks and their messages are the same."""
+    ``__init__`` checks the fields, letting an exact ``int`` pass before
+    calling ``is_int``, and then stores them as ``_frozen_record``'s do."""
 
     order: int
     mask: int

@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .graphs import FamilySpec, Graph, VertexSubset, generate, is_int
+from .graphs import FamilySpec, Graph, VertexSubset, _frozen_record, generate, is_int
 from .products import lexicographic, lift
 from .forests import (
     Z_CHOICES,
@@ -119,13 +119,9 @@ class WitnessVerificationError(Exception):
         self.subset = subset
 
 
-@dataclass(frozen=True, init=False)
+@_frozen_record
 class ConditionRecord:
-    """One evaluated per-forest equality (lhs vs the product forest number).
-
-    A report holds one per row, so ``__init__`` is written by hand and
-    stores the fields straight into the instance ``__dict__``, as unpickling
-    does, not through ``object.__setattr__`` one by one."""
+    """One evaluated per-forest equality (lhs vs the product forest number)."""
 
     forest: VertexSubset
     stats: ForestStats
@@ -134,33 +130,12 @@ class ConditionRecord:
     holds: bool
     m_h: VertexSubset | None = None
 
-    def __init__(
-        self,
-        forest: VertexSubset,
-        stats: ForestStats,
-        lhs: int,
-        rhs: int,
-        holds: bool,
-        m_h: VertexSubset | None = None,
-    ) -> None:
-        state = self.__dict__
-        state["forest"] = forest
-        state["stats"] = stats
-        state["lhs"] = lhs
-        state["rhs"] = rhs
-        state["holds"] = holds
-        state["m_h"] = m_h
 
-
-@dataclass(frozen=True, init=False)
+@_frozen_record
 class VStarDetail:
     """The detail of a V* witness row: the maximal forest F of G, the anchor
     and ``z_choice`` it was built with, M_H when the check names it (thm35;
-    thm32's is all of V(nK1)), and the verification error of a failed row.
-
-    A report holds one per row, so ``__init__`` is written by hand and
-    stores the fields straight into the instance ``__dict__``, as unpickling
-    does, not through ``object.__setattr__`` one by one."""
+    thm32's is all of V(nK1)), and the verification error of a failed row."""
 
     forest: VertexSubset
     anchor: int
@@ -168,82 +143,31 @@ class VStarDetail:
     m_h: VertexSubset | None = None
     error: str | None = None
 
-    def __init__(
-        self,
-        forest: VertexSubset,
-        anchor: int,
-        z_choice: str,
-        m_h: VertexSubset | None = None,
-        error: str | None = None,
-    ) -> None:
-        state = self.__dict__
-        state["forest"] = forest
-        state["anchor"] = anchor
-        state["z_choice"] = z_choice
-        state["m_h"] = m_h
-        state["error"] = error
 
-
-@dataclass(frozen=True, init=False)
+@_frozen_record
 class VmDetail:
     """The detail of a V_M witness row: the maximal independent set M of G,
     the canonical F_H, whether |M|*|F_H| = f(G∘H) when the product is
-    well-f-covered (else None), and the verification error of a failed row.
-
-    A report holds one per row, so ``__init__`` is written by hand and
-    stores the fields straight into the instance ``__dict__``, as unpickling
-    does, not through ``object.__setattr__`` one by one."""
+    well-f-covered (else None), and the verification error of a failed row."""
 
     m: VertexSubset
     f_h: VertexSubset
     quotient_holds: bool | None = None
     error: str | None = None
 
-    def __init__(
-        self,
-        m: VertexSubset,
-        f_h: VertexSubset,
-        quotient_holds: bool | None = None,
-        error: str | None = None,
-    ) -> None:
-        state = self.__dict__
-        state["m"] = m
-        state["f_h"] = f_h
-        state["quotient_holds"] = quotient_holds
-        state["error"] = error
 
-
-@dataclass(frozen=True, init=False)
+@_frozen_record
 class WitnessRecord:
     """One constructed witness set and the outcome of its verification.
 
-    A check's ``detail`` is a ``VStarDetail`` or a ``VmDetail``; any other
-    value, such as a caller's dict, is rendered whole as JSON.
-
-    A report holds one per row, so ``__init__`` is written by hand and
-    stores the fields straight into the instance ``__dict__``, as unpickling
-    does, not through ``object.__setattr__`` one by one."""
+    ``detail`` is a ``VStarDetail`` or a ``VmDetail``, each written by its
+    own template."""
 
     kind: str
     subset: VertexSubset | None
     size: int | None
     verified: bool
-    detail: VStarDetail | VmDetail | dict
-
-    def __init__(
-        self,
-        kind: str,
-        subset: VertexSubset | None,
-        size: int | None,
-        verified: bool,
-        detail: VStarDetail | VmDetail | dict,
-    ) -> None:
-        state = self.__dict__
-        state["kind"] = kind
-        state["subset"] = subset
-        state["size"] = size
-        state["verified"] = verified
-        state["detail"] = detail
+    detail: VStarDetail | VmDetail
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
-"""The value records' hand-written constructors against generated ones.
+"""The value records' own constructors against the dataclass machinery's.
 
 ``VertexSubset``, ``ForestStats``, ``ForestPartition``, ``ConditionRecord``,
 ``VStarDetail``, ``VmDetail`` and ``WitnessRecord`` are frozen dataclasses
 whose ``__init__`` stores the fields straight into the instance
-``__dict__``.  Each is compared here with a reference class that
-``dataclasses.make_dataclass`` builds from the same fields, whose
-``__init__`` the dataclass machinery generates: construction,
-``fields``, ``astuple``, ``replace``, eq, hash, repr, freezing, pickling and
-deep copies must all behave the same.
+``__dict__``: ``graphs._frozen_record`` generates it for the six per-row
+records, and ``VertexSubset`` writes its own, which checks its fields.  Each
+is compared here with a reference class that ``dataclasses.make_dataclass``
+builds from the same fields, whose ``__init__`` the dataclass machinery
+generates: construction, ``fields``, ``astuple``, ``replace``, eq, hash,
+repr, freezing, pickling and deep copies must all behave the same.  Every
+dataclass of the package with its own ``__init__`` is one of them.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import pkgutil
+from importlib import import_module
 
 import pytest
 
+import wfcover
 from wfcover.forests import ForestPartition, ForestStats
 from wfcover.graphs import VertexSubset
 from wfcover.theorems import ConditionRecord, VmDetail, VStarDetail, WitnessRecord
@@ -53,10 +58,22 @@ _ARGS = {
         ("vstar", VertexSubset(6, 0b11), 2, True, VStarDetail(VertexSubset(3, 0b11), 0, "min")),
         ("vstar", VertexSubset(6, 0b11), 2, False, VStarDetail(VertexSubset(3, 0b11), 0, "min")),
         ("vm", None, None, False, VmDetail(VertexSubset(3, 1), VertexSubset(2, 1), None, "no subset")),
-        ("vm", None, None, False, {"error": "no subset"}),
+        ("vm", None, None, False, VmDetail(VertexSubset(3, 1), VertexSubset(2, 1), False)),
     ],
 }
 _CLASSES = list(_ARGS)
+
+
+def test_every_record_with_its_own_init_is_tested():
+    # a dataclass whose __init__ is not the generated one, such as a new
+    # @_frozen_record, must be in _ARGS to meet the contract tests below
+    names = [m.name for m in pkgutil.iter_modules(wfcover.__path__) if m.name != "__main__"]
+    modules = [import_module(f"wfcover.{name}") for name in names]
+    found = {
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and not obj.__dataclass_params__.init
+    }
+    assert found == set(_ARGS)
 
 
 def _reference(cls):
