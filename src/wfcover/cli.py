@@ -99,11 +99,6 @@ def _graph_from_flags(args) -> Graph:
     return _first_graph(args.file)
 
 
-def _vertices_text(subset) -> str:
-    """A record row's vertex list, or null for no subset, as ``json.dumps`` writes it."""
-    return "null" if subset is None else _mask_text(subset.mask)
-
-
 # _BYTE_BITS[b]: the set bit positions of the byte value b, in ascending order
 _BYTE_BITS = tuple(tuple(v for v in range(8) if b >> v & 1) for b in range(256))
 
@@ -162,7 +157,7 @@ def _vm_detail_text(d: VmDetail) -> str:
 
 def _condition_text(rec: ConditionRecord) -> str:
     s = rec.stats
-    m_h = "" if rec.m_h is None else f'\n      "m_h": {_vertices_text(rec.m_h)},'
+    m_h = "" if rec.m_h is None else f'\n      "m_h": {_mask_text(rec.m_h.mask)},'
     return f"""{{
       "forest": {_mask_text(rec.forest.mask)},
       "holds": {"true" if rec.holds else "false"},
@@ -183,8 +178,8 @@ def _witness_text(rec: WitnessRecord) -> str:
     return f"""{{
       "detail": {text},
       "kind": {_encode_str(rec.kind)},
-      "size": {"null" if rec.size is None else rec.size},
-      "subset": {_vertices_text(rec.subset)},
+      "size": {rec.size},
+      "subset": {_mask_text(rec.subset.mask)},
       "verified": {"true" if rec.verified else "false"}
     }}"""
 
@@ -353,18 +348,11 @@ def _cmd_search(args) -> tuple[str, str, int]:
     return _dumps(doc), summary, 1 if noteworthy else 0
 
 
-def _arg(flag: str, **spec) -> tuple[str, dict]:
-    """One declared argument: its option string or positional name, and the
-    keywords of its ``add_argument`` call."""
-    return flag, spec
-
-
-_BOUND = _arg(
-    "--max-order",
+_BOUND = ("--max-order", dict(
     type=int,
     default=None,
     help=f"enumeration bound (default {MAX_ORDER_ENV} or {DEFAULT_MAX_ORDER}, cap {DEFAULT_MAX_ORDER})",
-)
+))
 
 # Each command's handler, help line, required mutually exclusive group and
 # other arguments, in declaration order (the group is declared first).
@@ -372,38 +360,35 @@ _BOUND = _arg(
 # ``_read_plain`` reads plain command lines from it.
 _COMMANDS: dict[str, tuple[Callable, str, tuple, tuple]] = {
     "gen": (_cmd_gen, "generate a family graph and print it", (), (
-        _arg("--family", required=True, help="path:4, cycle:5, empty:3, complete:4, fig1"),
+        ("--family", dict(required=True, help="path:4, cycle:5, empty:3, complete:4, fig1")),
     )),
     "product": (_cmd_product, "build a lexicographic product", (), (
-        _arg("--g", required=True, help="first factor (family, g6:..., file:..., or graph6)"),
-        _arg("--h", required=True, help="second factor"),
+        ("--g", dict(required=True, help="first factor (family, g6:..., file:..., or graph6)")),
+        ("--h", dict(required=True, help="second factor")),
     )),
     "analyze": (_cmd_analyze, "forest/independence analysis of one graph", (
-        _arg("--family", help="family syntax, e.g. cycle:4"),
-        _arg("--graph6", help="a graph6 record"),
-        _arg("--file", help="file with graph6 records (first is analyzed)"),
+        ("--family", dict(help="family syntax, e.g. cycle:4")),
+        ("--graph6", dict(help="a graph6 record")),
+        ("--file", dict(help="file with graph6 records (first is analyzed)")),
     ), (_BOUND,)),
     "check-theorem": (_cmd_check_theorem, "evaluate one condition set on a pair", (), (
-        _arg("theorem", choices=list(THEOREM_IDS)),
-        _arg("--g", required=True, help="first factor"),
-        _arg("--h", required=True, help="second factor"),
-        _arg("--z-tiebreak", choices=list(Z_CHOICES), default=None),
-        _arg("--anchor", type=int, default=None, help="second-factor anchor vertex override"),
+        ("theorem", dict(choices=list(THEOREM_IDS))),
+        ("--g", dict(required=True, help="first factor")),
+        ("--h", dict(required=True, help="second factor")),
+        ("--z-tiebreak", dict(choices=list(Z_CHOICES), default=None)),
+        ("--anchor", dict(type=int, default=None, help="second-factor anchor vertex override")),
         _BOUND,
     )),
     "verify-paper": (_cmd_verify_paper, "re-check the bundled case studies", (), ()),
     "search": (_cmd_search, "scan graph6 files for non-sufficiency witnesses", (), (
-        _arg("--g-file", required=True, help="graph6 file for first factors"),
-        _arg("--h-file", default=None, help="graph6 file for second factors (default: --g-file)"),
-        _arg("--theorem", required=True, choices=list(THEOREM_IDS)),
-        _arg("--out", default=None, help="JSON Lines file for non-consistent findings"),
-        _arg("--workers", type=int, default=1),
-        _arg(
-            "--skip-malformed",
-            action="store_true",
-            default=False,
-            help="skip malformed graph6 lines instead of aborting",
-        ),
+        ("--g-file", dict(required=True, help="graph6 file for first factors")),
+        ("--h-file", dict(default=None, help="graph6 file for second factors (default: --g-file)")),
+        ("--theorem", dict(required=True, choices=list(THEOREM_IDS))),
+        ("--out", dict(default=None, help="JSON Lines file for non-consistent findings")),
+        ("--workers", dict(type=int, default=1)),
+        ("--skip-malformed", dict(
+            action="store_true", default=False, help="skip malformed graph6 lines instead of aborting"
+        )),
         _BOUND,
     )),
 }

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from .graphs import FamilySpec, Graph, VertexSubset, generate
 from .products import ProductIndexMap
-from .forests import ForestStats, is_induced_forest, is_maximal_induced_forest
+from .forests import ForestStats, _blocked_by, _forest_components, is_induced_forest
+from .forests import is_maximal_induced_forest
 from .theorems import (
     ClaimRecord,
     TheoremReport,
@@ -49,19 +50,14 @@ _P3_STATS = ForestStats(0, 0, 2, 1)
 _P4_STATS = ForestStats(0, 0, 2, 2)
 
 
-def _subset(g: Graph, vertices) -> VertexSubset:
-    return VertexSubset.from_vertices(g.order, vertices)
-
-
 def _extenders(g: Graph, s: VertexSubset) -> list[int]:
-    """Vertices outside ``s`` whose addition keeps the induced graph a forest."""
-    out = []
-    for v in range(g.order):
-        if v in s:
-            continue
-        if is_induced_forest(g, VertexSubset(g.order, s.mask | (1 << v))):
-            out.append(v)
-    return out
+    """The vertices outside the induced forest ``s`` that can join it: the
+    maximality rule's bulk step, ``_blocked_by``, blocks every vertex with
+    two neighbours in one of its trees, and the rest can join."""
+    blocked = s.mask
+    for comp in _forest_components(g.adj, s.mask):
+        blocked |= _blocked_by(g.adj, comp)
+    return [v for v in range(g.order) if not blocked >> v & 1]
 
 
 def _find_triangle(g: Graph, vertices: tuple[int, ...]) -> list[int] | None:
@@ -193,11 +189,11 @@ def _audit_fig1_with_c4() -> tuple[list[ClaimRecord], dict]:
     # one record per (maximal forest of G, M_H), so every M_H appears
     mis_h_sizes = sorted({len(r.m_h) for r in report.condition_values})
 
-    abc = _subset(g, _FIG1_ABC)
+    abc = VertexSubset.from_vertices(g.order, _FIG1_ABC)
     abc_maximal = is_maximal_induced_forest(g, abc)
-    ebcd = _subset(g, _FIG1_EBCD)
-    abd = _subset(g, _FIG1_ABD)
-    eabc = _subset(g, _FIG1_EABC)
+    ebcd = VertexSubset.from_vertices(g.order, _FIG1_EBCD)
+    abd = VertexSubset.from_vertices(g.order, _FIG1_ABD)
+    eabc = VertexSubset.from_vertices(g.order, _FIG1_EABC)
     # the value at the first M_H; None for a printed set that is not maximal
     value_abd, value_eabc = (
         next((r.lhs for r in report.condition_values if r.forest == s), None)

@@ -27,7 +27,8 @@ multiply, shift and or per M_H.  thm32 and thm35 share one pair path,
 ``_condition_4``: it reads H's record, checks the anchor against every M_H
 before the product is built, builds the product and its ground truth, reads
 G's forest partitions, and evaluates condition (4) with its V* for each
-maximal forest of G and each M_H.  thm32 runs it, and
+maximal forest of G and each M_H.  It reads which theorem it serves off H:
+thm35's H has an edge, thm32's has none.  thm32 runs it, and
 ``construct_vstar_empty_second`` its V*, on nK1, whose record gives
 F_H = M_H = V(nK1) and f(H) = n: V(nK1) is nK1's only maximal forest and
 only maximal independent set.  Every witness is size-checked against its
@@ -114,7 +115,7 @@ class HypothesisError(ValueError):
 class WitnessVerificationError(Exception):
     """A constructed witness failed its brute-force verification."""
 
-    def __init__(self, message: str, subset: VertexSubset | None = None) -> None:
+    def __init__(self, message: str, subset: VertexSubset) -> None:
         super().__init__(message)
         self.subset = subset
 
@@ -164,8 +165,8 @@ class WitnessRecord:
     own template."""
 
     kind: str
-    subset: VertexSubset | None
-    size: int | None
+    subset: VertexSubset
+    size: int
     verified: bool
     detail: VStarDetail | VmDetail
 
@@ -218,9 +219,16 @@ def _require(theorem: str, g: Graph, h: Graph) -> None:
         raise HypothesisError(reason)
 
 
+def _second_factor_order(n: int) -> int:
+    """``n``, thm32's second-factor order, once it is checked to be an int."""
+    if not is_int(n):
+        raise ValueError(f"second-factor order is not an int: {n!r}")
+    return n
+
+
 def thm32_lhs(stats: ForestStats, n: int) -> int:
     """n*(I + K2 + L) + K2 + L' — the per-forest value of the thm32 condition."""
-    if n < 1:
+    if _second_factor_order(n) < 1:
         raise ValueError("second-factor order must be positive")
     return thm35_lhs(stats, n, n)
 
@@ -265,12 +273,11 @@ def _verified(product: Graph, mask: int, expected: int, what: str) -> VertexSubs
     subset = VertexSubset(product.order, mask)
     if len(subset) != expected:
         raise WitnessVerificationError(
-            f"witness size {len(subset)} differs from formula value {expected}", subset=subset
+            f"witness size {len(subset)} differs from formula value {expected}", subset
         )
     if not is_maximal_induced_forest(product, subset):
         raise WitnessVerificationError(
-            f"constructed {what} is not a maximal induced forest of the product",
-            subset=subset,
+            f"constructed {what} is not a maximal induced forest of the product", subset
         )
     return subset
 
@@ -340,7 +347,7 @@ def construct_vstar_empty_second(
     thm32 left-hand side.  The returned set is brute-force verified to be a
     maximal induced forest.
     """
-    if n < 1:
+    if _second_factor_order(n) < 1:
         raise ValueError("second-factor order must be positive")
     h = generate(FamilySpec("empty", n))
     all_h = VertexSubset(n, h.vertices_mask)
@@ -401,15 +408,16 @@ def _record(kind: str, detail: VStarDetail | VmDetail, construct, *args) -> Witn
 
 
 def _condition_4(
-    g: Graph, h: Graph, z_choice: str, anchor: int | None, kind: str, *, named: bool,
+    g: Graph, h: Graph, z_choice: str, anchor: int | None
 ) -> tuple[dict, tuple, list[ConditionRecord], list[WitnessRecord]]:
     """The pair path of thm32 and thm35: the product's ground truth, G's
     ``(forest, partition, stats)`` rows, and condition (4) with its V*
     witness for each maximal forest F of G and each M_H of H's record:
     f(H)*I + |M_H|*(K2 + L) + K2 + L' against f(G∘H), and V* with the
     record's F_H.  The anchor is checked against every M_H before the
-    product is built.  M_H is recorded in the condition and the witness's
-    ``VStarDetail`` iff ``named``.
+    product is built.  The case is read off H (``_HYPOTHESES``): thm35's H
+    has an edge, and its rows name each M_H; thm32's nK1 is edgeless, and
+    its rows name none, as its one M_H is all of V(nK1).
 
     Each forest's ``_lifts`` are made once.  V* has order
     |F_H|*|X1| + |M_H|*(|X2| + |Z|) + |Y| + |T|, with I = |X1|, L = |X2|,
@@ -419,6 +427,8 @@ def _condition_4(
     (iso, *_), mis_h = _fibres(h)
     f_h = iso.number()
     per_m_h = [(m_h, _anchor(m_h, anchor), len(m_h)) for m_h in mis_h]
+    named = h.edge_count > 0
+    kind = "vstar_nonempty_second" if named else "vstar_empty_second"
     product = _product(g, h)
     truth = _product_ground_truth(product)
     f_p = truth["f_product"]
@@ -497,12 +507,10 @@ def check_thm32(
     The n = 1 case degenerates to |F| = f(G∘H) for every maximal forest,
     i.e. G itself being well-f-covered.
     """
-    if n < 1:
+    if _second_factor_order(n) < 1:
         raise HypothesisError("thm32 requires a second factor with at least one vertex")
     _witness_options(z_choice, anchor, n)
-    truth, _, records, witnesses = _condition_4(
-        g, generate(FamilySpec("empty", n)), z_choice, anchor, "vstar_empty_second", named=False
-    )
+    truth, _, records, witnesses = _condition_4(g, generate(FamilySpec("empty", n)), z_choice, anchor)
     all_hold = all(r.holds for r in records)
     return TheoremReport(
         theorem_id="thm32",
@@ -524,9 +532,7 @@ def check_thm35(
     """Evaluate conditions (1)-(4) for factors that both contain an edge."""
     _require("thm35", g, h)
     _witness_options(z_choice, anchor, h.order)
-    truth, forests_g, records, vstars = _condition_4(
-        g, h, z_choice, anchor, "vstar_nonempty_second", named=True
-    )
+    truth, forests_g, records, vstars = _condition_4(g, h, z_choice, anchor)
     (iso, _, univ, big), _ = _fibres(h)
     f_h, wfc_h = iso.number(), iso.uniform()[0]
     wc_h = len(univ.counts) + len(big.counts) == 1

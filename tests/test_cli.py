@@ -200,7 +200,7 @@ def reference_report_dict(report):
     def witness_json(rec):
         return {
             "kind": rec.kind,
-            "subset": None if rec.subset is None else subset_json(rec.subset),
+            "subset": subset_json(rec.subset),
             "size": rec.size,
             "verified": rec.verified,
             "detail": detail_json(rec.detail),
@@ -242,9 +242,7 @@ def _reports(draw):
         st.builds(VStarDetail, subsets, ints, _TEXT, st.none() | subsets, st.none() | _TEXT),
         st.builds(VmDetail, subsets, subsets, st.none() | st.booleans(), st.none() | _TEXT),
     )
-    witnesses = st.builds(
-        WitnessRecord, _TEXT, st.none() | subsets, st.none() | ints, st.booleans(), details
-    )
+    witnesses = st.builds(WitnessRecord, _TEXT, subsets, ints, st.booleans(), details)
     claims = st.builds(ClaimRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT, _RECORD_DICTS)
     return TheoremReport(
         draw(_TEXT), draw(_RECORD_DICTS), draw(_RECORD_DICTS),
@@ -304,18 +302,15 @@ class TestReportText:
 
         from wfcover import check_thm35, generate, parse_family
         from wfcover.graphs import VertexSubset
-        from wfcover.theorems import VmDetail, VStarDetail, WitnessRecord
+        from wfcover.theorems import VStarDetail, WitnessRecord
 
         report = check_thm35(generate(parse_family("cycle:5")), generate(parse_family("cycle:4")))
         failed = WitnessRecord(
             "vstar", VertexSubset(20, 0b1011), 3, False,
             VStarDetail(VertexSubset(5, 0b11), 0, "min", error="not maximal: é\n"),
         )
-        missing = WitnessRecord(
-            "vm", None, None, False, VmDetail(VertexSubset(5, 0b101), VertexSubset(4, 0b11), error="no subset")
-        )
         empty = replace(report.condition_values[0], forest=VertexSubset(20, 0), m_h=None)
-        for witnesses in ((failed,), (missing,), (failed, missing, *report.witnesses)):
+        for witnesses in ((failed,), (failed, *report.witnesses)):
             self.assert_matches_reference(replace(report, witnesses=witnesses))
         self.assert_matches_reference(replace(report, condition_values=(empty,)))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from wfcover import examples, verify_paper_examples
+from wfcover import VertexSubset, examples, is_induced_forest, verify_paper_examples
 from wfcover.examples import _claim
 
 
@@ -104,6 +104,24 @@ class TestFig1Audit:
         assert c.status == "refuted"
         assert c.facts["values"] == [None, 6]
         assert patched.verdict == "theorem_violation"
+
+
+def test_extenders_are_the_vertices_that_keep_a_forest(atlas_le6):
+    # every induced forest F of every atlas graph of order <= 6: the audit's
+    # join rule against one is_induced_forest walk per outside vertex
+    forests_checked = 0
+    for g in atlas_le6:
+        for mask in range(1 << g.order):
+            f = VertexSubset(g.order, mask)
+            if not is_induced_forest(g, f):
+                continue
+            joins = [
+                v for v in range(g.order)
+                if v not in f and is_induced_forest(g, VertexSubset(g.order, mask | 1 << v))
+            ]
+            assert examples._extenders(g, f) == joins, (g.adj, mask)
+            forests_checked += 1
+    assert forests_checked == 8844
 
 
 class TestC5Audit:

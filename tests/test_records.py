@@ -57,8 +57,8 @@ _ARGS = {
     WitnessRecord: [
         ("vstar", VertexSubset(6, 0b11), 2, True, VStarDetail(VertexSubset(3, 0b11), 0, "min")),
         ("vstar", VertexSubset(6, 0b11), 2, False, VStarDetail(VertexSubset(3, 0b11), 0, "min")),
-        ("vm", None, None, False, VmDetail(VertexSubset(3, 1), VertexSubset(2, 1), None, "no subset")),
-        ("vm", None, None, False, VmDetail(VertexSubset(3, 1), VertexSubset(2, 1), False)),
+        ("vm", VertexSubset(6, 5), 2, False, VmDetail(VertexSubset(3, 1), VertexSubset(2, 1), None, "no tree")),
+        ("vm", VertexSubset(6, 5), 2, False, VmDetail(VertexSubset(3, 1), VertexSubset(2, 1), False)),
     ],
 }
 _CLASSES = list(_ARGS)

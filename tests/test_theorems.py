@@ -596,6 +596,37 @@ class TestCheckPath:
             call()
         assert str(err.value) == f"anchor is not an int: {anchor!r}"
 
+    # thm32's three entry points, each given the second-factor order n
+    THM32_ENTRIES = {
+        "check_thm32": lambda n: check_thm32(fam("path:4"), n),
+        "vstar_empty": lambda n: construct_vstar_empty_second(
+            fam("path:4"), subset(fam("path:4"), range(4)), n
+        ),
+        "thm32_lhs": lambda n: thm32_lhs(ForestStats(0, 0, 2, 1), n),
+    }
+
+    @pytest.mark.parametrize("n", ["2", 2.0, True])
+    @pytest.mark.parametrize("entry", list(THM32_ENTRIES))
+    def test_second_factor_order_that_is_not_an_int_is_rejected_by_name(self, entry, n):
+        with pytest.raises(ValueError) as err:
+            self.THM32_ENTRIES[entry](n)
+        assert err.type is ValueError
+        assert str(err.value) == f"second-factor order is not an int: {n!r}"
+
+    @pytest.mark.parametrize(
+        "entry,error,message",
+        [
+            ("check_thm32", HypothesisError, "thm32 requires a second factor with at least one vertex"),
+            ("vstar_empty", ValueError, "second-factor order must be positive"),
+            ("thm32_lhs", ValueError, "second-factor order must be positive"),
+        ],
+    )
+    def test_second_factor_order_zero_keeps_its_error(self, entry, error, message):
+        with pytest.raises(error) as err:
+            self.THM32_ENTRIES[entry](0)
+        assert err.type is error
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("theorem", ["thm32", "thm35"])
     def test_failed_witness_verification_is_recorded(self, monkeypatch, theorem):
         expected = self.CHECKS[theorem]()
