@@ -14,8 +14,10 @@ failures, 2 usage, I/O or worker-pool errors.  Each command's arguments
 are declared once, in ``_COMMANDS``: a plain command line is read
 from that table directly, and any other by the argparse parser built from
 it, which alone writes usage, help and error text.  The library takes no
-enumeration bound: analyze tests |G| and check-theorem |G|·|H| before any
-other check of their input, and search hands the bound to the scan.
+enumeration bound; ``--max-order`` alone sets it, and ``run`` checks its
+range before any graph is read.  analyze tests |G| and check-theorem
+|G|·|H| before any other check of their input, and search hands the bound
+to the scan.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from functools import lru_cache
@@ -45,21 +46,6 @@ if TYPE_CHECKING:
     import argparse
 
 SCHEMA_VERSION = 1
-MAX_ORDER_ENV = "WFCOVER_MAX_ORDER"
-
-
-def _max_order(value: int | None) -> int:
-    """The enumeration bound: ``value``, else ``WFCOVER_MAX_ORDER``, else
-    ``DEFAULT_MAX_ORDER``, which is also its cap."""
-    if value is None:
-        raw = os.environ.get(MAX_ORDER_ENV)
-        try:
-            value = DEFAULT_MAX_ORDER if raw is None else int(raw)
-        except ValueError:
-            raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
-    if not 1 <= value <= DEFAULT_MAX_ORDER:
-        raise ValueError(f"enumeration bound must be between 1 and {DEFAULT_MAX_ORDER}, got {value}")
-    return value
 
 
 def _within_bound(order: int, bound: int) -> None:
@@ -349,9 +335,7 @@ def _cmd_search(args) -> tuple[str, str, int]:
 
 
 _BOUND = ("--max-order", dict(
-    type=int,
-    default=None,
-    help=f"enumeration bound (default {MAX_ORDER_ENV} or {DEFAULT_MAX_ORDER}, cap {DEFAULT_MAX_ORDER})",
+    type=int, default=DEFAULT_MAX_ORDER, help=f"enumeration bound, 1 to {DEFAULT_MAX_ORDER} (default)"
 ))
 
 # Each command's handler, help line, required mutually exclusive group and
@@ -490,8 +474,8 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        if hasattr(args, "max_order"):
-            args.max_order = _max_order(args.max_order)
+        if hasattr(args, "max_order") and not 1 <= args.max_order <= DEFAULT_MAX_ORDER:
+            raise ValueError(f"enumeration bound must be between 1 and {DEFAULT_MAX_ORDER}, got {args.max_order}")
         text, summary, code = _COMMANDS[args.subcommand][0](args)
         stdout.write(text + "\n")
         print(summary, file=stderr)

@@ -54,6 +54,15 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_vertex(v: object, order: int, name: str = "vertex") -> None:
+    """Raise ValueError, naming ``v``, unless it is an ``int`` (``is_int``)
+    in ``range(order)``: the check of a vertex that comes from outside."""
+    if not is_int(v):
+        raise ValueError(f"{name} is not an int: {v!r}")
+    if not 0 <= v < order:
+        raise ValueError(f"{name} {v} out of range for order {order}")
+
+
 def _frozen_record(cls: type) -> type:
     """``dataclass(frozen=True)`` for a per-row record, with an ``__init__``
     that stores each field straight into the instance ``__dict__``, as
@@ -164,9 +173,12 @@ class Graph:
         return (1 << self.order) - 1
 
     def has_edge(self, u: int, v: int) -> bool:
+        check_vertex(u, self.order)
+        check_vertex(v, self.order)
         return bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
+        check_vertex(v, self.order)
         return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
@@ -208,10 +220,7 @@ class VertexSubset:
             raise ValueError(f"order is not an int: {order!r}")
         mask = 0
         for v in vertices:
-            if not is_int(v):
-                raise ValueError(f"vertex is not an int: {v!r}")
-            if not 0 <= v < order:
-                raise ValueError(f"vertex {v} out of range for order {order}")
+            check_vertex(v, order)
             mask |= 1 << v
         return cls(order, mask)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, VertexSubset
+from .graphs import Graph, VertexSubset, check_vertex, is_int
 
 
 @dataclass(frozen=True)
@@ -22,20 +22,23 @@ class ProductIndexMap:
     g_order: int
     h_order: int
 
+    def __post_init__(self) -> None:
+        for name in ("g_order", "h_order"):
+            order = getattr(self, name)
+            if not is_int(order) or order < 1:
+                raise ValueError(f"{name} must be an int of at least 1, got {order!r}")
+
     @property
     def order(self) -> int:
         return self.g_order * self.h_order
 
     def encode(self, gv: int, hv: int) -> int:
-        if not 0 <= gv < self.g_order:
-            raise ValueError(f"first-factor vertex {gv} out of range")
-        if not 0 <= hv < self.h_order:
-            raise ValueError(f"second-factor vertex {hv} out of range")
+        check_vertex(gv, self.g_order, "first-factor vertex")
+        check_vertex(hv, self.h_order, "second-factor vertex")
         return gv * self.h_order + hv
 
     def decode(self, v: int) -> tuple[int, int]:
-        if not 0 <= v < self.order:
-            raise ValueError(f"product vertex {v} out of range")
+        check_vertex(v, self.order, "product vertex")
         return divmod(v, self.h_order)
 
     def subset_from_pairs(self, pairs: Iterable[tuple[int, int]]) -> VertexSubset:

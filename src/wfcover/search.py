@@ -106,6 +106,9 @@ class ScanConfig:
             raise ValueError(f"max_order must be an int of at least 1, got {self.max_order!r}")
         if not is_int(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be an int of at least 1, got {self.workers!r}")
+        # open() takes an int as a file descriptor, and the scan would close it
+        if not (self.findings_path is None or isinstance(self.findings_path, (str, os.PathLike))):
+            raise ValueError(f"findings_path must be None, a str or a path, got {self.findings_path!r}")
 
 
 @lru_cache(maxsize=256)

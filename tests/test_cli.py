@@ -651,10 +651,21 @@ class TestUsageAndBounds:
         code, _, err = invoke(["analyze", "--graph6", "!!"])
         assert code == 2
 
-    def test_max_order_cap(self):
-        code, _, err = invoke(["analyze", "--family", "cycle:4", "--max-order", "30"])
-        assert code == 2
-        assert "24" in err
+    @pytest.mark.parametrize("bound", ["30", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--family", "cycle:2"],
+            ["check-theorem", "thm35", "--g", "cycle:2", "--h", "path:3"],
+            ["search", "--g-file", "no-such-file.g6", "--theorem", "thm35"],
+        ],
+        ids=["analyze", "check-theorem", "search"],
+    )
+    def test_max_order_cap(self, argv, bound):
+        # the range is checked before any graph is read: the bad family and
+        # the missing file are never reached
+        code, out, err = invoke(argv + ["--max-order", bound])
+        assert (code, out, err) == (2, "", f"error: enumeration bound must be between 1 and 24, got {bound}\n")
 
     def test_bound_violation_exit_two(self):
         code, _, err = invoke(["analyze", "--family", "empty:20", "--max-order", "10"])
@@ -669,22 +680,16 @@ class TestUsageAndBounds:
         assert forests._forest_catalogue.cache_info().currsize == 0
         assert independence._independent_catalogue.cache_info().currsize == 0
 
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("WFCOVER_MAX_ORDER", "4")
-        code, _, err = invoke(["analyze", "--family", "cycle:5"])
-        assert code == 2
-        assert "bound" in err
-        monkeypatch.setenv("WFCOVER_MAX_ORDER", "12")
-        code, _, _ = invoke(["analyze", "--family", "cycle:5"])
-        assert code == 0
+    @pytest.mark.parametrize("value", ["1", "12", "lots"])
+    def test_the_environment_sets_no_bound(self, monkeypatch, value):
+        # the bound is argv's alone: an exported WFCOVER_MAX_ORDER changes
+        # no command's result
+        argv = ["check-theorem", "thm35", "--g", "complete:4", "--h", "cycle:5"]
+        want = invoke(argv)
+        monkeypatch.setenv("WFCOVER_MAX_ORDER", value)
+        assert invoke(argv) == want and want[0] == 0
 
-    def test_env_var_garbage(self, monkeypatch):
-        monkeypatch.setenv("WFCOVER_MAX_ORDER", "lots")
-        code, _, err = invoke(["analyze", "--family", "cycle:5"])
-        assert code == 2
-
-    def test_commands_that_do_not_enumerate_resolve_no_bound(self, monkeypatch):
-        monkeypatch.setenv("WFCOVER_MAX_ORDER", "lots")
+    def test_commands_that_do_not_enumerate_resolve_no_bound(self):
         assert invoke(["gen", "--family", "path:3"])[0] == 0
         assert invoke(["product", "--g", "path:3", "--h", "path:2"])[0] == 0
 
@@ -707,10 +712,8 @@ class TestUsageAndBounds:
         code = run(["gen", "--family", "path:3"], stdout=ClosedPipe(), stderr=err)
         assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")
 
-    def test_verify_paper_takes_no_bound(self, monkeypatch):
-        # its three products are fixed in the code; neither a flag nor the
-        # variable bounds them
-        monkeypatch.setenv("WFCOVER_MAX_ORDER", "1")
+    def test_verify_paper_takes_no_bound(self):
+        # its three products are fixed in the code; no flag bounds them
         assert invoke(["verify-paper"])[0] == 0
         code, out, err = invoke(["verify-paper", "--max-order", "24"])
         usage = build_parser().format_usage()

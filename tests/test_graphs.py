@@ -13,6 +13,7 @@ from wfcover import (
     FamilyError,
     FamilySpec,
     Graph,
+    ProductIndexMap,
     VertexSubset,
     from_graph6,
     generate,
@@ -185,6 +186,31 @@ class TestGraphInvariants:
                 assert not g.has_edge(v, v)
                 for u in range(g.order):
                     assert g.has_edge(u, v) == g.has_edge(v, u)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: fam("path:4").has_edge(-1, 2), "vertex -1 out of range for order 4"),
+            (lambda: fam("path:4").has_edge(0, 9), "vertex 9 out of range for order 4"),
+            (lambda: fam("path:4").has_edge(9, 0), "vertex 9 out of range for order 4"),
+            (lambda: fam("path:4").has_edge(0, 1.0), "vertex is not an int: 1.0"),
+            (lambda: fam("path:4").degree(-1), "vertex -1 out of range for order 4"),
+            (lambda: fam("path:4").degree(True), "vertex is not an int: True"),
+            (lambda: ProductIndexMap(2, 3).encode(0.5, 1), "first-factor vertex is not an int: 0.5"),
+            (lambda: ProductIndexMap(2, 3).encode(0, 3), "second-factor vertex 3 out of range for order 3"),
+            (lambda: ProductIndexMap(2, 3).decode(2.5), "product vertex is not an int: 2.5"),
+            (lambda: ProductIndexMap(2.5, "x"), "g_order must be an int of at least 1, got 2.5"),
+            (lambda: ProductIndexMap(2, 0), "h_order must be an int of at least 1, got 0"),
+            (lambda: ProductIndexMap(True, 2), "g_order must be an int of at least 1, got True"),
+        ],
+        ids=["edge-from-negative", "edge-to-past-end", "edge-from-past-end", "edge-to-float",
+             "degree-negative", "degree-bool", "encode-float", "encode-past-end", "decode-float",
+             "map-float-order", "map-zero-order", "map-bool-order"],
+    )
+    def test_vertex_lookups_reject_a_vertex_or_order_outside_the_graph(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
     def test_equality_ignores_name(self):
         a = fam("cycle:4")

@@ -111,7 +111,7 @@ class TestIndexMap:
         _, index_map = lexicographic(fam("path:2"), fam("path:3"))
         with pytest.raises(ValueError) as err:
             index_map.decode(v)
-        assert str(err.value) == f"product vertex {v} out of range"
+        assert str(err.value) == f"product vertex {v} out of range for order 6"
 
     def test_out_of_range_pair(self):
         _, index_map = lexicographic(fam("path:2"), fam("path:2"))

@@ -478,6 +478,12 @@ class TestScan:
         with pytest.raises(ValueError, match=rf"^{field} must be an int of at least 1, got "):
             ScanConfig(theorem="thm35", **{field: value})
 
+    @pytest.mark.parametrize("value", [3, 0, True, 2.5, b"findings.jsonl"])
+    def test_config_rejects_a_findings_path_that_is_not_a_path(self, value):
+        # open() would take an int or a bool as a file descriptor and close it
+        with pytest.raises(ValueError, match=r"^findings_path must be None, a str or a path, got "):
+            ScanConfig(theorem="thm35", findings_path=value)
+
 
 class TestReadGraph6Stream:
     def test_reads_in_order_skipping_blanks(self):
